@@ -10,9 +10,15 @@ Workloads:
                   coloring whose first zero-sum target is near the end,
                   i.e. the pass cannot stop early
   search-8-4      exhaust the reduced four-color search at n=27 (the
-                  S_z(8,4) decision step, ~1.0M extension checks)
+                  S_z(8,4) decision step: ~1.0M extension checks in the
+                  compiled kernel, 2.5k with the pure kernel's forward
+                  checking)
   search-6-3      exhaust the reduced three-color search at n=15
-  solve-12-4      2M-node budgeted slice of the k=12, r=4 search
+  solve-12-4      2M-node budgeted slice of the k=12, r=4 search at n=43
+                  (the pure kernel exhausts it in 40k nodes)
+
+The kernels search different trees, so searches are compared on status
+and coloring, and only where neither ran out of budget.
 """
 
 from __future__ import annotations
@@ -74,9 +80,11 @@ def main() -> int:
             times[bname], results[bname] = best_time(fn, wargs, args.repeats)
         answers = set()
         for bname, res in results.items():
-            answers.add(res if entry == "first_zero_sum_target"
-                        else (res[0], res[2]))
-        if len(answers) != 1:
+            if entry == "first_zero_sum_target":
+                answers.add(res)
+            elif res[0] != backends[bname].BUDGET:
+                answers.add((res[0], tuple(res[1] or ())))
+        if len(answers) > 1:
             print(f"{wname}: BACKENDS DISAGREE: {results}")
             return 1
         row = f"{wname:<{name_width}}  " + "".join(

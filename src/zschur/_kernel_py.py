@@ -6,9 +6,9 @@ compiled extension ``zschur._kernel``:
 * :func:`first_zero_sum_target` - one bottom-up pass of the reachability
   table over a fixed coloring, returning the least target that completes
   a zero-sum solution.
-* :func:`search_free_coloring` - depth-first search for a solution-free
-  coloring of [1..n], testing each newly colored position against an
-  incrementally maintained table snapshot.
+* :func:`search_free_coloring` - forward-checking depth-first search for
+  a solution-free coloring of [1..n] (the compiled extension still runs
+  the older search that only tests each newly colored position).
 
 The table is a list ``rows[j][c]`` of Python integers used as bitsets:
 bit s of ``rows[j][c]`` says that j values (repetition allowed, each at
@@ -24,6 +24,19 @@ Values are fed in increasing order.  A sum-T solution has k-1 parts that
 are each at least 1, so no part exceeds T-k+2; target T can therefore be
 tested as soon as values up to T-k+2 are in the table, and one shared
 table serves all targets in one O(k n^2 r) bit-op pass.
+
+The search keeps one table snapshot per depth holding *every* colored
+value 1..pos, so the last row forbids colors at all future targets at
+once: target t cannot take color c when bit t of rows[k-1][-c] is set.
+Color c is rejected at pos by that bit, and after an assignment the
+subtree is pruned when some target in (pos, n] has every palette color
+forbidden (a domain wipe-out: one AND over the palette's rows).  Both
+cuts remove only subtrees without a free coloring, so statuses and the
+lex-least certificates equal those of a search that tests each target
+only when it is colored; node and prune counts are far lower.  Once
+2*pos > n, value pos fits at most once in any sum up to n, so the
+child's last row is old_last | old_row_k-2 << pos and the wipe-out is
+tested on it before the full table is copied.
 """
 
 from __future__ import annotations
@@ -89,7 +102,7 @@ def first_zero_sum_target(values, n: int, k: int, r: int) -> int:
 
 def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
                          max_nodes, deadline):
-    """Depth-first search for a solution-free coloring of [1..n].
+    """Forward-checking depth-first search for a solution-free coloring of [1..n].
 
     Arguments
     ---------
@@ -100,11 +113,15 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
     canonical_mask: bitmask of residues allowed as the first nonzero
         color, or 0 for no restriction (unit-orbit symmetry breaking).
     max_nodes: extension-check budget, or None.
-    deadline: absolute time.monotonic() deadline, or None.
+    deadline: absolute time.monotonic() deadline, or None; checked before
+        the first extension check and then every 1024 of them.
 
     Returns ``(status, coloring, nodes, prunes, max_depth)`` where status
     is FOUND (coloring is a list of n residues), EXHAUSTED (no free
-    coloring extends the prefix; coloring is None) or BUDGET.
+    coloring extends the prefix; coloring is None) or BUDGET.  ``nodes``
+    counts extension checks, ``prunes`` the checks rejected by a target
+    hit or a wipe-out.  A prefix that is already wiped out returns
+    EXHAUSTED with 0 nodes.
 
     Branching is by ascending residue, so the first coloring found is the
     lexicographically least one in the reduced space.
@@ -117,9 +134,26 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
         colors[i + 1] = c
 
     mask = (1 << (n + 1)) - 1
+    last = k - 1
+    # bit t of rows[k-1][forbid[i]] forbids color palette[i] at target t
+    forbid = [(r - c) % r for c in palette]
+
+    def wiped_out(forbidden, pos: int) -> bool:
+        """Does some target in (pos, n] have its whole palette forbidden?
+
+        ``forbidden`` holds, per palette color, the last-row entry
+        ``rows[k-1][i]`` (i in ``forbid``) of the table to test.
+        """
+        acc = mask
+        for x in forbidden:
+            acc &= x
+        return acc >> (pos + 1) != 0
+
     base = new_table(k, r)
-    for v in range(1, max(0, d - k + 2) + 1):
+    for v in range(1, d + 1):
         add_value(base, v, colors[v], k, r, mask)
+    if wiped_out([base[last][i] for i in forbid], d):
+        return (EXHAUSTED, None, 0, 0, d)
 
     fnz0 = 0
     for i in range(1, d + 1):
@@ -127,7 +161,8 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
             fnz0 = i
             break
 
-    tables: list = [None] * (n + 2)
+    # tables[p] holds every colored value 1..p
+    tables: list = [None] * (n + 1)
     cidx = [0] * (n + 2)
     fnz = [0] * (n + 2)
     tables[d] = base
@@ -137,24 +172,15 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
     prunes = 0
     max_depth = d
     width = len(palette)
-    last_row_idx = k - 1
-
-    def enter(pos: int) -> None:
-        v = pos - k + 2
-        if v >= 1:
-            t = copy_table(tables[pos - 1])
-            add_value(t, v, colors[v], k, r, mask)
-            tables[pos] = t
-        else:
-            tables[pos] = tables[pos - 1]  # shared: never mutated again
 
     pos = d + 1
     cidx[pos] = 0
-    enter(pos)
     while True:
         advanced = False
-        row = tables[pos][last_row_idx]
-        test_here = pos >= k - 1
+        rows = tables[pos - 1]
+        row = rows[last]
+        below = rows[last - 1]
+        single = 2 * pos > n  # two copies of pos overshoot n
         while cidx[pos] < width:
             c = palette[cidx[pos]]
             cidx[pos] += 1
@@ -163,24 +189,36 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
             if (canonical_mask and c != 0 and fnz[pos - 1] == 0
                     and not (canonical_mask >> c) & 1):
                 continue
-            nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                return (BUDGET, None, nodes - 1, prunes, max_depth)
             if (deadline is not None and nodes % _DEADLINE_STRIDE == 0
                     and monotonic() > deadline):
                 return (BUDGET, None, nodes, prunes, max_depth)
-            if test_here and (row[(r - c) % r] >> pos) & 1:
+            nodes += 1
+            if max_nodes is not None and nodes > max_nodes:
+                return (BUDGET, None, nodes - 1, prunes, max_depth)
+            if (row[(r - c) % r] >> pos) & 1:
                 prunes += 1
                 continue
-            colors[pos] = c
-            fnz[pos] = fnz[pos - 1] or (pos if c else 0)
             if pos > max_depth:
                 max_depth = pos
             if pos == n:
+                colors[pos] = c
                 return (FOUND, colors[1:n + 1], nodes, prunes, max_depth)
+            # Once 2*pos > n the child's last row is row | below << pos:
+            # test it before paying for the full table.
+            if single and wiped_out(
+                    [row[i] | below[(i - c) % r] << pos for i in forbid], pos):
+                prunes += 1
+                continue
+            t = copy_table(rows)
+            add_value(t, pos, c, k, r, mask)
+            if not single and wiped_out([t[last][i] for i in forbid], pos):
+                prunes += 1
+                continue
+            tables[pos] = t
+            colors[pos] = c
+            fnz[pos] = fnz[pos - 1] or (pos if c else 0)
             pos += 1
             cidx[pos] = 0
-            enter(pos)
             advanced = True
             break
         if advanced:

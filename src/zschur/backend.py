@@ -3,7 +3,10 @@
 The hot paths (reachability pass and coloring search) exist twice: a
 Cython extension ``zschur._kernel`` and the pure-Python reference
 ``zschur._kernel_py``.  Both export the same two functions and the same
-status codes; the compiled one is picked when importable.
+status codes; the compiled one is picked when importable.  The solver
+always calls the pure ``search_free_coloring``, whatever is picked: the
+compiled search predates forward checking and is slower on exhaustive
+searches, so the compiled kernel serves the reachability pass only.
 
 Set ``ZSCHUR_BACKEND=pure`` to force the fallback (or ``compiled`` to
 insist on the extension and fail loudly if it is missing).  Benchmarks

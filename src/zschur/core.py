@@ -176,8 +176,10 @@ class SearchStats:
     """Counters from one search run.
 
     ``nodes`` counts incremental extension checks, ``prunes`` the checks
-    that detected a zero-sum conflict, ``max_depth`` the deepest position
-    reached, ``elapsed`` wall time in seconds.
+    that were rejected: the new position completes a zero-sum solution,
+    or (forward checking) some later target is left with every palette
+    color forbidden.  ``max_depth`` is the deepest position colored
+    without a conflict, ``elapsed`` wall time in seconds.
     """
 
     nodes: int = 0

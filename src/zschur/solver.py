@@ -9,6 +9,16 @@ newly colored position against an incrementally maintained reachability
 table is thus a complete conflict test, and any surviving full-length
 assignment is solution-free.
 
+The search always runs in the pure kernel, whatever backend is
+selected, because the compiled search lacks forward checking: the pure
+kernel's table holds every colored value, so after each assignment it
+sees which colors each later target may still take, and it cuts the
+subtree as soon as some later target has none left (a domain wipe-out).  Such a subtree holds no free coloring,
+so the cut changes node counts only, never a status or a lex-least
+certificate.  The frontier split below enumerates its prefixes with the
+plain conflict test of :func:`extend_check`; the kernel runs the
+wipe-out test once on each prefix before searching it.
+
 Symmetry reduction (applied only when r | k, where it is sound):
 position 1 is pinned to color 0 (zero-sum solutions are preserved by
 global translation), and the first nonzero color is required to be the
@@ -33,7 +43,7 @@ from dataclasses import dataclass, field
 from time import monotonic
 
 from . import _kernel_py, constructions
-from .backend import BUDGET, EXHAUSTED, FOUND, kernel
+from ._kernel_py import BUDGET, EXHAUSTED, FOUND, search_free_coloring
 from .checker import is_solution_free
 from .core import (
     INF,
@@ -57,7 +67,11 @@ class SearchConfig:
     one budget slice per worker).  ``deterministic`` forces sequential
     exploration so the returned certificate is the lexicographically
     least free coloring of the reduced space; the numeric result does not
-    depend on the thread count either way.
+    depend on the thread count either way.  One exception: when the scan
+    started above the construction certificate and proves the value
+    exact, but the budget runs out during the lex-least redo at value - 1,
+    the result is still EXACT and keeps the construction certificate,
+    which is free but neither lex-least nor inside the reduced space.
     """
 
     max_nodes: int | None = None
@@ -200,7 +214,7 @@ def find_free_coloring(n: int, spec: ProblemSpec,
 
     parallel = cfg.threads > 1 and not cfg.deterministic and n > spec.k
     if not parallel:
-        status, colors, nodes, prunes, max_depth = kernel.search_free_coloring(
+        status, colors, nodes, prunes, max_depth = search_free_coloring(
             n, spec.k, spec.r, palette, (), fix_first, canonical_mask,
             cfg.max_nodes, deadline)
         stats = SearchStats(nodes=nodes, prunes=prunes, max_depth=max_depth,
@@ -235,7 +249,7 @@ def _find_free_parallel(n, spec, cfg, palette, fix_first, canonical_mask,
     budget_hit = False
 
     def run(prefix: tuple[int, ...], slice_nodes: int | None):
-        return kernel.search_free_coloring(
+        return search_free_coloring(
             n, spec.k, spec.r, palette, prefix, fix_first, canonical_mask,
             slice_nodes, deadline)
 

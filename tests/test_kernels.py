@@ -1,4 +1,9 @@
-"""Backend equivalence: the compiled kernel must match the pure one bit for bit."""
+"""Backend equivalence.
+
+The reachability pass must match bit for bit.  The pure search prunes by
+forward checking while the frozen compiled search does not, so searches
+are compared on status and coloring; node and prune counts differ.
+"""
 
 import random
 from time import monotonic
@@ -67,7 +72,7 @@ def test_search_identical_results(kernel):
                                           mask, None, None)
         want = _kernel_py.search_free_coloring(n, k, r, palette, (), fix_first,
                                                mask, None, None)
-        assert got == want, (n, k, r, palette, fix_first, mask)
+        assert got[:2] == want[:2], (n, k, r, palette, fix_first, mask)
 
 
 def test_search_with_prefix(kernel):
@@ -77,17 +82,17 @@ def test_search_with_prefix(kernel):
                                           0b10, None, None)
         want = _kernel_py.search_free_coloring(10, 6, 3, (0, 1, 2), prefix, 0,
                                                0b10, None, None)
-        assert got == want, prefix
+        assert got[:2] == want[:2], prefix
 
 
 def test_search_budget_agreement(kernel):
+    args = (15, 6, 3, (0, 1, 2), (), 0, 0b10)
+    unbudgeted = _kernel_py.search_free_coloring(*args, None, None)
     for budget in (0, 1, 7, 50, 1000):
-        got = kernel.search_free_coloring(15, 6, 3, (0, 1, 2), (), 0, 0b10,
-                                          budget, None)
-        want = _kernel_py.search_free_coloring(15, 6, 3, (0, 1, 2), (), 0,
-                                               0b10, budget, None)
-        assert got == want, budget
+        got = kernel.search_free_coloring(*args, budget, None)
         assert got[2] <= budget  # node count respects the budget
+        if got[0] != kernel.BUDGET:
+            assert got[:2] == unbudgeted[:2], budget
 
 
 def test_search_expired_deadline(kernel):
@@ -109,6 +114,14 @@ def test_compiled_speedup_on_search():
     t0 = monotonic()
     slow = _kernel_py.search_free_coloring(*args)
     slow_t = monotonic() - t0
-    assert fast == slow
+    assert fast[:2] == slow[:2]
     # not asserted as a hard ratio; just require the extension not be slower
     assert fast_t <= slow_t
+
+
+def test_wiped_out_prefix_returns_at_entry():
+    # (0, 0, 1) is free, but some target up to 15 has all three colors
+    # forbidden by it, so the search stops before its first node
+    got = _kernel_py.search_free_coloring(15, 6, 3, (0, 1, 2), (0, 0, 1), 0,
+                                          0b10, None, None)
+    assert got == (_kernel_py.EXHAUSTED, None, 0, 0, 3)

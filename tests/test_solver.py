@@ -141,8 +141,9 @@ class TestFindFreeColoring:
         assert outcome.coloring.values == expected
 
     def test_budget_exhaustion(self):
-        spec = ProblemSpec(k=6, r=3)
-        outcome = find_free_coloring(15, spec, SearchConfig(max_nodes=50))
+        # exhausting S_z(12,4) at n=43 takes tens of thousands of nodes
+        spec = ProblemSpec(k=12, r=4)
+        outcome = find_free_coloring(43, spec, SearchConfig(max_nodes=50))
         assert outcome.status == 3
         assert outcome.stats.nodes <= 50
 
@@ -261,6 +262,35 @@ class TestSolveExact:
                 and brute_force_oracle(Coloring.of(values, 2), spec) is None]
         assert result.certificate.values == min(free)
 
+    @pytest.mark.parametrize("k,r,palette,certificate", [
+        (8, 4, Palette.FULL, "01230120022002200220321032"),
+        (12, 3, Palette.FULL, "01201201201101101101102102102102"),
+        (5, 5, Palette.FULL, "0101010404040404040404040404040101010"),
+        (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111"),
+    ])
+    def test_deterministic_certificates_unchanged(self, k, r, palette,
+                                                  certificate):
+        # lex-least certificates recorded from the search without
+        # forward checking; pruning dead subtrees must not change them
+        spec = ProblemSpec(k=k, r=r, palette=palette)
+        result = solve_exact(spec, SearchConfig(deterministic=True))
+        assert result.status is SolveStatus.EXACT
+        assert result.value == len(certificate) + 1
+        assert "".join(map(str, result.certificate.values)) == certificate
+
+    def test_budget_cut_redo_keeps_construction_certificate(self):
+        # n=45 exhausts within the budget, so the value is exact, but the
+        # lex-least redo at n=44 runs out: the construction stays.  Only
+        # a forward-checking search exhausts n=45 in 100 nodes, so this
+        # also shows the solver uses it whatever backend is built.
+        spec = ProblemSpec(k=10, r=5)
+        result = solve_exact(spec, SearchConfig(max_nodes=100,
+                                                deterministic=True))
+        assert result.status is SolveStatus.EXACT
+        assert result.value == 45
+        assert result.certificate.n == 44
+        assert is_solution_free(result.certificate, spec)
+
     def test_thread_count_does_not_change_value(self):
         for threads in (1, 2, 4):
             result = solve_exact(ProblemSpec(k=6, r=3),
@@ -284,7 +314,9 @@ class TestSolveExact:
         assert result.value == 15
 
     def test_stats_accumulate(self):
-        result = solve_exact(ProblemSpec(k=6, r=3))
+        # the lex-least redo at n=14 colors every position
+        result = solve_exact(ProblemSpec(k=6, r=3),
+                             SearchConfig(deterministic=True))
         assert result.stats.nodes > 0
         assert result.stats.prunes > 0
         assert result.stats.max_depth == 14
