@@ -10,15 +10,28 @@ compiled extension ``zschur._kernel``:
   a solution-free coloring of [1..n] (the compiled extension still runs
   the older search that only tests each newly colored position).
 
-The table is a list ``rows[j][c]`` of Python integers used as bitsets:
-bit s of ``rows[j][c]`` says that j values (repetition allowed, each at
-most the current value cap) can realize sum s with color-sum c mod r.
-Adding one value v with color cv is, per (j, c), a single shift-and-OR
+Table layout
+------------
+A table for k rows, r colors and sums 0..sum_cap is a list of k Python
+integers, one per row j.  Row j packs the r color classes as bit blocks
+of width W = sum_cap + 1: bit c*W + s of ``rows[j]`` says that j values
+(repetition allowed, each at most the current value cap) can realize sum
+s with color-sum c mod r.  Only this module knows the layout; other
+modules go through :class:`Geometry` and the helpers :func:`add_value`,
+:func:`cell`, :func:`prefix_table`, :func:`suffix_tables`,
+:func:`resize` and :func:`entry_wiped_out`.
 
-    rows[j][c] |= rows[j-1][(c - cv) % r] << v
+Adding one value v with color cv takes one step per row, in increasing j
+so that v may be reused any number of times:
 
-taken in increasing j so that v may be reused any number of times.  Sums
-never need to exceed n, so every row is masked to n+1 bits.
+    y = rows[j-1] & keep[v]        # per block, the sums s <= sum_cap - v
+    rows[j] |= rotate(y, cv) << v  # block c moves to block (c + cv) % r
+
+Masking before the shift keeps every bit inside its block, so the
+rotation and the shift together are two shifts of the whole row: the
+blocks that stay below block r move up by cv*W + v, the cv blocks that
+wrap around move down by (r - cv)*W - v.  The keep masks are derived per
+geometry, each from the previous one.
 
 Values are fed in increasing order.  A sum-T solution has k-1 parts that
 are each at least 1, so no part exceeds T-k+2; target T can therefore be
@@ -27,20 +40,22 @@ table serves all targets in one O(k n^2 r) bit-op pass.
 
 The search keeps one table snapshot per depth holding *every* colored
 value 1..pos, so the last row forbids colors at all future targets at
-once: target t cannot take color c when bit t of rows[k-1][-c] is set.
-Color c is rejected at pos by that bit, and after an assignment the
-subtree is pruned when some target in (pos, n] has every palette color
-forbidden (a domain wipe-out: one AND over the palette's rows).  Both
-cuts remove only subtrees without a free coloring, so statuses and the
-lex-least certificates equal those of a search that tests each target
-only when it is colored; node and prune counts are far lower.  Once
-2*pos > n, value pos fits at most once in any sum up to n, so the
-child's last row is old_last | old_row_k-2 << pos and the wipe-out is
-tested on it before the full table is copied.
+once: target t cannot take color c when bit ((r-c) % r)*W + t of the last
+row is set.  Color c is rejected at pos by that bit, and after an
+assignment the subtree is pruned when some target in (pos, n] has every
+palette color forbidden (a domain wipe-out: one AND over the palette's
+blocks of the last row).  Both cuts remove only subtrees without a free
+coloring, so statuses and the lex-least certificates equal those of a
+search that tests each target only when it is colored; node and prune
+counts are far lower.  Once 2*pos > n, value pos fits at most once in
+any sum up to n, so the child's last row is old_last plus one step of
+old_row_k-2, and the wipe-out is tested on it before the full table is
+copied.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from time import monotonic
 
 BACKEND = "pure"
@@ -53,31 +68,164 @@ BUDGET = 3
 _DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
 
 
-def new_table(k: int, r: int) -> list[list[int]]:
+class Geometry:
+    """Bit layout of the tables with r color blocks of sums 0..sum_cap.
+
+    The keep mask of value v holds, in every block, the sums
+    s <= sum_cap - v: the bits that may take one more copy of v without
+    leaving their block.  It is ``full`` for v = 0 and 0 past sum_cap;
+    each is derived from its neighbour (:meth:`next_keep`), and
+    :meth:`keeps` lists them all for random access (:meth:`keep`).
+    """
+
+    __slots__ = ("r", "sum_cap", "width", "size", "full", "block", "ones",
+                 "_keeps")
+
+    def __init__(self, r: int, sum_cap: int) -> None:
+        width = sum_cap + 1
+        self.r = r
+        self.sum_cap = sum_cap
+        self.width = width
+        self.size = r * width
+        self.full = (1 << self.size) - 1
+        self.block = (1 << width) - 1
+        ones = 0  # bit 0 of every block
+        for c in range(r):
+            ones |= 1 << (c * width)
+        self.ones = ones
+        self._keeps = None
+
+    def next_keep(self, keep: int, v: int) -> int:
+        """Keep mask of v from that of v - 1 (1 <= v <= sum_cap + 1).
+
+        The step is its own inverse: it also gives v - 1's mask from v's.
+        """
+        return keep ^ (self.ones << (self.width - v))
+
+    def keep(self, v: int) -> int:
+        """Keep mask of any v >= 0."""
+        return self.keeps()[min(v, self.width)]
+
+    def keeps(self) -> list[int]:
+        """Keep masks of v = 0..sum_cap + 1, built on first use."""
+        if self._keeps is None:
+            keep = self.full
+            out = [keep]
+            for v in range(1, self.width + 1):
+                keep = self.next_keep(keep, v)
+                out.append(keep)
+            self._keeps = out
+        return self._keeps
+
+
+@lru_cache(maxsize=16)
+def geometry(r: int, sum_cap: int) -> Geometry:
+    return Geometry(r, sum_cap)
+
+
+def new_table(k: int) -> list[int]:
     """Empty table: only the 0-values/0-sum/0-color cell is reachable."""
-    rows = [[0] * r for _ in range(k)]
-    rows[0][0] = 1
+    return [1] + [0] * (k - 1)
+
+
+def add_value(rows: list[int], v: int, cv: int, keep: int,
+              geo: Geometry) -> None:
+    """Allow value v (color cv) with unlimited multiplicity.
+
+    ``keep`` is the keep mask of v (0 when v > sum_cap).
+    """
+    up = cv * geo.width + v
+    prev = rows[0]
+    if cv == 0:
+        for j in range(1, len(rows)):
+            prev = rows[j] | (prev & keep) << v
+            rows[j] = prev
+        return
+    full = geo.full
+    down = geo.size - up
+    for j in range(1, len(rows)):
+        y = prev & keep
+        prev = rows[j] | ((y << up) & full) | (y >> down)
+        rows[j] = prev
+
+
+def cell(rows: list[int], j: int, s: int, c: int, geo: Geometry) -> bool:
+    """Can j values reach sum s (0 <= s <= sum_cap) with color-sum c mod r?"""
+    return bool((rows[j] >> (c * geo.width + s)) & 1)
+
+
+def resize(rows: list[int], old: Geometry, new: Geometry) -> list[int]:
+    """A copy of the table laid out for ``new``; sums above its cap are dropped."""
+    if old.width == new.width:
+        return rows[:]
+    mask = (1 << min(old.width, new.width)) - 1
+    out = []
+    for row in rows:
+        packed = 0
+        for c in range(old.r):
+            packed |= ((row >> (c * old.width)) & mask) << (c * new.width)
+        out.append(packed)
+    return out
+
+
+def suffix_tables(colors, k: int, v_max: int, geo: Geometry) -> list:
+    """Tables of the suffixes of [1..v_max]: entry lo holds values lo..v_max.
+
+    Value v has color ``colors[v - 1]``; entry v_max + 1 is the empty
+    table, and entry 0 is unused.  Requires v_max <= sum_cap.
+    """
+    suffix: list = [None] * (v_max + 2)
+    rows = new_table(k)
+    suffix[v_max + 1] = rows
+    keep = 0  # keep mask of sum_cap + 1, stepped down to that of v_max
+    for v in range(geo.width, v_max, -1):
+        keep = geo.next_keep(keep, v)
+    for lo in range(v_max, 0, -1):
+        rows = rows[:]
+        add_value(rows, lo, colors[lo - 1], keep, geo)
+        suffix[lo] = rows
+        keep = geo.next_keep(keep, lo)
+    return suffix
+
+
+def forbid_offsets(palette, geo: Geometry) -> list[int]:
+    """Per palette color c, the offset of block (r - c) % r: the sums that forbid c."""
+    return [((geo.r - c) % geo.r) * geo.width for c in palette]
+
+
+def wiped_out(row: int, offsets: list[int], pos: int, geo: Geometry) -> bool:
+    """Does some target in (pos, sum_cap] have its whole palette forbidden?
+
+    ``row`` is a last row, ``offsets`` come from :func:`forbid_offsets`.
+    """
+    acc = geo.block
+    for off in offsets:
+        acc &= row >> off
+    return acc >> (pos + 1) != 0
+
+
+def prefix_table(prefix, k: int, geo: Geometry) -> list[int]:
+    """Table holding every value of the prefix (value i+1 has color prefix[i])."""
+    rows = new_table(k)
+    keep = geo.full
+    for v, c in enumerate(prefix, 1):
+        if v > geo.sum_cap:
+            break
+        keep = geo.next_keep(keep, v)
+        add_value(rows, v, c, keep, geo)
     return rows
 
 
-def copy_table(rows: list[list[int]]) -> list[list[int]]:
-    return [row[:] for row in rows]
+def entry_wiped_out(n: int, k: int, r: int, palette, prefix) -> bool:
+    """The search's entry test: is the prefix refuted before any node?
 
-
-def add_value(rows: list[list[int]], v: int, cv: int, k: int, r: int,
-              mask: int) -> None:
-    """Allow value v (color cv) with unlimited multiplicity."""
-    for j in range(1, k):
-        prev = rows[j - 1]
-        row = rows[j]
-        for c in range(r):
-            row[c] |= (prev[(c - cv) % r] << v) & mask
-
-
-def target_hit(rows: list[list[int]], target: int, c_target: int, k: int,
-               r: int) -> bool:
-    """Does some (k-1)-selection of table values complete target to zero-sum?"""
-    return bool((rows[k - 1][(r - c_target) % r] >> target) & 1)
+    True when some target in (len(prefix), n] has every palette color
+    forbidden by the prefix's values, so :func:`search_free_coloring`
+    returns EXHAUSTED with 0 nodes for this prefix.
+    """
+    geo = geometry(r, n)
+    rows = prefix_table(prefix, k, geo)
+    return wiped_out(rows[-1], forbid_offsets(palette, geo), len(prefix), geo)
 
 
 def first_zero_sum_target(values, n: int, k: int, r: int) -> int:
@@ -87,15 +235,17 @@ def first_zero_sum_target(values, n: int, k: int, r: int) -> int:
     """
     if n < k - 1:
         return 0
-    mask = (1 << (n + 1)) - 1
-    rows = new_table(k, r)
+    geo = geometry(r, n)
+    rows = new_table(k)
+    keep = geo.full
     v = 0
     for target in range(k - 1, n + 1):
         cap = target - k + 2
         while v < cap:
             v += 1
-            add_value(rows, v, values[v - 1], k, r, mask)
-        if (rows[k - 1][(r - values[target - 1]) % r] >> target) & 1:
+            keep = geo.next_keep(keep, v)
+            add_value(rows, v, values[v - 1], keep, geo)
+        if cell(rows, k - 1, target, (r - values[target - 1]) % r, geo):
             return target
     return 0
 
@@ -120,8 +270,8 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
     is FOUND (coloring is a list of n residues), EXHAUSTED (no free
     coloring extends the prefix; coloring is None) or BUDGET.  ``nodes``
     counts extension checks, ``prunes`` the checks rejected by a target
-    hit or a wipe-out.  A prefix that is already wiped out returns
-    EXHAUSTED with 0 nodes.
+    hit or a wipe-out.  A prefix that is already wiped out
+    (:func:`entry_wiped_out`) returns EXHAUSTED with 0 nodes.
 
     Branching is by ascending residue, so the first coloring found is the
     lexicographically least one in the reduced space.
@@ -133,26 +283,18 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
     for i, c in enumerate(prefix):
         colors[i + 1] = c
 
-    mask = (1 << (n + 1)) - 1
+    geo = geometry(r, n)
+    keep = geo.keeps()
+    width = geo.width
+    full = geo.full
+    size = geo.size
     last = k - 1
-    # bit t of rows[k-1][forbid[i]] forbids color palette[i] at target t
-    forbid = [(r - c) % r for c in palette]
+    # bit forbid[c] + t of the last row forbids color c at target t
+    forbid = forbid_offsets(range(r), geo)
+    offsets = forbid_offsets(palette, geo)
 
-    def wiped_out(forbidden, pos: int) -> bool:
-        """Does some target in (pos, n] have its whole palette forbidden?
-
-        ``forbidden`` holds, per palette color, the last-row entry
-        ``rows[k-1][i]`` (i in ``forbid``) of the table to test.
-        """
-        acc = mask
-        for x in forbidden:
-            acc &= x
-        return acc >> (pos + 1) != 0
-
-    base = new_table(k, r)
-    for v in range(1, d + 1):
-        add_value(base, v, colors[v], k, r, mask)
-    if wiped_out([base[last][i] for i in forbid], d):
+    base = prefix_table(prefix, k, geo)
+    if wiped_out(base[last], offsets, d, geo):
         return (EXHAUSTED, None, 0, 0, d)
 
     fnz0 = 0
@@ -171,7 +313,7 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
     nodes = 0
     prunes = 0
     max_depth = d
-    width = len(palette)
+    choices = len(palette)
 
     pos = d + 1
     cidx[pos] = 0
@@ -179,9 +321,9 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
         advanced = False
         rows = tables[pos - 1]
         row = rows[last]
-        below = rows[last - 1]
+        below = rows[last - 1] & keep[pos]
         single = 2 * pos > n  # two copies of pos overshoot n
-        while cidx[pos] < width:
+        while cidx[pos] < choices:
             c = palette[cidx[pos]]
             cidx[pos] += 1
             if pos == 1 and fix_first >= 0 and c != fix_first:
@@ -195,7 +337,7 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 return (BUDGET, None, nodes - 1, prunes, max_depth)
-            if (row[(r - c) % r] >> pos) & 1:
+            if (row >> (forbid[c] + pos)) & 1:
                 prunes += 1
                 continue
             if pos > max_depth:
@@ -203,15 +345,17 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
             if pos == n:
                 colors[pos] = c
                 return (FOUND, colors[1:n + 1], nodes, prunes, max_depth)
-            # Once 2*pos > n the child's last row is row | below << pos:
-            # test it before paying for the full table.
-            if single and wiped_out(
-                    [row[i] | below[(i - c) % r] << pos for i in forbid], pos):
-                prunes += 1
-                continue
-            t = copy_table(rows)
-            add_value(t, pos, c, k, r, mask)
-            if not single and wiped_out([t[last][i] for i in forbid], pos):
+            # Once 2*pos > n the child's last row is row plus one
+            # add_value step of below: test it before paying for the table.
+            if single:
+                up = c * width + pos
+                if wiped_out(row | ((below << up) & full) | (below >> (size - up)),
+                             offsets, pos, geo):
+                    prunes += 1
+                    continue
+            t = rows[:]
+            add_value(t, pos, c, keep[pos], geo)
+            if not single and wiped_out(t[last], offsets, pos, geo):
                 prunes += 1
                 continue
             tables[pos] = t

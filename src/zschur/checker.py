@@ -33,16 +33,18 @@ class ReachTable:
 
     ``cell(j, s, c)`` is True iff j values from [1..v_max], repetition
     allowed, have sum s and color-sum congruent to c mod r.  Row 0 holds
-    only the empty selection; row 1 mirrors the coloring itself.  Used by
-    tests and by witness extraction; the solver keeps its own packed
-    copies inside the kernel.
+    only the empty selection; row 1 mirrors the coloring itself.  Each
+    entry of ``rows`` is one packed row of the pure kernel's layout (the
+    r color classes as bit blocks of sums 0..sum_cap), read through
+    :func:`zschur._kernel_py.cell`.  Used by tests; witness extraction
+    and the search build the same tables through the kernel's helpers.
     """
 
     k: int
     r: int
     v_max: int
     sum_cap: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
 
     @classmethod
     def build(cls, chi: Coloring, k: int, v_max: int | None = None,
@@ -53,17 +55,16 @@ class ReachTable:
             raise ValueError(f"v_max {v_max} outside [0, {chi.n}]")
         if sum_cap is None:
             sum_cap = chi.n
-        mask = (1 << (sum_cap + 1)) - 1
-        rows = _kernel_py.new_table(k, chi.r)
-        for v in range(1, v_max + 1):
-            _kernel_py.add_value(rows, v, chi.color(v), k, chi.r, mask)
+        geo = _kernel_py.geometry(chi.r, sum_cap)
+        rows = _kernel_py.prefix_table(chi.values[:v_max], k, geo)
         return cls(k=k, r=chi.r, v_max=v_max, sum_cap=sum_cap,
-                   rows=tuple(tuple(row) for row in rows))
+                   rows=tuple(rows))
 
     def cell(self, j: int, s: int, c: int) -> bool:
         if not (0 <= j < self.k and 0 <= c < self.r and 0 <= s <= self.sum_cap):
             raise IndexError(f"cell ({j}, {s}, {c}) out of range")
-        return bool((self.rows[j][c] >> s) & 1)
+        return _kernel_py.cell(self.rows, j, s, c,
+                               _kernel_py.geometry(self.r, self.sum_cap))
 
 
 def _first_target(chi: Coloring, spec: ProblemSpec) -> int:
@@ -80,14 +81,8 @@ def _lex_least_parts(chi: Coloring, k: int, r: int, target: int) -> tuple[int, .
     exactly the sets allowed once a part equal to lo has been chosen.
     """
     v_max = target - k + 2
-    mask = (1 << (target + 1)) - 1
-    suffix: list[list[list[int]]] = [None] * (v_max + 2)  # type: ignore[list-item]
-    rows = _kernel_py.new_table(k, r)
-    suffix[v_max + 1] = rows
-    for lo in range(v_max, 0, -1):
-        rows = _kernel_py.copy_table(rows)
-        _kernel_py.add_value(rows, lo, chi.color(lo), k, r, mask)
-        suffix[lo] = rows
+    geo = _kernel_py.geometry(r, target)
+    suffix = _kernel_py.suffix_tables(chi.values, k, v_max, geo)
 
     parts = []
     j = k - 1
@@ -100,7 +95,7 @@ def _lex_least_parts(chi: Coloring, k: int, r: int, target: int) -> tuple[int, .
             if rest < (j - 1) * v:
                 break
             c_rest = (c - chi.color(v)) % r
-            if (suffix[v][j - 1][c_rest] >> rest) & 1:
+            if _kernel_py.cell(suffix[v], j - 1, rest, c_rest, geo):
                 parts.append(v)
                 j -= 1
                 s = rest

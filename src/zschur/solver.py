@@ -13,11 +13,13 @@ The search always runs in the pure kernel, whatever backend is
 selected, because the compiled search lacks forward checking: the pure
 kernel's table holds every colored value, so after each assignment it
 sees which colors each later target may still take, and it cuts the
-subtree as soon as some later target has none left (a domain wipe-out).  Such a subtree holds no free coloring,
-so the cut changes node counts only, never a status or a lex-least
-certificate.  The frontier split below enumerates its prefixes with the
-plain conflict test of :func:`extend_check`; the kernel runs the
-wipe-out test once on each prefix before searching it.
+subtree as soon as some later target has none left (a domain wipe-out).
+Such a subtree holds no free coloring, so the cut changes node counts
+only, never a status or a lex-least certificate.  The frontier split
+below grows its prefixes one level at a time with the plain conflict
+test of :func:`extend_check` plus the kernel's entry wipe-out test, so
+an exhaustion split over a pool checks exactly the nodes of the
+sequential search.
 
 Symmetry reduction (applied only when r | k, where it is sound):
 position 1 is pinned to color 0 (zero-sum solutions are preserved by
@@ -91,8 +93,11 @@ class SearchState:
     """A solution-free prefix plus one reachability snapshot per position.
 
     Reference implementation of the incremental extension step; the
-    kernels inline the same logic with packed tables.  The snapshots are
-    shared, never mutated: extending copies the top one.
+    kernel inlines the same logic.  Each snapshot is a pair
+    ``(geometry, rows)``: a table in the pure kernel's packed layout (the
+    r color classes as bit blocks of sums 0..geometry.sum_cap, see
+    :mod:`zschur._kernel_py`) and the geometry that reads it.  The
+    snapshots are shared, never mutated: extending copies the top one.
     """
 
     spec: ProblemSpec
@@ -101,8 +106,8 @@ class SearchState:
 
     @classmethod
     def initial(cls, spec: ProblemSpec) -> SearchState:
-        return cls(spec=spec, prefix=(),
-                   reach_stack=(_kernel_py.new_table(spec.k, spec.r),))
+        table = (_kernel_py.geometry(spec.r, 0), _kernel_py.new_table(spec.k))
+        return cls(spec=spec, prefix=(), reach_stack=(table,))
 
     @property
     def depth(self) -> int:
@@ -118,22 +123,25 @@ def extend_check(state: SearchState, color: int, *,
     state's top snapshot covers values up to position+2-k, ready for the
     next extension.  ``sum_cap``, when given, must be at least the final
     domain size n; bits above it are dropped from the tables for speed.
+    Without it the snapshot keeps every sum its values reach.
     """
     spec = state.spec
     k, r = spec.k, spec.r
     if not 0 <= color < r:
         raise ValueError(f"color {color} outside [0, {r - 1}]")
     pos = state.depth + 1
-    mask = -1 if sum_cap is None else (1 << (sum_cap + 1)) - 1
-    rows = state.reach_stack[-1]
+    geo, rows = state.reach_stack[-1]
     v = pos - k + 2
     if v >= 1:
-        rows = _kernel_py.copy_table(rows)
-        _kernel_py.add_value(rows, v, state.prefix[v - 1], k, r, mask)
-    if pos >= k - 1 and _kernel_py.target_hit(rows, pos, color, k, r):
+        new = _kernel_py.geometry(r, (k - 1) * v if sum_cap is None else sum_cap)
+        rows = _kernel_py.resize(rows, geo, new)
+        geo = new
+        _kernel_py.add_value(rows, v, state.prefix[v - 1], geo.keep(v), geo)
+    if (k - 1 <= pos <= geo.sum_cap
+            and _kernel_py.cell(rows, k - 1, pos, (r - color) % r, geo)):
         return None
     return SearchState(spec=spec, prefix=state.prefix + (color,),
-                       reach_stack=state.reach_stack + (rows,))
+                       reach_stack=state.reach_stack + ((geo, rows),))
 
 
 @dataclass
@@ -167,32 +175,36 @@ def _symmetry_filters(spec: ProblemSpec) -> tuple[tuple[int, ...], int, int]:
     return palette, 0, mask
 
 
-def _enumerate_prefixes(spec: ProblemSpec, n: int, depth: int,
+def _enumerate_prefixes(spec: ProblemSpec, n: int, frontier: list[SearchState],
                         palette: tuple[int, ...], fix_first: int,
-                        canonical_mask: int) -> tuple[list[tuple[int, ...]], SearchStats]:
-    """All solution-free prefixes of the given depth, in branch order."""
+                        canonical_mask: int) -> tuple[list[SearchState], SearchStats]:
+    """Extend every frontier state by one position, in branch order.
+
+    A child is kept when :func:`extend_check` finds no conflict and the
+    kernel's entry wipe-out test does not refute it, so the pool gets
+    only prefixes the kernel would search.  Each child counts one node,
+    and a rejected one also a prune, as in the kernel.
+    """
     stats = SearchStats()
-    frontier = [SearchState.initial(spec)]
-    for pos in range(1, depth + 1):
-        nxt = []
-        for state in frontier:
-            no_nonzero = not any(state.prefix)
-            for c in palette:
-                if pos == 1 and fix_first >= 0 and c != fix_first:
-                    continue
-                if (canonical_mask and c != 0 and no_nonzero
-                        and not (canonical_mask >> c) & 1):
-                    continue
-                stats.nodes += 1
-                child = extend_check(state, c, sum_cap=n)
-                if child is None:
-                    stats.prunes += 1
-                else:
-                    nxt.append(child)
-        frontier = nxt
-        if frontier:
-            stats.max_depth = max(stats.max_depth, pos)
-    return [s.prefix for s in frontier], stats
+    children = []
+    for state in frontier:
+        pos = state.depth + 1
+        no_nonzero = not any(state.prefix)
+        for c in palette:
+            if pos == 1 and fix_first >= 0 and c != fix_first:
+                continue
+            if (canonical_mask and c != 0 and no_nonzero
+                    and not (canonical_mask >> c) & 1):
+                continue
+            stats.nodes += 1
+            child = extend_check(state, c, sum_cap=n)
+            if child is None or _kernel_py.entry_wiped_out(
+                    n, spec.k, spec.r, palette, child.prefix):
+                stats.prunes += 1
+            else:
+                children.append(child)
+                stats.max_depth = pos
+    return children, stats
 
 
 def find_free_coloring(n: int, spec: ProblemSpec,
@@ -227,17 +239,19 @@ def find_free_coloring(n: int, spec: ProblemSpec,
 
 def _find_free_parallel(n, spec, cfg, palette, fix_first, canonical_mask,
                         start, deadline) -> FreeSearchOutcome:
-    # Frontier split: enumerate free prefixes at a fixed depth, then let a
-    # worker pool exhaust the subtrees. Any-found / all-exhausted merge.
+    # Frontier split: extend the free prefixes one level at a time until
+    # there are enough of them, then let a worker pool exhaust the
+    # subtrees. Any-found / all-exhausted merge.
+    frontier, stats = _enumerate_prefixes(spec, n, [SearchState.initial(spec)],
+                                          palette, fix_first, canonical_mask)
     depth = 1
-    prefixes, stats = _enumerate_prefixes(spec, n, depth, palette,
-                                          fix_first, canonical_mask)
-    while depth < min(n - 1, 12) and 0 < len(prefixes) < 4 * cfg.threads:
+    while depth < min(n - 1, 12) and 0 < len(frontier) < 4 * cfg.threads:
         depth += 1
-        prefixes, more = _enumerate_prefixes(spec, n, depth, palette,
+        frontier, more = _enumerate_prefixes(spec, n, frontier, palette,
                                              fix_first, canonical_mask)
         stats.merge(more)
     stats.max_depth = max(stats.max_depth, depth)
+    prefixes = [state.prefix for state in frontier]
     if not prefixes:
         stats.elapsed = monotonic() - start
         return FreeSearchOutcome(status=EXHAUSTED, coloring=None, stats=stats)

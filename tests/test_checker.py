@@ -57,14 +57,18 @@ def test_modulus_mismatch():
 
 
 def test_oracle_equivalence_and_lexicographic_witness():
+    # r up to 6 and n up to 20 put targets on the last sum of a packed
+    # block (sum n, block (r-c) % r) for every residue; each coloring with
+    # a witness is also checked cut at its least target, where that
+    # target is exactly n
     rng = random.Random(1234)
     existence_checked = 0
     witnesses_checked = 0
     for _ in range(300):
         k = rng.choice((3, 4, 5))
-        r = rng.choice((2, 3, 4))
+        r = rng.randint(2, 6)
         spec = ProblemSpec(k=k, r=r)
-        chi = random_coloring(rng, rng.randint(0, 12), r)
+        chi = random_coloring(rng, rng.randint(0, 20), r)
         fast = find_zero_sum_solution(chi, spec)
         slow = brute_force_oracle(chi, spec)
         assert (fast is None) == (slow is None), (chi.values, k, r)
@@ -73,6 +77,17 @@ def test_oracle_equivalence_and_lexicographic_witness():
             assert fast == slow, (chi.values, k, r, fast, slow)
             assert validate_witness(fast, chi, spec)
             witnesses_checked += 1
+            cut = chi.restricted(fast.target)
+            assert find_zero_sum_solution(cut, spec) == fast
+            assert brute_force_oracle(cut, spec) == fast
+    # S_z(6, 3) = 15: the free construction of [1..14] plus any color has
+    # its least target at exactly n = 15
+    spec = ProblemSpec(k=6, r=3)
+    for c in range(3):
+        chi = Coloring.of(construct_odd(6, 3).values + (c,), 3)
+        fast = find_zero_sum_solution(chi, spec)
+        assert fast is not None and fast.target == chi.n == 15
+        assert fast == brute_force_oracle(chi, spec)
     assert existence_checked == 300
     assert witnesses_checked > 100  # sanity: the sample was not degenerate
 

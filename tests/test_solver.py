@@ -19,6 +19,18 @@ from zschur import (
 from zschur.solver import _symmetry_filters
 
 
+#: (k, r, palette, lex-least certificate, nodes, prunes, max_depth) of
+#: deterministic solves.
+CERTIFIED_TREES = [
+    (8, 4, Palette.FULL, "01230120022002200220321032", 3080, 2296, 26),
+    (12, 3, Palette.FULL, "01201201201101101101102102102102", 237, 140, 32),
+    (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
+     12851, 9992, 37),
+    (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
+     1269, 485, 40),
+]
+
+
 def make_state(spec, prefix, sum_cap=None):
     state = SearchState.initial(spec)
     for color in prefix:
@@ -71,16 +83,20 @@ class TestExtendCheck:
             k = rng.choice((3, 4, 5))
             r = rng.choice((2, 3))
             spec = ProblemSpec(k=k, r=r)
-            state = SearchState.initial(spec)
+            state = capped = SearchState.initial(spec)
             colors = []
             for pos in range(1, 10):
                 c = rng.randrange(r)
                 extended = extend_check(state, c)
                 chi = Coloring.of(colors + [c], r)
                 assert (extended is None) == (not is_solution_free(chi, spec))
+                # a sum cap of the final n drops no sum that matters
+                extended_capped = extend_check(capped, c, sum_cap=9)
+                assert (extended_capped is None) == (extended is None)
                 if extended is None:
                     break
                 state = extended
+                capped = extended_capped
                 colors.append(c)
 
 
@@ -262,21 +278,24 @@ class TestSolveExact:
                 and brute_force_oracle(Coloring.of(values, 2), spec) is None]
         assert result.certificate.values == min(free)
 
-    @pytest.mark.parametrize("k,r,palette,certificate", [
-        (8, 4, Palette.FULL, "01230120022002200220321032"),
-        (12, 3, Palette.FULL, "01201201201101101101102102102102"),
-        (5, 5, Palette.FULL, "0101010404040404040404040404040101010"),
-        (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111"),
-    ])
+    @pytest.mark.parametrize(
+        "k,r,palette,certificate,nodes,prunes,depth", CERTIFIED_TREES,
+        ids=["-".join(map(str, case[:4])) for case in CERTIFIED_TREES])
     def test_deterministic_certificates_unchanged(self, k, r, palette,
-                                                  certificate):
+                                                  certificate, nodes, prunes,
+                                                  depth):
         # lex-least certificates recorded from the search without
-        # forward checking; pruning dead subtrees must not change them
+        # forward checking; pruning dead subtrees must not change them.
+        # The node, prune and depth counts pin the forward-checking tree:
+        # a change of table layout must leave them as they are.
         spec = ProblemSpec(k=k, r=r, palette=palette)
         result = solve_exact(spec, SearchConfig(deterministic=True))
         assert result.status is SolveStatus.EXACT
         assert result.value == len(certificate) + 1
         assert "".join(map(str, result.certificate.values)) == certificate
+        stats = result.stats
+        assert (stats.nodes, stats.prunes, stats.max_depth) == (nodes, prunes,
+                                                                depth)
 
     def test_budget_cut_redo_keeps_construction_certificate(self):
         # n=45 exhausts within the budget, so the value is exact, but the
@@ -290,6 +309,18 @@ class TestSolveExact:
         assert result.value == 45
         assert result.certificate.n == 44
         assert is_solution_free(result.certificate, spec)
+
+    @pytest.mark.parametrize("k,r,n", [(8, 4, 27), (12, 3, 33), (9, 3, 24)])
+    def test_split_exhaustion_spends_the_sequential_nodes(self, k, r, n):
+        # the frontier grows one level at a time and drops the prefixes
+        # the kernel would refute at entry, so a threaded exhaustion
+        # checks each node of the sequential tree exactly once
+        spec = ProblemSpec(k=k, r=r)
+        seq = find_free_coloring(n, spec)
+        par = find_free_coloring(n, spec, SearchConfig(threads=2))
+        assert seq.exhausted and par.exhausted
+        assert (par.stats.nodes, par.stats.prunes) == (seq.stats.nodes,
+                                                       seq.stats.prunes)
 
     def test_thread_count_does_not_change_value(self):
         for threads in (1, 2, 4):
