@@ -13,19 +13,19 @@ Workloads:
                   target (pure only: extraction always runs in Python)
   search-8-4      exhaust the reduced four-color search at n=27 (the
                   S_z(8,4) decision step: ~1.0M extension checks in the
-                  compiled kernel, 2,515 with the pure kernel's forward
-                  checking)
+                  compiled kernel, 939 with the pure kernel's forward
+                  checking and singleton propagation)
   search-6-3      exhaust the reduced three-color search at n=15 (21
                   extension checks in the pure kernel)
   solve-12-4      2M-node budgeted slice of the k=12, r=4 search at n=43
-                  (the pure kernel exhausts it in 40,143 nodes)
+                  (the pure kernel exhausts it in 15,335 nodes)
 
 The kernels search different trees, so searches are compared on status
 and coloring, and only where neither ran out of budget.
 
-Pure kernel, best of 3 on a 2-vCPU Xeon VM: reach-pass 23 ms, extract
-5-7 ms, search-8-4 7 ms, search-6-3 0.1 ms, solve-12-4 100-140 ms.  The
-compiled kernel (gcc build): reach-pass 2.7 ms, search-8-4 40 ms,
+Pure kernel, best of 3 on a 2-vCPU Xeon VM: reach-pass 18-21 ms,
+extract 7 ms, search-8-4 4 ms, search-6-3 0.1 ms, solve-12-4 81-89 ms.
+The compiled kernel (gcc build): reach-pass 2.7 ms, search-8-4 40 ms,
 solve-12-4 84 ms, stopped by its budget.
 """
 

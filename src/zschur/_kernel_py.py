@@ -7,8 +7,9 @@ compiled extension ``zschur._kernel``:
   table over a fixed coloring, returning the least target that completes
   a zero-sum solution.
 * :func:`search_free_coloring` - forward-checking depth-first search for
-  a solution-free coloring of [1..n] (the compiled extension still runs
-  the older search that only tests each newly colored position).
+  a solution-free coloring of [1..n], with singleton propagation (the
+  compiled extension still runs the older search that only tests each
+  newly colored position).
 
 Table layout
 ------------
@@ -19,7 +20,8 @@ of width W = sum_cap + 1: bit c*W + s of ``rows[j]`` says that j values
 s with color-sum c mod r.  Only this module knows the layout; other
 modules go through :class:`Geometry` and the helpers :func:`add_value`,
 :func:`cell`, :func:`prefix_table`, :func:`suffix_tables`,
-:func:`resize` and :func:`entry_wiped_out`.
+:func:`resize`, :func:`forbid_offsets`, :func:`entry_state` and
+:func:`extend_state`.
 
 Adding one value v with color cv takes one step per row, in increasing j
 so that v may be reused any number of times:
@@ -50,7 +52,24 @@ search that tests each target only when it is colored; node and prune
 counts are far lower.  Once 2*pos > n, value pos fits at most once in
 any sum up to n, so the child's last row is old_last plus one step of
 old_row_k-2, and the wipe-out is tested on it before the full table is
-copied.
+copied and propagated.
+
+Singleton propagation strengthens the wipe-out test.  A target in
+(pos, n] with exactly one palette color left takes that color in every
+free coloring below the node, so it joins the table at once as a value
+of that color (:func:`propagate`); its sums can leave further targets
+with one color or none, so this repeats until nothing changes, and a
+target left with none prunes the child.  Each depth keeps the mask of
+targets already forced, so a child adds only the newly forced ones, and
+when the search reaches a forced position its color is the only one not
+forbidden and the table already holds it.  A forced value t feeds only
+sums above t, so when the search reaches position p, bit p of the last
+row comes from the values below p alone, all colored by then: the
+conflict test stays exact.  The cut again removes only subtrees without
+a free coloring, and the branch order is unchanged.  The entry test
+(:func:`entry_state`) propagates the prefix in the same way, and the
+frontier split in :mod:`zschur.solver` extends its prefixes with
+:func:`extend_state`, the kernel's own step.
 """
 
 from __future__ import annotations
@@ -216,16 +235,69 @@ def prefix_table(prefix, k: int, geo: Geometry) -> list[int]:
     return rows
 
 
-def entry_wiped_out(n: int, k: int, r: int, palette, prefix) -> bool:
-    """The search's entry test: is the prefix refuted before any node?
+def propagate(rows: list[int], forced: int, pos: int, palette,
+              offsets: list[int], geo: Geometry) -> int | None:
+    """Add every target in (pos, sum_cap] that has one palette color left.
 
-    True when some target in (len(prefix), n] has every palette color
-    forbidden by the prefix's values, so :func:`search_free_coloring`
-    returns EXHAUSTED with 0 nodes for this prefix.
+    Such a target takes that color in every free coloring that extends
+    the table's values, so it joins the table as a value of that color
+    (:func:`add_value`, in place); that may force further targets, so
+    this repeats until nothing changes.  Bit t of ``forced`` marks a
+    target already added.  Returns the new forced mask, or None when some
+    target in (pos, sum_cap] has no palette color left (a wipe-out).
+    """
+    above = geo.block >> (pos + 1) << (pos + 1)
+    while True:
+        row = rows[-1]
+        every = most = above  # every, or all but at most one, color forbidden
+        for off in offsets:
+            f = row >> off
+            most = (most & f) | every
+            every &= f
+        if every:
+            return None
+        new = most & ~forced
+        if not new:
+            return forced
+        forced |= new
+        keeps = geo.keeps()
+        for c, off in zip(palette, offsets):
+            hit = new & ~(row >> off)
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                t = low.bit_length() - 1
+                add_value(rows, t, c, keeps[t], geo)
+
+
+def extend_state(rows: list[int], forced: int, pos: int, c: int, palette,
+                 offsets: list[int], geo: Geometry):
+    """One step of the search: the table after coloring pos with c.
+
+    The caller has checked that c is not forbidden at pos.  Returns the
+    propagated ``(rows, forced)`` of the child, or None on a wipe-out.
+    When pos was forced, c is its color and the table already holds it.
+    """
+    if (forced >> pos) & 1:
+        return rows, forced
+    child = rows[:]
+    add_value(child, pos, c, geo.keeps()[pos], geo)
+    forced = propagate(child, forced, pos, palette, offsets, geo)
+    return None if forced is None else (child, forced)
+
+
+def entry_state(n: int, k: int, r: int, palette, prefix):
+    """The search's entry test: the prefix's propagated ``(rows, forced)``.
+
+    None when propagating the prefix's values wipes out some target in
+    (len(prefix), n]; :func:`search_free_coloring` then returns EXHAUSTED
+    with 0 nodes for this prefix.
     """
     geo = geometry(r, n)
     rows = prefix_table(prefix, k, geo)
-    return wiped_out(rows[-1], forbid_offsets(palette, geo), len(prefix), geo)
+    forced = propagate(rows, 0, len(prefix), palette,
+                       forbid_offsets(palette, geo), geo)
+    return None if forced is None else (rows, forced)
 
 
 def first_zero_sum_target(values, n: int, k: int, r: int) -> int:
@@ -270,8 +342,9 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
     is FOUND (coloring is a list of n residues), EXHAUSTED (no free
     coloring extends the prefix; coloring is None) or BUDGET.  ``nodes``
     counts extension checks, ``prunes`` the checks rejected by a target
-    hit or a wipe-out.  A prefix that is already wiped out
-    (:func:`entry_wiped_out`) returns EXHAUSTED with 0 nodes.
+    hit or a wipe-out after propagation.  A prefix that propagation
+    already wipes out (:func:`entry_state`) returns EXHAUSTED with 0
+    nodes.
 
     Branching is by ascending residue, so the first coloring found is the
     lexicographically least one in the reduced space.
@@ -293,8 +366,8 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
     forbid = forbid_offsets(range(r), geo)
     offsets = forbid_offsets(palette, geo)
 
-    base = prefix_table(prefix, k, geo)
-    if wiped_out(base[last], offsets, d, geo):
+    entry = entry_state(n, k, r, palette, prefix)
+    if entry is None:
         return (EXHAUSTED, None, 0, 0, d)
 
     fnz0 = 0
@@ -303,11 +376,13 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
             fnz0 = i
             break
 
-    # tables[p] holds every colored value 1..p
+    # tables[p] holds every colored value 1..p plus the targets forced
+    # so far, which forced[p] marks
     tables: list = [None] * (n + 1)
+    forced: list = [0] * (n + 1)
     cidx = [0] * (n + 2)
     fnz = [0] * (n + 2)
-    tables[d] = base
+    tables[d], forced[d] = entry
     fnz[d] = fnz0
 
     nodes = 0
@@ -322,7 +397,8 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
         rows = tables[pos - 1]
         row = rows[last]
         below = rows[last - 1] & keep[pos]
-        single = 2 * pos > n  # two copies of pos overshoot n
+        # two copies of pos overshoot n; a forced pos needs no test
+        single = 2 * pos > n and not (forced[pos - 1] >> pos) & 1
         while cidx[pos] < choices:
             c = palette[cidx[pos]]
             cidx[pos] += 1
@@ -345,20 +421,21 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
             if pos == n:
                 colors[pos] = c
                 return (FOUND, colors[1:n + 1], nodes, prunes, max_depth)
-            # Once 2*pos > n the child's last row is row plus one
-            # add_value step of below: test it before paying for the table.
+            # Once 2*pos > n the child's last row before propagation is
+            # row plus one add_value step of below: test it before paying
+            # for the table.
             if single:
                 up = c * width + pos
                 if wiped_out(row | ((below << up) & full) | (below >> (size - up)),
                              offsets, pos, geo):
                     prunes += 1
                     continue
-            t = rows[:]
-            add_value(t, pos, c, keep[pos], geo)
-            if not single and wiped_out(t[last], offsets, pos, geo):
+            child = extend_state(rows, forced[pos - 1], pos, c, palette,
+                                 offsets, geo)
+            if child is None:
                 prunes += 1
                 continue
-            tables[pos] = t
+            tables[pos], forced[pos] = child
             colors[pos] = c
             fnz[pos] = fnz[pos - 1] or (pos if c else 0)
             pos += 1

@@ -178,8 +178,10 @@ class SearchStats:
     ``nodes`` counts incremental extension checks, ``prunes`` the checks
     that were rejected: the new position completes a zero-sum solution,
     or (forward checking) some later target is left with every palette
-    color forbidden.  ``max_depth`` is the deepest position colored
-    without a conflict, ``elapsed`` wall time in seconds.
+    color forbidden, also after each later target left with one color
+    has taken it (singleton propagation).  ``max_depth`` is the deepest
+    position colored without a conflict, ``elapsed`` wall time in
+    seconds.
     """
 
     nodes: int = 0

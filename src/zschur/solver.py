@@ -14,12 +14,13 @@ selected, because the compiled search lacks forward checking: the pure
 kernel's table holds every colored value, so after each assignment it
 sees which colors each later target may still take, and it cuts the
 subtree as soon as some later target has none left (a domain wipe-out).
-Such a subtree holds no free coloring, so the cut changes node counts
-only, never a status or a lex-least certificate.  The frontier split
-below grows its prefixes one level at a time with the plain conflict
-test of :func:`extend_check` plus the kernel's entry wipe-out test, so
-an exhaustion split over a pool checks exactly the nodes of the
-sequential search.
+A later target left with a single color is colored with it at once, and
+that is repeated until nothing changes (singleton propagation).  Such
+cuts remove only subtrees without a free coloring, so they change node
+counts only, never a status or a lex-least certificate.  The frontier
+split below grows its prefixes one level at a time with the kernel's
+own extension step, so an exhaustion split over a pool checks exactly
+the nodes of the sequential search.
 
 Symmetry reduction (applied only when r | k, where it is sound):
 position 1 is pinned to color 0 (zero-sum solutions are preserved by
@@ -92,8 +93,9 @@ class SearchConfig:
 class SearchState:
     """A solution-free prefix plus one reachability snapshot per position.
 
-    Reference implementation of the incremental extension step; the
-    kernel inlines the same logic.  Each snapshot is a pair
+    Reference implementation of the plain conflict test of the search,
+    one position at a time; the kernel and the frontier split test each
+    position against their full tables instead.  Each snapshot is a pair
     ``(geometry, rows)``: a table in the pure kernel's packed layout (the
     r color classes as bit blocks of sums 0..geometry.sum_cap, see
     :mod:`zschur._kernel_py`) and the geometry that reads it.  The
@@ -175,21 +177,26 @@ def _symmetry_filters(spec: ProblemSpec) -> tuple[tuple[int, ...], int, int]:
     return palette, 0, mask
 
 
-def _enumerate_prefixes(spec: ProblemSpec, n: int, frontier: list[SearchState],
+def _enumerate_prefixes(spec: ProblemSpec, n: int, frontier: list,
                         palette: tuple[int, ...], fix_first: int,
-                        canonical_mask: int) -> tuple[list[SearchState], SearchStats]:
-    """Extend every frontier state by one position, in branch order.
+                        canonical_mask: int) -> tuple[list, SearchStats]:
+    """Extend every frontier entry by one position, in branch order.
 
-    A child is kept when :func:`extend_check` finds no conflict and the
-    kernel's entry wipe-out test does not refute it, so the pool gets
-    only prefixes the kernel would search.  Each child counts one node,
-    and a rejected one also a prune, as in the kernel.
+    An entry is ``(prefix, rows, forced)``, the kernel's propagated state
+    of the prefix (:func:`zschur._kernel_py.entry_state`).  A child
+    extends its parent's table by one value and is kept when the kernel
+    would keep it: its color is not forbidden and propagation wipes out
+    no target.  So the pool gets only prefixes the kernel would search.
+    Each child counts one node, and a rejected one also a prune, as in
+    the kernel.
     """
+    geo = _kernel_py.geometry(spec.r, n)
+    offsets = _kernel_py.forbid_offsets(palette, geo)
     stats = SearchStats()
     children = []
-    for state in frontier:
-        pos = state.depth + 1
-        no_nonzero = not any(state.prefix)
+    for prefix, rows, forced in frontier:
+        pos = len(prefix) + 1
+        no_nonzero = not any(prefix)
         for c in palette:
             if pos == 1 and fix_first >= 0 and c != fix_first:
                 continue
@@ -197,12 +204,15 @@ def _enumerate_prefixes(spec: ProblemSpec, n: int, frontier: list[SearchState],
                     and not (canonical_mask >> c) & 1):
                 continue
             stats.nodes += 1
-            child = extend_check(state, c, sum_cap=n)
-            if child is None or _kernel_py.entry_wiped_out(
-                    n, spec.k, spec.r, palette, child.prefix):
+            child = None
+            if not _kernel_py.cell(rows, spec.k - 1, pos, (spec.r - c) % spec.r,
+                                   geo):
+                child = _kernel_py.extend_state(rows, forced, pos, c, palette,
+                                                offsets, geo)
+            if child is None:
                 stats.prunes += 1
             else:
-                children.append(child)
+                children.append((prefix + (c,), *child))
                 stats.max_depth = pos
     return children, stats
 
@@ -242,8 +252,10 @@ def _find_free_parallel(n, spec, cfg, palette, fix_first, canonical_mask,
     # Frontier split: extend the free prefixes one level at a time until
     # there are enough of them, then let a worker pool exhaust the
     # subtrees. Any-found / all-exhausted merge.
-    frontier, stats = _enumerate_prefixes(spec, n, [SearchState.initial(spec)],
-                                          palette, fix_first, canonical_mask)
+    root = _kernel_py.entry_state(n, spec.k, spec.r, palette, ())
+    frontier = [((),) + root] if root is not None else []
+    frontier, stats = _enumerate_prefixes(spec, n, frontier, palette,
+                                          fix_first, canonical_mask)
     depth = 1
     while depth < min(n - 1, 12) and 0 < len(frontier) < 4 * cfg.threads:
         depth += 1
@@ -251,7 +263,7 @@ def _find_free_parallel(n, spec, cfg, palette, fix_first, canonical_mask,
                                              fix_first, canonical_mask)
         stats.merge(more)
     stats.max_depth = max(stats.max_depth, depth)
-    prefixes = [state.prefix for state in frontier]
+    prefixes = [prefix for prefix, _, _ in frontier]
     if not prefixes:
         stats.elapsed = monotonic() - start
         return FreeSearchOutcome(status=EXHAUSTED, coloring=None, stats=stats)

@@ -125,3 +125,13 @@ def test_wiped_out_prefix_returns_at_entry():
     got = _kernel_py.search_free_coloring(15, 6, 3, (0, 1, 2), (0, 0, 1), 0,
                                           0b10, None, None)
     assert got == (_kernel_py.EXHAUSTED, None, 0, 0, 3)
+
+
+def test_propagation_refutes_prefix_at_entry():
+    # (0, 0) forbids color 0 at 3 and 4, so both are forced to 1; then
+    # 1+1+3 forbids 1 and 1+2+2 forbids 0 at 5.  Only propagating the
+    # forced targets sees that, and the entry test does it before any node
+    args = (5, 4, 2, (0, 1), (0, 0))
+    assert _kernel_py.entry_state(*args) is None
+    got = _kernel_py.search_free_coloring(*args, 0, 0, None, None)
+    assert got == (_kernel_py.EXHAUSTED, None, 0, 0, 2)

@@ -22,12 +22,12 @@ from zschur.solver import _symmetry_filters
 #: (k, r, palette, lex-least certificate, nodes, prunes, max_depth) of
 #: deterministic solves.
 CERTIFIED_TREES = [
-    (8, 4, Palette.FULL, "01230120022002200220321032", 3080, 2296, 26),
-    (12, 3, Palette.FULL, "01201201201101101101102102102102", 237, 140, 32),
+    (8, 4, Palette.FULL, "01230120022002200220321032", 1504, 1114, 26),
+    (12, 3, Palette.FULL, "01201201201101101101102102102102", 129, 68, 32),
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
-     12851, 9992, 37),
+     3861, 2800, 37),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
-     1269, 485, 40),
+     1237, 469, 40),
 ]
 
 
@@ -200,23 +200,28 @@ def test_symmetry_reduction_soundness(r, palette):
 
 def test_pruning_never_changes_outcome():
     # leaf-only reference: same reduced branching, but freeness is only
-    # checked on complete colorings instead of at every extension
-    for k, r in ((4, 2), (6, 3)):
-        spec = ProblemSpec(k=k, r=r)
-        palette, fix_first, mask = _symmetry_filters(spec)
-        for n in range(0, 8):
-            exists = False
-            for values in product(palette, repeat=n):
-                if n and fix_first >= 0 and values[0] != fix_first:
+    # checked on complete colorings instead of at every extension; its
+    # first free coloring in product order is the lex-least one, which
+    # the sequential search must return
+    cases = ((4, 2, Palette.FULL), (6, 3, Palette.FULL), (4, 4, Palette.FULL),
+             (8, 4, Palette.BINARY))
+    for (k, r, palette), n in product(cases, range(0, 9)):
+        spec = ProblemSpec(k=k, r=r, palette=palette)
+        residues, fix_first, mask = _symmetry_filters(spec)
+        first = None
+        for values in product(residues, repeat=n):
+            if n and fix_first >= 0 and values[0] != fix_first:
+                continue
+            if mask:
+                nonzero = next((v for v in values if v), 0)
+                if nonzero and not (mask >> nonzero) & 1:
                     continue
-                if mask:
-                    nonzero = next((v for v in values if v), 0)
-                    if nonzero and not (mask >> nonzero) & 1:
-                        continue
-                if is_solution_free(Coloring.of(values, spec.r), spec):
-                    exists = True
-                    break
-            assert find_free_coloring(n, spec).found == exists, (k, r, n)
+            if is_solution_free(Coloring.of(values, spec.r), spec):
+                first = values
+                break
+        outcome = find_free_coloring(n, spec)
+        got = outcome.coloring.values if outcome.found else None
+        assert got == first, (k, r, palette, n)
 
 
 class TestSolveExact:
@@ -286,8 +291,9 @@ class TestSolveExact:
                                                   depth):
         # lex-least certificates recorded from the search without
         # forward checking; pruning dead subtrees must not change them.
-        # The node, prune and depth counts pin the forward-checking tree:
-        # a change of table layout must leave them as they are.
+        # The node, prune and depth counts pin the tree of the search
+        # with forward checking and singleton propagation: a change of
+        # table layout must leave them as they are.
         spec = ProblemSpec(k=k, r=r, palette=palette)
         result = solve_exact(spec, SearchConfig(deterministic=True))
         assert result.status is SolveStatus.EXACT
@@ -310,7 +316,20 @@ class TestSolveExact:
         assert result.certificate.n == 44
         assert is_solution_free(result.certificate, spec)
 
-    @pytest.mark.parametrize("k,r,n", [(8, 4, 27), (12, 3, 33), (9, 3, 24)])
+    def test_budgeted_redo_finds_the_lex_least_certificate(self):
+        # with singleton propagation the lex-least redo at n=44 takes 127
+        # nodes, so a 500k budget re-derives the lex-least certificate
+        spec = ProblemSpec(k=10, r=5)
+        result = solve_exact(spec, SearchConfig(max_nodes=500_000,
+                                                deterministic=True))
+        assert result.status is SolveStatus.EXACT
+        assert result.value == 45
+        assert ("".join(map(str, result.certificate.values))
+                == "01234012310123101221012210132101321043210432")
+        assert is_solution_free(result.certificate, spec)
+
+    @pytest.mark.parametrize("k,r,n", [(8, 4, 27), (12, 3, 33), (9, 3, 24),
+                                       (6, 6, 32), (10, 5, 45)])
     def test_split_exhaustion_spends_the_sequential_nodes(self, k, r, n):
         # the frontier grows one level at a time and drops the prefixes
         # the kernel would refute at entry, so a threaded exhaustion
