@@ -9,10 +9,8 @@ small exact values by symmetry-reduced exhaustive search with
 machine-checkable certificates.
 """
 
-from .backend import available_backends, backend_name
 from .bounds import PrimeFactors, factorize, is_prime, theoretical_bounds
 from .checker import (
-    ReachTable,
     brute_force_oracle,
     find_zero_sum_solution,
     is_solution_free,
@@ -51,8 +49,6 @@ from .core import (
 from .solver import (
     FreeSearchOutcome,
     SearchConfig,
-    SearchState,
-    extend_check,
     find_free_coloring,
     solve_exact,
 )
@@ -73,21 +69,16 @@ __all__ = [
     "Palette",
     "PrimeFactors",
     "ProblemSpec",
-    "ReachTable",
     "SearchConfig",
-    "SearchState",
     "SearchStats",
     "SolveStatus",
     "Witness",
     "allowed_set_even",
     "allowed_set_odd",
-    "available_backends",
-    "backend_name",
     "brute_force_oracle",
     "construct",
     "construct_even",
     "construct_odd",
-    "extend_check",
     "factorize",
     "find_free_coloring",
     "find_zero_sum_solution",

@@ -1,15 +1,13 @@
-"""Pure-Python reachability and search kernels.
+"""The reachability and search kernel, in pure Python.
 
-Reference implementation of the two hot entry points, mirrored by the
-compiled extension ``zschur._kernel``:
+The package's only kernel, with two hot entry points:
 
 * :func:`first_zero_sum_target` - one bottom-up pass of the reachability
   table over a fixed coloring, returning the least target that completes
-  a zero-sum solution.
+  a zero-sum solution (the checker's decision pass).
 * :func:`search_free_coloring` - forward-checking depth-first search for
   a solution-free coloring of [1..n], with singleton propagation (the
-  compiled extension still runs the older search that only tests each
-  newly colored position).
+  solver's search).
 
 Table layout
 ------------
@@ -18,10 +16,8 @@ integers, one per row j.  Row j packs the r color classes as bit blocks
 of width W = sum_cap + 1: bit c*W + s of ``rows[j]`` says that j values
 (repetition allowed, each at most the current value cap) can realize sum
 s with color-sum c mod r.  Only this module knows the layout; other
-modules go through :class:`Geometry` and the helpers :func:`add_value`,
-:func:`cell`, :func:`prefix_table`, :func:`suffix_tables`,
-:func:`resize`, :func:`forbid_offsets`, :func:`entry_state` and
-:func:`extend_state`.
+modules build and read tables through :func:`geometry`,
+:func:`prefix_table`, :func:`suffix_tables` and :func:`cell`.
 
 Adding one value v with color cv takes one step per row, in increasing j
 so that v may be reused any number of times:
@@ -67,9 +63,7 @@ sums above t, so when the search reaches position p, bit p of the last
 row comes from the values below p alone, all colored by then: the
 conflict test stays exact.  The cut again removes only subtrees without
 a free coloring, and the branch order is unchanged.  The entry test
-(:func:`entry_state`) propagates the prefix in the same way, and the
-frontier split in :mod:`zschur.solver` extends its prefixes with
-:func:`extend_state`, the kernel's own step.
+(:func:`entry_state`) propagates the prefix in the same way.
 """
 
 from __future__ import annotations
@@ -77,9 +71,7 @@ from __future__ import annotations
 from functools import lru_cache
 from time import monotonic
 
-BACKEND = "pure"
-
-#: Search outcome codes shared with the compiled kernel.
+#: Search outcome codes.
 EXHAUSTED = 0
 FOUND = 1
 BUDGET = 3
@@ -94,7 +86,7 @@ class Geometry:
     s <= sum_cap - v: the bits that may take one more copy of v without
     leaving their block.  It is ``full`` for v = 0 and 0 past sum_cap;
     each is derived from its neighbour (:meth:`next_keep`), and
-    :meth:`keeps` lists them all for random access (:meth:`keep`).
+    :meth:`keeps` lists them all for random access.
     """
 
     __slots__ = ("r", "sum_cap", "width", "size", "full", "block", "ones",
@@ -120,10 +112,6 @@ class Geometry:
         The step is its own inverse: it also gives v - 1's mask from v's.
         """
         return keep ^ (self.ones << (self.width - v))
-
-    def keep(self, v: int) -> int:
-        """Keep mask of any v >= 0."""
-        return self.keeps()[min(v, self.width)]
 
     def keeps(self) -> list[int]:
         """Keep masks of v = 0..sum_cap + 1, built on first use."""
@@ -171,20 +159,6 @@ def add_value(rows: list[int], v: int, cv: int, keep: int,
 def cell(rows: list[int], j: int, s: int, c: int, geo: Geometry) -> bool:
     """Can j values reach sum s (0 <= s <= sum_cap) with color-sum c mod r?"""
     return bool((rows[j] >> (c * geo.width + s)) & 1)
-
-
-def resize(rows: list[int], old: Geometry, new: Geometry) -> list[int]:
-    """A copy of the table laid out for ``new``; sums above its cap are dropped."""
-    if old.width == new.width:
-        return rows[:]
-    mask = (1 << min(old.width, new.width)) - 1
-    out = []
-    for row in rows:
-        packed = 0
-        for c in range(old.r):
-            packed |= ((row >> (c * old.width)) & mask) << (c * new.width)
-        out.append(packed)
-    return out
 
 
 def suffix_tables(colors, k: int, v_max: int, geo: Geometry) -> list:

@@ -1,9 +1,10 @@
 """Deciding whether a coloring admits a zero-sum solution.
 
 :func:`find_zero_sum_solution` is the production path: a reachability
-pass over sums and color residues (delegated to the selected kernel
-backend), plus lexicographic witness extraction.  The returned witness is
-the least one by (target, sorted parts).
+pass over sums and color residues
+(:func:`zschur._kernel_py.first_zero_sum_target`), plus lexicographic
+witness extraction from the same kernel's tables.  The returned witness
+is the least one by (target, sorted parts).
 
 :func:`brute_force_oracle` answers the same question by enumerating every
 nondecreasing (k-1)-tuple directly.  It shares no code with the table
@@ -13,11 +14,9 @@ dumb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from . import _kernel_py
-from .backend import kernel
 from .core import (
     Coloring,
     ProblemSpec,
@@ -27,50 +26,10 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ReachTable:
-    """Reachability closure of (k-1)-selections from [1..v_max].
-
-    ``cell(j, s, c)`` is True iff j values from [1..v_max], repetition
-    allowed, have sum s and color-sum congruent to c mod r.  Row 0 holds
-    only the empty selection; row 1 mirrors the coloring itself.  Each
-    entry of ``rows`` is one packed row of the pure kernel's layout (the
-    r color classes as bit blocks of sums 0..sum_cap), read through
-    :func:`zschur._kernel_py.cell`.  Used by tests; witness extraction
-    and the search build the same tables through the kernel's helpers.
-    """
-
-    k: int
-    r: int
-    v_max: int
-    sum_cap: int
-    rows: tuple[int, ...]
-
-    @classmethod
-    def build(cls, chi: Coloring, k: int, v_max: int | None = None,
-              sum_cap: int | None = None) -> ReachTable:
-        if v_max is None:
-            v_max = chi.n
-        if not 0 <= v_max <= chi.n:
-            raise ValueError(f"v_max {v_max} outside [0, {chi.n}]")
-        if sum_cap is None:
-            sum_cap = chi.n
-        geo = _kernel_py.geometry(chi.r, sum_cap)
-        rows = _kernel_py.prefix_table(chi.values[:v_max], k, geo)
-        return cls(k=k, r=chi.r, v_max=v_max, sum_cap=sum_cap,
-                   rows=tuple(rows))
-
-    def cell(self, j: int, s: int, c: int) -> bool:
-        if not (0 <= j < self.k and 0 <= c < self.r and 0 <= s <= self.sum_cap):
-            raise IndexError(f"cell ({j}, {s}, {c}) out of range")
-        return _kernel_py.cell(self.rows, j, s, c,
-                               _kernel_py.geometry(self.r, self.sum_cap))
-
-
 def _first_target(chi: Coloring, spec: ProblemSpec) -> int:
     """Least solvable target in [k-1, chi.n], or 0 when the coloring is free."""
     require_same_modulus(chi, spec)
-    return kernel.first_zero_sum_target(chi.values, chi.n, spec.k, spec.r)
+    return _kernel_py.first_zero_sum_target(chi.values, chi.n, spec.k, spec.r)
 
 
 def _lex_least_parts(chi: Coloring, k: int, r: int, target: int) -> tuple[int, ...]:

@@ -139,10 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("full", "binary"), default="full")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted (>= 1) but has no effect: the search "
+                        "runs on one thread")
     p.add_argument("--deterministic", action="store_true",
-                   help="sequential search; certificate is the lex-least "
-                        "free coloring of the reduced space")
+                   help="certificate is the lex-least free coloring of "
+                        "the reduced space")
     p.add_argument("--cert-out", help="write the certificate coloring here")
     p.set_defaults(func=run_solve)
 
@@ -150,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=("small", "paper"), default="small")
     p.add_argument("--max-nodes", type=int, default=20_000_000,
                    help="node budget for the extended four-color exhaustion")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted (>= 1) but has no effect: the search "
+                        "runs on one thread")
     p.set_defaults(func=run_verify)
     return parser
 

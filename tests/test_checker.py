@@ -6,7 +6,6 @@ from zschur import (
     Coloring,
     ModulusMismatchError,
     ProblemSpec,
-    ReachTable,
     Witness,
     brute_force_oracle,
     construct_odd,
@@ -130,51 +129,6 @@ def test_restriction_monotonicity_on_random_free_colorings():
         found += 1
         for m in range(chi.n - 1, -1, -1):
             assert is_solution_free(chi.restricted(m), spec)
-
-
-class TestReachTable:
-    def test_row_zero_and_one_invariants(self):
-        chi = Coloring.of([1, 0, 2, 2, 1, 0], 3)
-        table = ReachTable.build(chi, k=4, v_max=5)
-        assert table.cell(0, 0, 0)
-        for s in range(table.sum_cap + 1):
-            for c in range(3):
-                if (s, c) != (0, 0):
-                    assert not table.cell(0, s, c)
-                expected = 1 <= s <= 5 and chi.color(s) == c
-                assert table.cell(1, s, c) == expected
-
-    def test_monotone_in_value_cap(self):
-        chi = Coloring.of([1, 0, 2, 2, 1, 0, 1], 3)
-        previous = None
-        for v_max in range(chi.n + 1):
-            table = ReachTable.build(chi, k=4, v_max=v_max)
-            if previous is not None:
-                for j in range(4):
-                    for s in range(table.sum_cap + 1):
-                        for c in range(3):
-                            if previous.cell(j, s, c):
-                                assert table.cell(j, s, c)
-            previous = table
-
-    def test_cells_count_multiplicity(self):
-        # two copies of value 1 reach sum 2 with doubled color
-        chi = Coloring.of([1, 0], 3)
-        table = ReachTable.build(chi, k=3, v_max=1)
-        assert table.cell(2, 2, 2)
-        assert not table.cell(2, 2, 0)
-
-    def test_bad_indices(self):
-        chi = Coloring.of([0, 1], 2)
-        table = ReachTable.build(chi, k=3)
-        with pytest.raises(IndexError):
-            table.cell(3, 0, 0)
-        with pytest.raises(IndexError):
-            table.cell(0, 3, 0)
-        with pytest.raises(IndexError):
-            table.cell(0, 0, 2)
-        with pytest.raises(ValueError):
-            ReachTable.build(chi, k=3, v_max=5)
 
 
 def test_witness_against_table_semantics():

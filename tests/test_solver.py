@@ -8,14 +8,13 @@ from zschur import (
     Palette,
     ProblemSpec,
     SearchConfig,
-    SearchState,
     SolveStatus,
     brute_force_oracle,
-    extend_check,
     find_free_coloring,
     is_solution_free,
     solve_exact,
 )
+from zschur import _kernel_py
 from zschur.solver import _symmetry_filters
 
 
@@ -31,48 +30,31 @@ CERTIFIED_TREES = [
 ]
 
 
-def make_state(spec, prefix, sum_cap=None):
-    state = SearchState.initial(spec)
-    for color in prefix:
-        state = extend_check(state, color, sum_cap=sum_cap)
-        assert state is not None, f"prefix {prefix} hit a conflict early"
-    return state
+def conflicts(prefix, color, k, r, n):
+    """Does coloring position len(prefix)+1 with color complete a zero-sum
+    solution?  The kernel's conflict bit, read off the prefix's table."""
+    geo = _kernel_py.geometry(r, n)
+    rows = _kernel_py.prefix_table(prefix, k, geo)
+    return _kernel_py.cell(rows, k - 1, len(prefix) + 1, (r - color) % r, geo)
 
 
 class TestExtendCheck:
+    """The conflict test of the search when a prefix grows by one position."""
+
     def test_first_position_never_conflicts(self):
-        spec = ProblemSpec(k=4, r=3)
-        state = SearchState.initial(spec)
         for color in range(3):
-            extended = extend_check(state, color)
-            assert extended is not None
-            assert extended.prefix == (color,)
-            assert extended.depth == 1
+            assert not conflicts((), color, 4, 3, 9)
 
     def test_monochromatic_conflict_at_first_target(self):
         # all-zero prefix of length k-2, extending with 0 completes 1+...+1 = k-1
         for k, r in ((4, 2), (6, 3), (8, 4)):
-            spec = ProblemSpec(k=k, r=r)
-            state = make_state(spec, [0] * (k - 2))
-            assert extend_check(state, 0) is None
-            assert extend_check(state, 1) is not None
+            prefix = (0,) * (k - 2)
+            assert conflicts(prefix, 0, k, r, k - 1)
+            assert not conflicts(prefix, 1, k, r, k - 1)
 
     def test_known_free_extension(self):
-        spec = ProblemSpec(k=4, r=2)
-        state = make_state(spec, [1, 0, 0])
-        extended = extend_check(state, 1)
-        assert extended is not None
-        assert extended.prefix == (1, 0, 0, 1)
-
-    def test_rejects_bad_color(self):
-        spec = ProblemSpec(k=4, r=2)
-        with pytest.raises(ValueError):
-            extend_check(SearchState.initial(spec), 2)
-
-    def test_snapshot_stack_grows_per_position(self):
-        spec = ProblemSpec(k=4, r=2)
-        state = make_state(spec, [1, 0, 0, 1])
-        assert len(state.reach_stack) == 5  # base plus one per position
+        assert not conflicts((1, 0, 0), 1, 4, 2, 4)
+        assert is_solution_free(Coloring.of((1, 0, 0, 1), 2), ProblemSpec(4, 2))
 
     def test_agrees_with_checker_on_prefix_freeness(self):
         # extending a free prefix conflicts exactly when the extended
@@ -83,20 +65,13 @@ class TestExtendCheck:
             k = rng.choice((3, 4, 5))
             r = rng.choice((2, 3))
             spec = ProblemSpec(k=k, r=r)
-            state = capped = SearchState.initial(spec)
             colors = []
             for pos in range(1, 10):
                 c = rng.randrange(r)
-                extended = extend_check(state, c)
-                chi = Coloring.of(colors + [c], r)
-                assert (extended is None) == (not is_solution_free(chi, spec))
-                # a sum cap of the final n drops no sum that matters
-                extended_capped = extend_check(capped, c, sum_cap=9)
-                assert (extended_capped is None) == (extended is None)
-                if extended is None:
+                free = is_solution_free(Coloring.of(colors + [c], r), spec)
+                assert conflicts(colors, c, k, r, 9) == (not free)
+                if not free:
                     break
-                state = extended
-                capped = extended_capped
                 colors.append(c)
 
 
@@ -331,8 +306,7 @@ class TestSolveExact:
     @pytest.mark.parametrize("k,r,n", [(8, 4, 27), (12, 3, 33), (9, 3, 24),
                                        (6, 6, 32), (10, 5, 45)])
     def test_split_exhaustion_spends_the_sequential_nodes(self, k, r, n):
-        # the frontier grows one level at a time and drops the prefixes
-        # the kernel would refute at entry, so a threaded exhaustion
+        # threads has no effect on the search: a threaded exhaustion
         # checks each node of the sequential tree exactly once
         spec = ProblemSpec(k=k, r=r)
         seq = find_free_coloring(n, spec)
@@ -340,6 +314,16 @@ class TestSolveExact:
         assert seq.exhausted and par.exhausted
         assert (par.stats.nodes, par.stats.prunes) == (seq.stats.nodes,
                                                        seq.stats.prunes)
+
+    def test_budget_is_exact_under_threads(self):
+        spec = ProblemSpec(k=12, r=4)
+        outcome = find_free_coloring(43, spec, SearchConfig(max_nodes=50,
+                                                            threads=2))
+        assert outcome.status == 3
+        assert outcome.stats.nodes <= 50
+        result = solve_exact(spec, SearchConfig(max_nodes=5000, threads=2))
+        assert result.status is SolveStatus.BUDGET_EXHAUSTED
+        assert result.stats.nodes <= 5000
 
     def test_thread_count_does_not_change_value(self):
         for threads in (1, 2, 4):
