@@ -22,8 +22,8 @@ Each run is checked: the reach pass must return target 489, the
 extracted witness must validate, and each search must end with the
 status in WORKLOADS.  Exit 1 on a failed check.
 
-Best of 3 on a 2-vCPU Xeon VM: reach-pass 21 ms, extract 7 ms,
-search-8-4 4 ms, search-6-3 0.1 ms, solve-12-4 79-80 ms.
+Best of 3 on a 2-vCPU Xeon VM: reach-pass 10-16 ms, extract 3.4-5 ms,
+search-8-4 2-3 ms, search-6-3 0.1 ms, solve-12-4 42-43 ms.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ def extract_args():
 
 #: Search workloads: arguments of search_free_coloring and the status it must end with.
 WORKLOADS = {
-    "search-8-4": ((27, 8, 4, (0, 1, 2, 3), (), 0, 0b110, None, None),
+    "search-8-4": ((27, 8, 4, (0, 1, 2, 3), 0, 0b110, None, None),
                    _kernel_py.EXHAUSTED),
-    "search-6-3": ((15, 6, 3, (0, 1, 2), (), 0, 0b010, None, None),
+    "search-6-3": ((15, 6, 3, (0, 1, 2), 0, 0b010, None, None),
                    _kernel_py.EXHAUSTED),
-    "solve-12-4": ((43, 12, 4, (0, 1, 2, 3), (), 0, 0b110, 2_000_000, None),
+    "solve-12-4": ((43, 12, 4, (0, 1, 2, 3), 0, 0b110, 2_000_000, None),
                    _kernel_py.EXHAUSTED),
 }
 

@@ -17,7 +17,7 @@ of width W = sum_cap + 1: bit c*W + s of ``rows[j]`` says that j values
 (repetition allowed, each at most the current value cap) can realize sum
 s with color-sum c mod r.  Only this module knows the layout; other
 modules build and read tables through :func:`geometry`,
-:func:`prefix_table`, :func:`suffix_tables` and :func:`cell`.
+:func:`suffix_tables` and :func:`cell`.
 
 Adding one value v with color cv takes one step per row, in increasing j
 so that v may be reused any number of times:
@@ -45,10 +45,7 @@ palette color forbidden (a domain wipe-out: one AND over the palette's
 blocks of the last row).  Both cuts remove only subtrees without a free
 coloring, so statuses and the lex-least certificates equal those of a
 search that tests each target only when it is colored; node and prune
-counts are far lower.  Once 2*pos > n, value pos fits at most once in
-any sum up to n, so the child's last row is old_last plus one step of
-old_row_k-2, and the wipe-out is tested on it before the full table is
-copied and propagated.
+counts are far lower.
 
 Singleton propagation strengthens the wipe-out test.  A target in
 (pos, n] with exactly one palette color left takes that color in every
@@ -62,8 +59,7 @@ forbidden and the table already holds it.  A forced value t feeds only
 sums above t, so when the search reaches position p, bit p of the last
 row comes from the values below p alone, all colored by then: the
 conflict test stays exact.  The cut again removes only subtrees without
-a free coloring, and the branch order is unchanged.  The entry test
-(:func:`entry_state`) propagates the prefix in the same way.
+a free coloring, and the branch order is unchanged.
 """
 
 from __future__ import annotations
@@ -186,29 +182,6 @@ def forbid_offsets(palette, geo: Geometry) -> list[int]:
     return [((geo.r - c) % geo.r) * geo.width for c in palette]
 
 
-def wiped_out(row: int, offsets: list[int], pos: int, geo: Geometry) -> bool:
-    """Does some target in (pos, sum_cap] have its whole palette forbidden?
-
-    ``row`` is a last row, ``offsets`` come from :func:`forbid_offsets`.
-    """
-    acc = geo.block
-    for off in offsets:
-        acc &= row >> off
-    return acc >> (pos + 1) != 0
-
-
-def prefix_table(prefix, k: int, geo: Geometry) -> list[int]:
-    """Table holding every value of the prefix (value i+1 has color prefix[i])."""
-    rows = new_table(k)
-    keep = geo.full
-    for v, c in enumerate(prefix, 1):
-        if v > geo.sum_cap:
-            break
-        keep = geo.next_keep(keep, v)
-        add_value(rows, v, c, keep, geo)
-    return rows
-
-
 def propagate(rows: list[int], forced: int, pos: int, palette,
               offsets: list[int], geo: Geometry) -> int | None:
     """Add every target in (pos, sum_cap] that has one palette color left.
@@ -260,20 +233,6 @@ def extend_state(rows: list[int], forced: int, pos: int, c: int, palette,
     return None if forced is None else (child, forced)
 
 
-def entry_state(n: int, k: int, r: int, palette, prefix):
-    """The search's entry test: the prefix's propagated ``(rows, forced)``.
-
-    None when propagating the prefix's values wipes out some target in
-    (len(prefix), n]; :func:`search_free_coloring` then returns EXHAUSTED
-    with 0 nodes for this prefix.
-    """
-    geo = geometry(r, n)
-    rows = prefix_table(prefix, k, geo)
-    forced = propagate(rows, 0, len(prefix), palette,
-                       forbid_offsets(palette, geo), geo)
-    return None if forced is None else (rows, forced)
-
-
 def first_zero_sum_target(values, n: int, k: int, r: int) -> int:
     """Least target T in [k-1, n] completing a zero-sum solution, else 0.
 
@@ -296,15 +255,13 @@ def first_zero_sum_target(values, n: int, k: int, r: int) -> int:
     return 0
 
 
-def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
+def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
                          max_nodes, deadline):
     """Forward-checking depth-first search for a solution-free coloring of [1..n].
 
     Arguments
     ---------
     palette: residues to branch over, ascending (all of 0..r-1, or (0, 1)).
-    prefix: colors already fixed for positions 1..len(prefix); the caller
-        guarantees the prefix itself is solution-free.
     fix_first: residue forced at position 1, or -1 for no restriction.
     canonical_mask: bitmask of residues allowed as the first nonzero
         color, or 0 for no restriction (unit-orbit symmetry breaking).
@@ -313,66 +270,41 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
         the first extension check and then every 1024 of them.
 
     Returns ``(status, coloring, nodes, prunes, max_depth)`` where status
-    is FOUND (coloring is a list of n residues), EXHAUSTED (no free
-    coloring extends the prefix; coloring is None) or BUDGET.  ``nodes``
-    counts extension checks, ``prunes`` the checks rejected by a target
-    hit or a wipe-out after propagation.  A prefix that propagation
-    already wipes out (:func:`entry_state`) returns EXHAUSTED with 0
-    nodes.
+    is FOUND (coloring is a list of n residues), EXHAUSTED (the reduced
+    space has no free coloring; coloring is None) or BUDGET.  ``nodes`` counts
+    extension checks, ``prunes`` the checks rejected by a target hit or
+    a wipe-out after propagation.
 
     Branching is by ascending residue, so the first coloring found is the
     lexicographically least one in the reduced space.
     """
-    d = len(prefix)
-    if d >= n:
-        return (FOUND, list(prefix[:n]), 0, 0, d)
-    colors = [0] * (n + 2)
-    for i, c in enumerate(prefix):
-        colors[i + 1] = c
-
+    if n == 0:
+        return (FOUND, [], 0, 0, 0)
     geo = geometry(r, n)
-    keep = geo.keeps()
-    width = geo.width
-    full = geo.full
-    size = geo.size
     last = k - 1
     # bit forbid[c] + t of the last row forbids color c at target t
     forbid = forbid_offsets(range(r), geo)
     offsets = forbid_offsets(palette, geo)
 
-    entry = entry_state(n, k, r, palette, prefix)
-    if entry is None:
-        return (EXHAUSTED, None, 0, 0, d)
-
-    fnz0 = 0
-    for i in range(1, d + 1):
-        if colors[i] != 0:
-            fnz0 = i
-            break
-
     # tables[p] holds every colored value 1..p plus the targets forced
-    # so far, which forced[p] marks
+    # so far, which forced[p] marks; the empty table forces nothing
+    colors = [0] * (n + 1)
     tables: list = [None] * (n + 1)
     forced: list = [0] * (n + 1)
-    cidx = [0] * (n + 2)
-    fnz = [0] * (n + 2)
-    tables[d], forced[d] = entry
-    fnz[d] = fnz0
+    cidx = [0] * (n + 1)
+    fnz = [0] * (n + 1)
+    tables[0] = new_table(k)
 
     nodes = 0
     prunes = 0
-    max_depth = d
+    max_depth = 0
     choices = len(palette)
 
-    pos = d + 1
-    cidx[pos] = 0
+    pos = 1
     while True:
         advanced = False
         rows = tables[pos - 1]
         row = rows[last]
-        below = rows[last - 1] & keep[pos]
-        # two copies of pos overshoot n; a forced pos needs no test
-        single = 2 * pos > n and not (forced[pos - 1] >> pos) & 1
         while cidx[pos] < choices:
             c = palette[cidx[pos]]
             cidx[pos] += 1
@@ -394,16 +326,7 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
                 max_depth = pos
             if pos == n:
                 colors[pos] = c
-                return (FOUND, colors[1:n + 1], nodes, prunes, max_depth)
-            # Once 2*pos > n the child's last row before propagation is
-            # row plus one add_value step of below: test it before paying
-            # for the table.
-            if single:
-                up = c * width + pos
-                if wiped_out(row | ((below << up) & full) | (below >> (size - up)),
-                             offsets, pos, geo):
-                    prunes += 1
-                    continue
+                return (FOUND, colors[1:], nodes, prunes, max_depth)
             child = extend_state(rows, forced[pos - 1], pos, c, palette,
                                  offsets, geo)
             if child is None:
@@ -419,5 +342,5 @@ def search_free_coloring(n, k, r, palette, prefix, fix_first, canonical_mask,
         if advanced:
             continue
         pos -= 1
-        if pos <= d:
+        if pos == 0:
             return (EXHAUSTED, None, nodes, prunes, max_depth)

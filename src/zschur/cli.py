@@ -3,11 +3,12 @@
 Subcommands: ``bounds`` (theorem table for one (k, r)), ``construct``
 (write a certified solution-free coloring), ``check`` (decide a coloring
 file), ``solve`` (exact value by exhaustive search) and ``verify``
-(replay the verification suite).
+(replay every verification check; it takes no options).
 
 Exit codes are uniform across subcommands: 0 success, 1 a witness or
-property failure, 2 invalid input, 3 budget exhausted.  Output is one
-fact per line in ``key=value`` form where a summary is involved.
+property failure, 2 invalid input, 3 budget exhausted (``solve`` only).
+Output is one fact per line in ``key=value`` form where a summary is
+involved.
 """
 
 from __future__ import annotations
@@ -97,13 +98,12 @@ def run_solve(args) -> int:
 
 
 def run_verify(args) -> int:
-    results = verification.run_suite(args.suite, max_nodes=args.max_nodes,
-                                     threads=args.threads)
+    results = verification.run_suite()
     for res in results:
         print(res.line())
     code = verification.suite_exit_code(results)
     passed = sum(r.ok for r in results)
-    print(f"suite={args.suite} passed={passed}/{len(results)} exit={code}")
+    print(f"passed={passed}/{len(results)} exit={code}")
     return code
 
 
@@ -148,13 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-out", help="write the certificate coloring here")
     p.set_defaults(func=run_solve)
 
-    p = sub.add_parser("verify", help="replay the verification suite")
-    p.add_argument("--suite", choices=("small", "paper"), default="small")
-    p.add_argument("--max-nodes", type=int, default=20_000_000,
-                   help="node budget for the extended four-color exhaustion")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted (>= 1) but has no effect: the search "
-                        "runs on one thread")
+    p = sub.add_parser("verify",
+                       help="replay every verification check, including "
+                            "the paper's exact values")
     p.set_defaults(func=run_verify)
     return parser
 

@@ -60,9 +60,10 @@ class SearchConfig:
     """Search limits and certificate mode.
 
     ``max_nodes`` caps the number of extension checks over the whole
-    solve, exactly.  The search is sequential, so :func:`find_free_coloring`
-    always returns the lexicographically least free coloring of the
-    reduced space.  ``deterministic`` makes :func:`solve_exact` return
+    solve, exactly, and ``timeout`` (seconds, at least 0; ``inf``
+    allowed) caps its search time.  The search is sequential, so
+    :func:`find_free_coloring` always returns the lexicographically
+    least free coloring of the reduced space.  ``deterministic`` makes :func:`solve_exact` return
     such a certificate too: when the scan started above the construction
     certificate and proves the value exact, it re-derives the lex-least
     coloring at value - 1.  If the budget runs out during that redo, the
@@ -83,6 +84,8 @@ class SearchConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.max_nodes is not None and self.max_nodes < 0:
             raise ValueError("max_nodes must be >= 0")
+        if self.timeout is not None and not self.timeout >= 0:  # NaN too
+            raise ValueError(f"timeout must be >= 0, got {self.timeout}")
 
 
 @dataclass
@@ -134,8 +137,8 @@ def find_free_coloring(n: int, spec: ProblemSpec,
     deadline = start + cfg.timeout if cfg.timeout is not None else None
     palette, fix_first, canonical_mask = _symmetry_filters(spec)
     status, colors, nodes, prunes, max_depth = search_free_coloring(
-        n, spec.k, spec.r, palette, (), fix_first, canonical_mask,
-        cfg.max_nodes, deadline)
+        n, spec.k, spec.r, palette, fix_first, canonical_mask, cfg.max_nodes,
+        deadline)
     stats = SearchStats(nodes=nodes, prunes=prunes, max_depth=max_depth,
                         elapsed=monotonic() - start)
     chi = Coloring.of(colors, spec.r) if status == FOUND else None

@@ -3,9 +3,9 @@
 Each check re-derives one published fact from scratch (exact value,
 certificate, equivalence, invariance or bound) and reports pass/fail
 with timing; the acceptance test suite runs the same checks.  The
-``small`` suite finishes in well under a minute; the ``paper`` suite
-adds the exact-value searches with multi-minute budgets and the
-budgeted exhaustion attempt for the four-color case.
+suite is every check, including the exact values S_z(6,3)=15, two-color
+S_z(8,4)=25 and S_z(8,4)=27, with no node budget: each search settles
+in a few thousand nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import bounds as bounds_mod
 from . import constructions
 from .checker import brute_force_oracle, find_zero_sum_solution, is_solution_free
 from .core import INF, Coloring, Palette, ProblemSpec, validate_witness
-from .solver import SearchConfig, SolveStatus, solve_exact
+from .solver import SolveStatus, solve_exact
 
 ODD_GRID = tuple((k, r) for r in (3, 5, 7, 9) for k in (2 * r, 3 * r))
 EVEN_GRID = tuple((k, r) for r in (2, 4, 6, 8) for k in (2 * r, 3 * r))
@@ -32,12 +32,9 @@ class CheckResult:
     ok: bool
     detail: str = ""
     elapsed: float = 0.0
-    budget_exhausted: bool = False
 
     @property
     def label(self) -> str:
-        if self.budget_exhausted:
-            return "BUDGET"
         return "PASS" if self.ok else "FAIL"
 
     def line(self) -> str:
@@ -65,11 +62,10 @@ def run_check(name: str, fn: Callable[[], str]) -> CheckResult:
 
 
 def _timed_solve(k: int, r: int, palette: Palette,
-                 expected: int, limit: float,
-                 cfg: SearchConfig | None = None) -> str:
+                 expected: int, limit: float) -> str:
     spec = ProblemSpec(k=k, r=r, palette=palette)
     start = monotonic()
-    result = solve_exact(spec, cfg or SearchConfig())
+    result = solve_exact(spec)
     took = monotonic() - start
     _require(result.status is SolveStatus.EXACT,
              f"expected exact result, got {result.status.value}")
@@ -331,36 +327,15 @@ def check_four_color_certificate() -> str:
     return "free_coloring_n=26"
 
 
-def check_four_color_exhaustion(max_nodes: int = 20_000_000,
-                                threads: int = 1) -> CheckResult:
-    """Budgeted attempt at the exhaustion half of S_z(8, 4) = 27.
-
-    The search space is far beyond desk scale, so running out of budget
-    is an accepted outcome (reported as BUDGET, exit status 3); a wrong
-    exact value is a failure.
-    """
-    name = "solve-8-4-full-exhaustion"
-    start = monotonic()
-    spec = ProblemSpec(k=8, r=4)
-    cfg = SearchConfig(max_nodes=max_nodes, threads=threads)
-    result = solve_exact(spec, cfg)
-    elapsed = monotonic() - start
-    if result.status is SolveStatus.EXACT:
-        ok = result.value == 27
-        detail = f"value={result.value} nodes={result.stats.nodes}"
-        return CheckResult(name, ok, detail, elapsed)
-    if result.status is SolveStatus.BUDGET_EXHAUSTED:
-        ok = result.value <= 27  # certified bracket must still contain 27
-        detail = (f"bracket=[{result.value},inf) nodes={result.stats.nodes} "
-                  f"budget={max_nodes}")
-        return CheckResult(name, ok, detail, elapsed, budget_exhausted=ok)
-    return CheckResult(name, False, f"unexpected status {result.status.value}",
-                       elapsed)
+def check_solve_8_4() -> str:
+    return _timed_solve(8, 4, Palette.FULL, 27, 600.0)
 
 
-SMALL_CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("solve-4-2", check_solve_4_2),
     ("solve-6-2", check_solve_6_2),
+    ("solve-6-3", check_solve_6_3),
+    ("solve-8-4-binary", check_solve_8_4_binary),
     ("constructions-odd", check_constructions_odd),
     ("constructions-even", check_constructions_even),
     ("construction-properties", check_construction_properties),
@@ -371,30 +346,13 @@ SMALL_CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("bounds-table", check_bounds_table),
     ("checker-performance", check_checker_performance),
     ("four-color-certificate", check_four_color_certificate),
-)
-
-PAPER_CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
-    ("solve-6-3", check_solve_6_3),
-    ("solve-8-4-binary", check_solve_8_4_binary),
+    ("solve-8-4", check_solve_8_4),
 )
 
 
-def run_suite(suite: str, max_nodes: int = 20_000_000,
-              threads: int = 1) -> list[CheckResult]:
-    if suite not in ("small", "paper"):
-        raise ValueError(f"unknown suite {suite!r}")
-    results = [run_check(name, fn) for name, fn in SMALL_CHECKS]
-    if suite == "paper":
-        results.extend(run_check(name, fn) for name, fn in PAPER_CHECKS)
-        results.append(check_four_color_exhaustion(max_nodes=max_nodes,
-                                                   threads=threads))
-    return results
+def run_suite() -> list[CheckResult]:
+    return [run_check(name, fn) for name, fn in CHECKS]
 
 
 def suite_exit_code(results: Iterable[CheckResult]) -> int:
-    results = list(results)
-    if any(not r.ok for r in results):
-        return 1
-    if any(r.budget_exhausted for r in results):
-        return 3
-    return 0
+    return 1 if any(not r.ok for r in results) else 0

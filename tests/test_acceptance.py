@@ -2,12 +2,9 @@
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 ``zschur verify`` replay).  Exact values carry zero tolerance; runtime
-limits are the stated wall-clock budgets.  The four-color exhaustion is
-the extended item: budget exhaustion with a valid bracket is an accepted
-outcome there, a wrong value is not.
+limits are the stated wall-clock budgets.  The four-color case is the
+extended item: S_z(8,4)=27 is settled by search with no node budget.
 """
-
-import pytest
 
 from zschur import verification as V
 
@@ -100,8 +97,5 @@ def test_criterion8_certificate_half():
 
 
 def test_criterion8_exhaustion_half():
-    result = V.check_four_color_exhaustion(max_nodes=20_000_000)
-    print(result.line())
-    assert result.ok, result.detail
-    if result.budget_exhausted:
-        pytest.xfail("budget exhausted with a valid bracket (accepted: status 3)")
+    result = run("criterion8 solve(8,4,full)=27 <10min", V.check_solve_8_4)
+    assert result.detail.startswith("value=27 ")

@@ -1,4 +1,7 @@
+import pytest
+
 from zschur import Coloring, construct_odd, format_coloring, parse_coloring
+from zschur import verification
 from zschur.cli import main
 
 
@@ -159,6 +162,38 @@ class TestSolve:
     def test_invalid_k(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--k", "2", "--r", "2")
         assert code == 2
+
+    def test_invalid_timeout(self, capsys):
+        # a NaN deadline never expires and a negative one already has
+        for timeout in ("nan", "-1"):
+            code, out, err = run_cli(capsys, "solve", "--k", "6", "--r", "3",
+                                     "--timeout", timeout)
+            assert code == 2, timeout
+            assert out == "" and "timeout" in err
+
+
+class TestVerify:
+    def test_every_check_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0
+        lines = out.splitlines()
+        n = len(verification.CHECKS)
+        assert [line.split()[:2] for line in lines[:-1]] == [
+            ["PASS", name] for name, _ in verification.CHECKS]
+        assert lines[-1] == f"passed={n}/{n} exit=0"
+
+    def test_takes_no_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "paper"])
+        assert exc.value.code == 2
+
+    def test_any_failed_check_exits_1(self):
+        passed = verification.CheckResult("a", True)
+        failed = verification.CheckResult("b", False, "boom")
+        assert verification.suite_exit_code([passed]) == 0
+        assert verification.suite_exit_code([failed]) == 1
+        assert verification.suite_exit_code([passed, failed, passed]) == 1
+        assert failed.line().startswith("FAIL b boom")
 
 
 def test_check_verdict_matches_library_roundtrip(capsys, tmp_path):

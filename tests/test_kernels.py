@@ -1,8 +1,8 @@
 """The kernel against references that share no code with it.
 
 The reachability pass is checked against a naive set-of-(sum, color-sum)
-dynamic program, the search against a plain enumeration of the
-completions of its prefix, and the tables against their definition.
+dynamic program, the search against a plain enumeration of colorings in
+ascending order, and the tables against their definition.
 """
 
 import random
@@ -25,14 +25,14 @@ def naive_first_target(values, n, k, r):
                  if (t, -values[t - 1] % r) in reach), 0)
 
 
-def brute_force_search(n, k, r, palette, prefix, fix_first, canonical_mask):
+def brute_force_search(n, k, r, palette, fix_first, canonical_mask):
     """(status, coloring) the kernel's search must return.
 
-    Enumerates the completions of the prefix in ascending order, applying
-    the filters to the positions after it (fix_first at position 1, the
-    canonical mask on the first nonzero color when the prefix has none),
-    and returns the first free one.  A partial coloring is abandoned as
-    soon as it has a solution, since no completion of it is then free.
+    Enumerates the colorings of [1..n] in ascending order, applying the
+    filters (fix_first at position 1, the canonical mask on the first
+    nonzero color), and returns the first free one.  A partial coloring
+    is abandoned as soon as it has a solution, since no completion of it
+    is then free.
     """
     def first_free(colors):
         if naive_first_target(colors, len(colors), k, r):
@@ -50,7 +50,7 @@ def brute_force_search(n, k, r, palette, prefix, fix_first, canonical_mask):
                 return found
         return None
 
-    found = first_free(list(prefix))
+    found = first_free([])
     if found is None:
         return (_kernel_py.EXHAUSTED, None)
     return (_kernel_py.FOUND, found)
@@ -98,26 +98,18 @@ def test_search_identical_results():
     # canonical-orbit mask for r=4: residues 1 and 2
     cases.append((8, 8, 4, (0, 1, 2, 3), 0, 0b110))
     cases.append((10, 4, 4, (0, 1), 0, 0))  # binary palette inside Z/4Z
+    # canonical-orbit mask for r=3: residue 1; n=15 is S_z(6,3), exhausted
+    for n in (8, 10, 15):
+        cases.append((n, 6, 3, (0, 1, 2), 0, 0b10))
     for n, k, r, palette, fix_first, mask in cases:
-        got = _kernel_py.search_free_coloring(n, k, r, palette, (), fix_first,
+        got = _kernel_py.search_free_coloring(n, k, r, palette, fix_first,
                                               mask, None, None)
-        want = brute_force_search(n, k, r, palette, (), fix_first, mask)
+        want = brute_force_search(n, k, r, palette, fix_first, mask)
         assert got[:2] == want, (n, k, r, palette, fix_first, mask)
 
 
-def test_search_with_prefix():
-    # (0, 2, 1) sets a first nonzero color outside the canonical mask:
-    # the mask then no longer restricts the search
-    for prefix in ((), (0,), (0, 0), (0, 1), (0, 0, 1), (0, 2, 1)):
-        for n in (8, 10, 15):
-            got = _kernel_py.search_free_coloring(n, 6, 3, (0, 1, 2), prefix,
-                                                  0, 0b10, None, None)
-            want = brute_force_search(n, 6, 3, (0, 1, 2), prefix, 0, 0b10)
-            assert got[:2] == want, (prefix, n)
-
-
 def test_search_budget_agreement():
-    args = (15, 6, 3, (0, 1, 2), (), 0, 0b10)
+    args = (15, 6, 3, (0, 1, 2), 0, 0b10)
     unbudgeted = _kernel_py.search_free_coloring(*args, None, None)
     for budget in (0, 1, 7, 50, 1000):
         got = _kernel_py.search_free_coloring(*args, budget, None)
@@ -128,28 +120,51 @@ def test_search_budget_agreement():
 
 def test_search_expired_deadline():
     status, coloring, nodes, prunes, depth = _kernel_py.search_free_coloring(
-        15, 6, 3, (0, 1, 2), (), 0, 0b10, None, monotonic() - 10.0)
+        15, 6, 3, (0, 1, 2), 0, 0b10, None, monotonic() - 10.0)
     assert status == _kernel_py.BUDGET
     assert coloring is None
     assert nodes <= 1024  # at most one deadline stride
 
 
-def test_wiped_out_prefix_returns_at_entry():
-    # (0, 0, 1) is free, but some target up to 15 has all three colors
-    # forbidden by it, so the search stops before its first node
-    got = _kernel_py.search_free_coloring(15, 6, 3, (0, 1, 2), (0, 0, 1), 0,
-                                          0b10, None, None)
-    assert got == (_kernel_py.EXHAUSTED, None, 0, 0, 3)
+def extend_all(colors, n, k, r, palette):
+    """The search's ``(rows, forced)`` after coloring 1, 2, ... with colors,
+    one :func:`extend_state` step each from the empty table; None once a
+    step wipes out."""
+    geo = _kernel_py.geometry(r, n)
+    offsets = _kernel_py.forbid_offsets(palette, geo)
+    state = (_kernel_py.new_table(k), 0)
+    for pos, c in enumerate(colors, 1):
+        state = _kernel_py.extend_state(*state, pos, c, palette, offsets, geo)
+        if state is None:
+            return None
+    return state
 
 
-def test_propagation_refutes_prefix_at_entry():
+def test_extend_state_wipes_out_prefix():
+    # (0, 0, 1) is free (no target up to 3 has k-1 = 5 parts), but some
+    # target up to 15 has all three colors forbidden by it, so the step
+    # that colors 3 prunes the child
+    assert extend_all((0, 0), 15, 6, 3, (0, 1, 2)) is not None
+    assert extend_all((0, 0, 1), 15, 6, 3, (0, 1, 2)) is None
+
+
+def test_extend_state_propagation_refutes_prefix():
     # (0, 0) forbids color 0 at 3 and 4, so both are forced to 1; then
     # 1+1+3 forbids 1 and 1+2+2 forbids 0 at 5.  Only propagating the
-    # forced targets sees that, and the entry test does it before any node
-    args = (5, 4, 2, (0, 1), (0, 0))
-    assert _kernel_py.entry_state(*args) is None
-    got = _kernel_py.search_free_coloring(*args, 0, 0, None, None)
-    assert got == (_kernel_py.EXHAUSTED, None, 0, 0, 2)
+    # forced targets sees that, and the step that colors 2 does it
+    assert extend_all((0,), 5, 4, 2, (0, 1)) is not None
+    assert extend_all((0, 0), 5, 4, 2, (0, 1)) is None
+    # indeed no coloring of [1..5] starting 0, 0 is free
+    assert all(naive_first_target((0, 0, a, b, c), 5, 4, 2)
+               for a in (0, 1) for b in (0, 1) for c in (0, 1))
+
+
+def prefix_table(values, k, geo):
+    """Table holding values 1..m, value v with color values[v - 1].
+
+    The order in which values join a table does not change it, so this
+    is the first entry of the suffix tables of [1..m]."""
+    return _kernel_py.suffix_tables(values, k, len(values), geo)[1]
 
 
 class TestPrefixTable:
@@ -159,7 +174,7 @@ class TestPrefixTable:
     def test_row_zero_and_one_invariants(self):
         values = (1, 0, 2, 2, 1, 0)
         geo = _kernel_py.geometry(3, len(values))
-        rows = _kernel_py.prefix_table(values[:5], 4, geo)
+        rows = prefix_table(values[:5], 4, geo)
         assert _kernel_py.cell(rows, 0, 0, 0, geo)
         for s in range(geo.sum_cap + 1):
             for c in range(3):
@@ -173,7 +188,7 @@ class TestPrefixTable:
         geo = _kernel_py.geometry(3, len(values))
         previous = None
         for v_max in range(len(values) + 1):
-            rows = _kernel_py.prefix_table(values[:v_max], 4, geo)
+            rows = prefix_table(values[:v_max], 4, geo)
             if previous is not None:
                 for j in range(4):
                     for s in range(geo.sum_cap + 1):
@@ -185,6 +200,6 @@ class TestPrefixTable:
     def test_cells_count_multiplicity(self):
         # two copies of value 1 reach sum 2 with doubled color
         geo = _kernel_py.geometry(3, 2)
-        rows = _kernel_py.prefix_table((1,), 3, geo)
+        rows = prefix_table((1,), 3, geo)
         assert _kernel_py.cell(rows, 2, 2, 2, geo)
         assert not _kernel_py.cell(rows, 2, 2, 0, geo)

@@ -32,9 +32,10 @@ CERTIFIED_TREES = [
 
 def conflicts(prefix, color, k, r, n):
     """Does coloring position len(prefix)+1 with color complete a zero-sum
-    solution?  The kernel's conflict bit, read off the prefix's table."""
+    solution?  The kernel's conflict bit, read off the prefix's table
+    (entry 1 of the suffix tables of [1..len(prefix)])."""
     geo = _kernel_py.geometry(r, n)
-    rows = _kernel_py.prefix_table(prefix, k, geo)
+    rows = _kernel_py.suffix_tables(prefix, k, len(prefix), geo)[1]
     return _kernel_py.cell(rows, k - 1, len(prefix) + 1, (r - color) % r, geo)
 
 
@@ -282,7 +283,7 @@ class TestSolveExact:
         # n=45 exhausts within the budget, so the value is exact, but the
         # lex-least redo at n=44 runs out: the construction stays.  Only
         # a forward-checking search exhausts n=45 in 100 nodes, so this
-        # also shows the solver uses it whatever backend is built.
+        # also shows the solver searches with forward checking.
         spec = ProblemSpec(k=10, r=5)
         result = solve_exact(spec, SearchConfig(max_nodes=100,
                                                 deterministic=True))
@@ -362,3 +363,8 @@ def test_search_config_validation():
         SearchConfig(threads=0)
     with pytest.raises(ValueError):
         SearchConfig(max_nodes=-1)
+    for timeout in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            SearchConfig(timeout=timeout)
+    for timeout in (0.0, float("inf")):
+        assert SearchConfig(timeout=timeout).timeout == timeout
