@@ -22,8 +22,8 @@ Each run is checked: the reach pass must return target 489, the
 extracted witness must validate, and each search must end with the
 status in WORKLOADS.  Exit 1 on a failed check.
 
-Best of 3 on a 2-vCPU Xeon VM: reach-pass 10-16 ms, extract 3.4-5 ms,
-search-8-4 2-3 ms, search-6-3 0.1 ms, solve-12-4 42-43 ms.
+Best of 3 on a 2-vCPU Xeon VM, five runs: reach-pass 12-19 ms, extract
+4-7 ms, search-8-4 2-4 ms, search-6-3 0.1 ms, solve-12-4 49-75 ms.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from .core import (
     format_witness,
     parse_coloring,
     read_coloring,
-    residue_add,
     validate_witness,
     write_coloring,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "is_solution_free",
     "parse_coloring",
     "read_coloring",
-    "residue_add",
     "solve_exact",
     "theoretical_bounds",
     "validate_witness",

@@ -16,20 +16,21 @@ integers, one per row j.  Row j packs the r color classes as bit blocks
 of width W = sum_cap + 1: bit c*W + s of ``rows[j]`` says that j values
 (repetition allowed, each at most the current value cap) can realize sum
 s with color-sum c mod r.  Only this module knows the layout; other
-modules build and read tables through :func:`geometry`,
+modules build and read tables through :class:`Geometry`,
 :func:`suffix_tables` and :func:`cell`.
 
 Adding one value v with color cv takes one step per row, in increasing j
 so that v may be reused any number of times:
 
-    y = rows[j-1] & keep[v]        # per block, the sums s <= sum_cap - v
+    y = rows[j-1] & keep           # per block, the sums s <= sum_cap - v
     rows[j] |= rotate(y, cv) << v  # block c moves to block (c + cv) % r
 
 Masking before the shift keeps every bit inside its block, so the
 rotation and the shift together are two shifts of the whole row: the
 blocks that stay below block r move up by cv*W + v, the cv blocks that
-wrap around move down by (r - cv)*W - v.  The keep masks are derived per
-geometry, each from the previous one.
+wrap around move down by (r - cv)*W - v.  The keep mask is computed from
+the layout for each added value, as ``(ones << (W - v)) - ones`` where
+``ones`` has bit 0 of every block: per block, the W - v low bits.
 
 Values are fed in increasing order.  A sum-T solution has k-1 parts that
 are each at least 1, so no part exceeds T-k+2; target T can therefore be
@@ -64,7 +65,6 @@ a free coloring, and the branch order is unchanged.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from time import monotonic
 
 #: Search outcome codes.
@@ -78,15 +78,12 @@ _DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
 class Geometry:
     """Bit layout of the tables with r color blocks of sums 0..sum_cap.
 
-    The keep mask of value v holds, in every block, the sums
-    s <= sum_cap - v: the bits that may take one more copy of v without
-    leaving their block.  It is ``full`` for v = 0 and 0 past sum_cap;
-    each is derived from its neighbour (:meth:`next_keep`), and
-    :meth:`keeps` lists them all for random access.
+    ``width`` is the block width sum_cap + 1, ``size`` the row width
+    r * width, ``full`` the row of all ones, ``block`` the ones of one
+    block and ``ones`` bit 0 of every block.
     """
 
-    __slots__ = ("r", "sum_cap", "width", "size", "full", "block", "ones",
-                 "_keeps")
+    __slots__ = ("r", "sum_cap", "width", "size", "full", "block", "ones")
 
     def __init__(self, r: int, sum_cap: int) -> None:
         width = sum_cap + 1
@@ -100,30 +97,6 @@ class Geometry:
         for c in range(r):
             ones |= 1 << (c * width)
         self.ones = ones
-        self._keeps = None
-
-    def next_keep(self, keep: int, v: int) -> int:
-        """Keep mask of v from that of v - 1 (1 <= v <= sum_cap + 1).
-
-        The step is its own inverse: it also gives v - 1's mask from v's.
-        """
-        return keep ^ (self.ones << (self.width - v))
-
-    def keeps(self) -> list[int]:
-        """Keep masks of v = 0..sum_cap + 1, built on first use."""
-        if self._keeps is None:
-            keep = self.full
-            out = [keep]
-            for v in range(1, self.width + 1):
-                keep = self.next_keep(keep, v)
-                out.append(keep)
-            self._keeps = out
-        return self._keeps
-
-
-@lru_cache(maxsize=16)
-def geometry(r: int, sum_cap: int) -> Geometry:
-    return Geometry(r, sum_cap)
 
 
 def new_table(k: int) -> list[int]:
@@ -131,12 +104,14 @@ def new_table(k: int) -> list[int]:
     return [1] + [0] * (k - 1)
 
 
-def add_value(rows: list[int], v: int, cv: int, keep: int,
-              geo: Geometry) -> None:
+def add_value(rows: list[int], v: int, cv: int, geo: Geometry) -> None:
     """Allow value v (color cv) with unlimited multiplicity.
 
-    ``keep`` is the keep mask of v (0 when v > sum_cap).
+    Requires 1 <= v <= sum_cap.  The keep mask holds, per block, the sums
+    s <= sum_cap - v: the bits that may take one more copy of v without
+    leaving their block.
     """
+    keep = (geo.ones << (geo.width - v)) - geo.ones
     up = cv * geo.width + v
     prev = rows[0]
     if cv == 0:
@@ -166,14 +141,10 @@ def suffix_tables(colors, k: int, v_max: int, geo: Geometry) -> list:
     suffix: list = [None] * (v_max + 2)
     rows = new_table(k)
     suffix[v_max + 1] = rows
-    keep = 0  # keep mask of sum_cap + 1, stepped down to that of v_max
-    for v in range(geo.width, v_max, -1):
-        keep = geo.next_keep(keep, v)
     for lo in range(v_max, 0, -1):
         rows = rows[:]
-        add_value(rows, lo, colors[lo - 1], keep, geo)
+        add_value(rows, lo, colors[lo - 1], geo)
         suffix[lo] = rows
-        keep = geo.next_keep(keep, lo)
     return suffix
 
 
@@ -207,14 +178,13 @@ def propagate(rows: list[int], forced: int, pos: int, palette,
         if not new:
             return forced
         forced |= new
-        keeps = geo.keeps()
         for c, off in zip(palette, offsets):
             hit = new & ~(row >> off)
             while hit:
                 low = hit & -hit
                 hit ^= low
                 t = low.bit_length() - 1
-                add_value(rows, t, c, keeps[t], geo)
+                add_value(rows, t, c, geo)
 
 
 def extend_state(rows: list[int], forced: int, pos: int, c: int, palette,
@@ -228,7 +198,7 @@ def extend_state(rows: list[int], forced: int, pos: int, c: int, palette,
     if (forced >> pos) & 1:
         return rows, forced
     child = rows[:]
-    add_value(child, pos, c, geo.keeps()[pos], geo)
+    add_value(child, pos, c, geo)
     forced = propagate(child, forced, pos, palette, offsets, geo)
     return None if forced is None else (child, forced)
 
@@ -240,16 +210,14 @@ def first_zero_sum_target(values, n: int, k: int, r: int) -> int:
     """
     if n < k - 1:
         return 0
-    geo = geometry(r, n)
+    geo = Geometry(r, n)
     rows = new_table(k)
-    keep = geo.full
     v = 0
     for target in range(k - 1, n + 1):
         cap = target - k + 2
         while v < cap:
             v += 1
-            keep = geo.next_keep(keep, v)
-            add_value(rows, v, values[v - 1], keep, geo)
+            add_value(rows, v, values[v - 1], geo)
         if cell(rows, k - 1, target, (r - values[target - 1]) % r, geo):
             return target
     return 0
@@ -280,7 +248,7 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     """
     if n == 0:
         return (FOUND, [], 0, 0, 0)
-    geo = geometry(r, n)
+    geo = Geometry(r, n)
     last = k - 1
     # bit forbid[c] + t of the last row forbids color c at target t
     forbid = forbid_offsets(range(r), geo)

@@ -40,7 +40,7 @@ def _lex_least_parts(chi: Coloring, k: int, r: int, target: int) -> tuple[int, .
     exactly the sets allowed once a part equal to lo has been chosen.
     """
     v_max = target - k + 2
-    geo = _kernel_py.geometry(r, target)
+    geo = _kernel_py.Geometry(r, target)
     suffix = _kernel_py.suffix_tables(chi.values, k, v_max, geo)
 
     parts = []
@@ -81,7 +81,9 @@ def find_zero_sum_solution(chi: Coloring, spec: ProblemSpec) -> Witness | None:
         return None
     parts = _lex_least_parts(chi, spec.k, spec.r, target)
     witness = Witness(parts=parts, target=target)
-    assert validate_witness(witness, chi, spec), "extracted witness failed validation"
+    if not validate_witness(witness, chi, spec):
+        raise RuntimeError(
+            f"extracted witness {parts} for target {target} failed validation")
     return witness
 
 

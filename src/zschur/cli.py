@@ -83,7 +83,7 @@ def run_check(args) -> int:
 def run_solve(args) -> int:
     spec = ProblemSpec(k=args.k, r=args.r, palette=_palette(args.variant))
     cfg = SearchConfig(max_nodes=args.max_nodes, timeout=args.timeout,
-                       threads=args.threads, deterministic=args.deterministic)
+                       deterministic=args.deterministic)
     result = solve_exact(spec, cfg)
     stats = result.stats
     print(f"status={result.status.value} value={format_value(result.value)} "
@@ -139,9 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("full", "binary"), default="full")
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted (>= 1) but has no effect: the search "
-                        "runs on one thread")
     p.add_argument("--deterministic", action="store_true",
                    help="certificate is the lex-least free coloring of "
                         "the reduced space")

@@ -233,11 +233,6 @@ class BoundsReport:
     entries: tuple[BoundEntry, ...]
 
 
-def residue_add(a: int, b: int, r: int) -> int:
-    """(a + b) mod r for residues a, b in [0, r-1]."""
-    return (a + b) % r
-
-
 def require_same_modulus(chi: Coloring, spec: ProblemSpec) -> None:
     if chi.r != spec.r:
         raise ModulusMismatchError(

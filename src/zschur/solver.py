@@ -72,6 +72,8 @@ class SearchConfig:
     ``threads`` (at least 1) has no effect on the search: the kernel is
     pure Python and holds the GIL, so it runs on one thread whatever the
     count, and values, certificates and node counts never depend on it.
+    The field is kept because library callers, such as the benchmark,
+    set it; the command line has no flag for it.
     """
 
     max_nodes: int | None = None

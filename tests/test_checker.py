@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from zschur import checker
 from zschur import (
     Coloring,
     ModulusMismatchError,
@@ -144,3 +145,14 @@ def test_witness_against_table_semantics():
             continue
         assert all(p <= w.target - k + 2 for p in w.parts)
         assert len(w.parts) == k - 1
+
+
+def test_invalid_extracted_witness_raises(monkeypatch):
+    # a witness that fails validation is an internal error, raised even
+    # under python -O: the parts (1, 1, 2) do not sum to the target 3
+    spec = ProblemSpec(k=4, r=2)
+    chi = Coloring.constant(5, 2, 0)
+    assert find_zero_sum_solution(chi, spec) == Witness(parts=(1, 1, 1), target=3)
+    monkeypatch.setattr(checker, "_lex_least_parts", lambda *args: (1, 1, 2))
+    with pytest.raises(RuntimeError, match="failed validation"):
+        find_zero_sum_solution(chi, spec)

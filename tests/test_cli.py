@@ -154,10 +154,10 @@ class TestSolve:
         assert "status=exact value=25" in out
 
     def test_threads_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "solve", "--k", "6", "--r", "3",
-                               "--threads", "2")
-        assert code == 0
-        assert "value=15" in out
+        # the search is sequential; solve has no --threads flag
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--k", "6", "--r", "3", "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_invalid_k(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--k", "2", "--r", "2")

@@ -14,15 +14,8 @@ from zschur import (
     format_value,
     format_witness,
     parse_coloring,
-    residue_add,
     validate_witness,
 )
-
-
-def test_residue_add_examples():
-    assert residue_add(0, 0, 5) == 0
-    assert residue_add(3, 4, 5) == 2
-    assert residue_add(6, 1, 7) == 0
 
 
 def test_problem_spec_validation():

@@ -6,9 +6,12 @@ ascending order, and the tables against their definition.
 """
 
 import random
+import tracemalloc
 from time import monotonic
 
-from zschur import _kernel_py
+import pytest
+
+from zschur import ProblemSpec, SearchConfig, _kernel_py, find_free_coloring
 
 
 def naive_first_target(values, n, k, r):
@@ -130,7 +133,7 @@ def extend_all(colors, n, k, r, palette):
     """The search's ``(rows, forced)`` after coloring 1, 2, ... with colors,
     one :func:`extend_state` step each from the empty table; None once a
     step wipes out."""
-    geo = _kernel_py.geometry(r, n)
+    geo = _kernel_py.Geometry(r, n)
     offsets = _kernel_py.forbid_offsets(palette, geo)
     state = (_kernel_py.new_table(k), 0)
     for pos, c in enumerate(colors, 1):
@@ -159,6 +162,35 @@ def test_extend_state_propagation_refutes_prefix():
                for a in (0, 1) for b in (0, 1) for c in (0, 1))
 
 
+@pytest.mark.parametrize("r", (2, 3, 5))
+@pytest.mark.parametrize("sum_cap", (1, 2, 63, 64, 65, 130))
+def test_add_value_matches_definition(r, sum_cap):
+    # from the empty table, j copies of v reach sum j*v with color-sum
+    # j*c, and nothing else: row j is that one bit, or 0 past sum_cap
+    geo = _kernel_py.Geometry(r, sum_cap)
+    for v in range(1, sum_cap + 1):
+        for c in range(r):
+            rows = _kernel_py.new_table(6)
+            _kernel_py.add_value(rows, v, c, geo)
+            expected = [1 << ((j * c) % r * geo.width + j * v)
+                        if j * v <= sum_cap else 0 for j in range(6)]
+            assert rows == expected, (v, c)
+
+
+def test_short_search_stays_small():
+    # the search's memory follows the table snapshots it makes, not the
+    # whole layout: ten nodes at n=3000 with 30 colors need little
+    tracemalloc.start()
+    try:
+        outcome = find_free_coloring(3000, ProblemSpec(60, 30),
+                                     SearchConfig(max_nodes=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.stats.nodes <= 10
+    assert peak < 4 * 2**20, peak
+
+
 def prefix_table(values, k, geo):
     """Table holding values 1..m, value v with color values[v - 1].
 
@@ -173,7 +205,7 @@ class TestPrefixTable:
 
     def test_row_zero_and_one_invariants(self):
         values = (1, 0, 2, 2, 1, 0)
-        geo = _kernel_py.geometry(3, len(values))
+        geo = _kernel_py.Geometry(3, len(values))
         rows = prefix_table(values[:5], 4, geo)
         assert _kernel_py.cell(rows, 0, 0, 0, geo)
         for s in range(geo.sum_cap + 1):
@@ -185,7 +217,7 @@ class TestPrefixTable:
 
     def test_monotone_in_value_cap(self):
         values = (1, 0, 2, 2, 1, 0, 1)
-        geo = _kernel_py.geometry(3, len(values))
+        geo = _kernel_py.Geometry(3, len(values))
         previous = None
         for v_max in range(len(values) + 1):
             rows = prefix_table(values[:v_max], 4, geo)
@@ -199,7 +231,7 @@ class TestPrefixTable:
 
     def test_cells_count_multiplicity(self):
         # two copies of value 1 reach sum 2 with doubled color
-        geo = _kernel_py.geometry(3, 2)
+        geo = _kernel_py.Geometry(3, 2)
         rows = prefix_table((1,), 3, geo)
         assert _kernel_py.cell(rows, 2, 2, 2, geo)
         assert not _kernel_py.cell(rows, 2, 2, 0, geo)

@@ -34,7 +34,7 @@ def conflicts(prefix, color, k, r, n):
     """Does coloring position len(prefix)+1 with color complete a zero-sum
     solution?  The kernel's conflict bit, read off the prefix's table
     (entry 1 of the suffix tables of [1..len(prefix)])."""
-    geo = _kernel_py.geometry(r, n)
+    geo = _kernel_py.Geometry(r, n)
     rows = _kernel_py.suffix_tables(prefix, k, len(prefix), geo)[1]
     return _kernel_py.cell(rows, k - 1, len(prefix) + 1, (r - color) % r, geo)
 
@@ -306,7 +306,7 @@ class TestSolveExact:
 
     @pytest.mark.parametrize("k,r,n", [(8, 4, 27), (12, 3, 33), (9, 3, 24),
                                        (6, 6, 32), (10, 5, 45)])
-    def test_split_exhaustion_spends_the_sequential_nodes(self, k, r, n):
+    def test_threaded_exhaustion_spends_the_sequential_nodes(self, k, r, n):
         # threads has no effect on the search: a threaded exhaustion
         # checks each node of the sequential tree exactly once
         spec = ProblemSpec(k=k, r=r)
