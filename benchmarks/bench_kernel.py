@@ -9,7 +9,10 @@ Workloads:
   reach-pass      one full reachability pass (n=500, k=50, r=10) over a
                   coloring whose first zero-sum target is near the end
                   (489), i.e. the pass cannot stop early
-  extract         lex-least witness extraction on the same coloring and
+  reach-150-10    one full reachability pass (n=1500, k=150, r=10) over
+                  the k=150 construction plus zeros, first target 1489:
+                  the colorings of length about kr that certify the bounds
+  extract         lex-least witness extraction on the n=500 coloring and
                   target
   search-8-4      exhaust the reduced four-color search at n=27 (the
                   S_z(8,4) decision step: 939 extension checks)
@@ -18,12 +21,13 @@ Workloads:
   solve-12-4      2M-node budgeted slice of the k=12, r=4 search at n=43
                   (exhausted in 15,335 nodes)
 
-Each run is checked: the reach pass must return target 489, the
-extracted witness must validate, and each search must end with the
-status in WORKLOADS.  Exit 1 on a failed check.
+Each run is checked: the reach passes must return the targets in
+REACH, the extracted witness must validate, and each search must end
+with the status in WORKLOADS.  Exit 1 on a failed check.
 
-Best of 3 on a 2-vCPU Xeon VM, five runs: reach-pass 12-19 ms, extract
-4-7 ms, search-8-4 2-4 ms, search-6-3 0.1 ms, solve-12-4 49-75 ms.
+Best of 3 on a 2-vCPU Xeon VM, three runs: reach-pass 3.2-3.4 ms,
+reach-150-10 25-26 ms, extract 3.4-3.6 ms, search-8-4 3.3-3.5 ms,
+search-6-3 0.1 ms, solve-12-4 47-57 ms.
 """
 
 from __future__ import annotations
@@ -35,18 +39,24 @@ from zschur import Coloring, ProblemSpec, Witness, _kernel_py, validate_witness
 from zschur.checker import _lex_least_parts
 from zschur.constructions import construct_even
 
-REACH_TARGET = 489
+#: Reach workloads: (n, k, r) of the construction padded with zeros to n,
+#: and the first target the pass must return.
+REACH = {
+    "reach-pass": ((500, 50, 10), 489),
+    "reach-150-10": ((1500, 150, 10), 1489),
+}
 
 
-def reach_pass_args():
-    prefix = construct_even(50, 10)
-    values = prefix.values + (0,) * (500 - prefix.n)
-    return (values, 500, 50, 10)
+def reach_args(n, k, r):
+    prefix = construct_even(k, r)
+    values = prefix.values + (0,) * (n - prefix.n)
+    return (values, n, k, r)
 
 
 def extract_args():
-    values, _, k, r = reach_pass_args()
-    return (Coloring.of(values, r), k, r, REACH_TARGET)
+    (n, k, r), target = REACH["reach-pass"]
+    values = reach_args(n, k, r)[0]
+    return (Coloring.of(values, r), k, r, target)
 
 
 #: Search workloads: arguments of search_free_coloring and the status it must end with.
@@ -77,12 +87,13 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = []
-    took, target = best_time(_kernel_py.first_zero_sum_target,
-                             reach_pass_args(), args.repeats)
-    if target != REACH_TARGET:
-        print(f"reach-pass: target {target}, expected {REACH_TARGET}")
-        return 1
-    rows.append(("reach-pass", took, f"target {target}"))
+    for wname, (nkr, want) in REACH.items():
+        took, target = best_time(_kernel_py.first_zero_sum_target,
+                                 reach_args(*nkr), args.repeats)
+        if target != want:
+            print(f"{wname}: target {target}, expected {want}")
+            return 1
+        rows.append((wname, took, f"target {target}"))
 
     wargs = extract_args()
     took, parts = best_time(_lex_least_parts, wargs, args.repeats)

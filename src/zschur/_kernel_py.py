@@ -32,10 +32,21 @@ wrap around move down by (r - cv)*W - v.  The keep mask is computed from
 the layout for each added value, as ``(ones << (W - v)) - ones`` where
 ``ones`` has bit 0 of every block: per block, the W - v low bits.
 
+Only the rows that can still reach the last row are updated.  Each
+caller names ``low``, the least value that may still join the table; an
+entry of row j has sum at least j and needs k-1-j more parts, each at
+least ``low``, so row j is dead once j + (k-1-j)*low > sum_cap, and the
+dead rows are the low ones.  The update also stops at the first zero
+row: a row receives only from the row below it and rows only grow, so
+every row above a zero row is zero.  Both cuts are exact for the last
+row, which is all the reach pass and the search read; the suffix tables
+of the extraction pass low = 1 and stay exact in every row.
+
 Values are fed in increasing order.  A sum-T solution has k-1 parts that
 are each at least 1, so no part exceeds T-k+2; target T can therefore be
 tested as soon as values up to T-k+2 are in the table, and one shared
-table serves all targets in one O(k n^2 r) bit-op pass.
+table serves all targets.  Value v updates about min(k-1, n/v) live
+rows, so the pass makes about n(1 + ln k) row updates of r(n+1) bits.
 
 The search keeps one table snapshot per depth holding *every* colored
 value 1..pos, so the last row forbids colors at all future targets at
@@ -73,6 +84,7 @@ FOUND = 1
 BUDGET = 3
 
 _DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
+_REACH_STRIDE = 64  # values between wall-clock checks of the reach pass
 
 
 class Geometry:
@@ -104,24 +116,39 @@ def new_table(k: int) -> list[int]:
     return [1] + [0] * (k - 1)
 
 
-def add_value(rows: list[int], v: int, cv: int, geo: Geometry) -> None:
+def add_value(rows: list[int], v: int, cv: int, geo: Geometry,
+              low: int) -> None:
     """Allow value v (color cv) with unlimited multiplicity.
 
-    Requires 1 <= v <= sum_cap.  The keep mask holds, per block, the sums
-    s <= sum_cap - v: the bits that may take one more copy of v without
-    leaving their block.
+    Requires 1 <= low <= v <= sum_cap, where ``low`` is the least value
+    that may still join the table (v included); ``low`` never falls from
+    one call on a table, or on the table it was copied from, to the next.
+    The keep mask holds, per block, the sums s <= sum_cap - v: the bits
+    that may take one more copy of v without leaving their block.
+
+    The update starts from the first live row j0, the least j with
+    j + (k-1-j)*low <= sum_cap, leaving the dead rows below it as they
+    are, and stops at the first zero row (see the module docstring).
+    The last row is exact; with low == 1 every row is.
     """
+    last = len(rows) - 1
+    excess = last * low - geo.sum_cap  # row j is live iff j*(low-1) >= excess
+    j0 = 0 if excess <= 0 or low == 1 else min(-(-excess // (low - 1)), last)
     keep = (geo.ones << (geo.width - v)) - geo.ones
     up = cv * geo.width + v
-    prev = rows[0]
+    prev = rows[j0]
     if cv == 0:
-        for j in range(1, len(rows)):
+        for j in range(j0 + 1, last + 1):
+            if not prev:
+                return
             prev = rows[j] | (prev & keep) << v
             rows[j] = prev
         return
     full = geo.full
     down = geo.size - up
-    for j in range(1, len(rows)):
+    for j in range(j0 + 1, last + 1):
+        if not prev:
+            return
         y = prev & keep
         prev = rows[j] | ((y << up) & full) | (y >> down)
         rows[j] = prev
@@ -143,7 +170,7 @@ def suffix_tables(colors, k: int, v_max: int, geo: Geometry) -> list:
     suffix[v_max + 1] = rows
     for lo in range(v_max, 0, -1):
         rows = rows[:]
-        add_value(rows, lo, colors[lo - 1], geo)
+        add_value(rows, lo, colors[lo - 1], geo, 1)
         suffix[lo] = rows
     return suffix
 
@@ -184,7 +211,7 @@ def propagate(rows: list[int], forced: int, pos: int, palette,
                 low = hit & -hit
                 hit ^= low
                 t = low.bit_length() - 1
-                add_value(rows, t, c, geo)
+                add_value(rows, t, c, geo, pos + 1)
 
 
 def extend_state(rows: list[int], forced: int, pos: int, c: int, palette,
@@ -198,15 +225,19 @@ def extend_state(rows: list[int], forced: int, pos: int, c: int, palette,
     if (forced >> pos) & 1:
         return rows, forced
     child = rows[:]
-    add_value(child, pos, c, geo)
+    add_value(child, pos, c, geo, pos)
     forced = propagate(child, forced, pos, palette, offsets, geo)
     return None if forced is None else (child, forced)
 
 
-def first_zero_sum_target(values, n: int, k: int, r: int) -> int:
+def first_zero_sum_target(values, n: int, k: int, r: int,
+                          deadline: float | None = None) -> int | None:
     """Least target T in [k-1, n] completing a zero-sum solution, else 0.
 
-    ``values`` is 0-based: values[i] is the color of i+1.
+    ``values`` is 0-based: values[i] is the color of i+1.  ``deadline``
+    is an absolute time.monotonic() deadline, or None; it is checked
+    before the first value and then every 64 values, and the pass
+    returns None once it has passed.
     """
     if n < k - 1:
         return 0
@@ -216,8 +247,11 @@ def first_zero_sum_target(values, n: int, k: int, r: int) -> int:
     for target in range(k - 1, n + 1):
         cap = target - k + 2
         while v < cap:
+            if (deadline is not None and v % _REACH_STRIDE == 0
+                    and monotonic() > deadline):
+                return None
             v += 1
-            add_value(rows, v, values[v - 1], geo)
+            add_value(rows, v, values[v - 1], geo, v)
         if cell(rows, k - 1, target, (r - values[target - 1]) % r, geo):
             return target
     return 0

@@ -42,8 +42,12 @@ from dataclasses import dataclass, field
 from time import monotonic
 
 from . import constructions
-from ._kernel_py import EXHAUSTED, FOUND, search_free_coloring
-from .checker import is_solution_free
+from ._kernel_py import (
+    EXHAUSTED,
+    FOUND,
+    first_zero_sum_target,
+    search_free_coloring,
+)
 from .core import (
     INF,
     Coloring,
@@ -60,8 +64,10 @@ class SearchConfig:
     """Search limits and certificate mode.
 
     ``max_nodes`` caps the number of extension checks over the whole
-    solve, exactly, and ``timeout`` (seconds, at least 0; ``inf``
-    allowed) caps its search time.  The search is sequential, so
+    solve, exactly; it counts search nodes only, so the checker pass that
+    verifies the construction certificate is not charged to it.
+    ``timeout`` (seconds, at least 0; ``inf`` allowed) caps the time of
+    the whole solve, that checker pass included.  The search is sequential, so
     :func:`find_free_coloring` always returns the lexicographically
     least free coloring of the reduced space.  ``deterministic`` makes :func:`solve_exact` return
     such a certificate too: when the scan started above the construction
@@ -147,17 +153,21 @@ def find_free_coloring(n: int, spec: ProblemSpec,
     return FreeSearchOutcome(status=status, coloring=chi, stats=stats)
 
 
-def _certified_start(spec: ProblemSpec) -> tuple[int, Coloring | None]:
+def _certified_start(spec: ProblemSpec,
+                     deadline: float | None) -> tuple[int, Coloring | None]:
     """Lowest n to examine, with the checker-verified certificate below it.
 
     Only checker-verified facts seed the scan: the construction coloring
     when it verifies as solution-free, else the trivial floor k-1 (every
     coloring of [1..k-2] is free since no target fits).  The two-color
-    variant has no construction, so it always starts at the floor.
+    variant has no construction, so it always starts at the floor, and so
+    does a scan whose deadline passes during the check; the search that
+    follows then stops at once.
     """
     if spec.palette is Palette.FULL:
         cert = constructions.construct(spec.k, spec.r)
-        if is_solution_free(cert, spec):
+        if first_zero_sum_target(cert.values, cert.n, spec.k, spec.r,
+                                 deadline) == 0:
             return cert.n + 1, cert
     return spec.k - 1, None
 
@@ -180,7 +190,8 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
                            stats=SearchStats(elapsed=monotonic() - start))
 
     total = SearchStats()
-    n, certificate = _certified_start(spec)
+    deadline = start + cfg.timeout if cfg.timeout is not None else None
+    n, certificate = _certified_start(spec, deadline)
     cert_from_search = False
 
     def remaining_cfg() -> SearchConfig:

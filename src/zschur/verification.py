@@ -291,7 +291,7 @@ def check_bounds_table() -> str:
 def check_checker_performance() -> str:
     spec = ProblemSpec(k=50, r=10)
     # Worst case: a construction prefix is free, so the pass cannot stop
-    # before position 489 and does essentially the full O(k n^2 r) work.
+    # before position 489 and feeds nearly every value of [1..500].
     prefix = constructions.construct_even(50, 10)
     chi = Coloring(n=500, r=10, values=prefix.values + (0,) * (500 - prefix.n))
     start = monotonic()

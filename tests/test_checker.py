@@ -1,14 +1,16 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
-from zschur import checker
+from zschur import _kernel_py, checker
 from zschur import (
     Coloring,
     ModulusMismatchError,
     ProblemSpec,
     Witness,
     brute_force_oracle,
+    construct,
     construct_odd,
     find_zero_sum_solution,
     is_solution_free,
@@ -156,3 +158,39 @@ def test_invalid_extracted_witness_raises(monkeypatch):
     monkeypatch.setattr(checker, "_lex_least_parts", lambda *args: (1, 1, 2))
     with pytest.raises(RuntimeError, match="failed validation"):
         find_zero_sum_solution(chi, spec)
+
+
+def test_suffix_tables_match_definition():
+    # extraction reads every row of every suffix table: cell (j, s, c) of
+    # entry lo says j values from [lo..v_max] sum to s with color-sum c
+    rng = random.Random(55)
+    for _ in range(40):
+        k = rng.randint(3, 6)
+        r = rng.randint(2, 5)
+        v_max = rng.randint(1, 10)
+        sum_cap = v_max + rng.randint(0, 12)
+        colors = [rng.randrange(r) for _ in range(v_max)]
+        geo = _kernel_py.Geometry(r, sum_cap)
+        suffix = _kernel_py.suffix_tables(colors, k, v_max, geo)
+        for lo in range(1, v_max + 2):
+            for j in range(k):
+                want = set()
+                for parts in combinations_with_replacement(range(lo, v_max + 1), j):
+                    if sum(parts) <= sum_cap:
+                        want.add((sum(parts),
+                                  sum(colors[p - 1] for p in parts) % r))
+                got = {(s, c) for s in range(sum_cap + 1) for c in range(r)
+                       if _kernel_py.cell(suffix[lo], j, s, c, geo)}
+                assert got == want, (colors, k, r, sum_cap, lo, j)
+
+
+def test_witness_past_a_large_construction():
+    # the k=100, r=20 construction is free on [1..1978]; one more value
+    # colored 0 puts the least witness at 1979, the full table size
+    spec = ProblemSpec(k=100, r=20)
+    chi = construct(100, 20)
+    assert is_solution_free(chi, spec)
+    padded = Coloring.of(chi.values + (0,), 20)
+    witness = find_zero_sum_solution(padded, spec)
+    assert witness.target == chi.n + 1
+    assert validate_witness(witness, padded, spec)

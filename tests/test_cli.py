@@ -147,6 +147,12 @@ class TestSolve:
         assert code == 3
         assert "status=budget-exhausted" in out
 
+    def test_timeout_covers_the_certified_start(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--k", "130", "--r", "65",
+                               "--timeout", "0")
+        assert code == 3
+        assert "status=budget-exhausted value=129" in out
+
     def test_binary_variant(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--k", "8", "--r", "4",
                                "--variant", "binary")

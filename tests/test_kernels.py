@@ -65,13 +65,50 @@ def test_status_codes_match():
 
 def test_first_target_random_agreement():
     rng = random.Random(2024)
+    # k up to 14 with n up to 40 leaves most rows dead for the later values
     for _ in range(300):
-        k = rng.randint(3, 7)
+        k = rng.randint(3, 14)
         r = rng.randint(2, 6)
         n = rng.randint(0, 40)
         values = tuple(rng.randrange(r) for _ in range(n))
         got = _kernel_py.first_zero_sum_target(values, n, k, r)
         assert got == naive_first_target(values, n, k, r), (values, n, k, r)
+
+
+def naive_last_rows(values, k, r, n):
+    """Per v = 1..n, the (sum, color-sum mod r) pairs of k-1 values from
+    [1..v], repetition allowed, with sums at most n.
+
+    One set per count of values; adding v lets every count-j pair take
+    one more copy of v, in increasing j so that v may repeat."""
+    reach = [{(0, 0)}] + [set() for _ in range(k - 1)]
+    for v in range(1, n + 1):
+        for j in range(1, k):
+            reach[j] |= {(s + v, (c + values[v - 1]) % r)
+                         for s, c in reach[j - 1] if s + v <= n}
+        yield set(reach[k - 1])
+
+
+def test_reach_pass_last_row_with_dead_rows():
+    # the reach pass's add_value loop, run to n without stopping at a
+    # target: past v = n/(k-1) the low rows are dead and skipped, and
+    # rows stop at the first zero row, yet the last row must be exact
+    rng = random.Random(31)
+    for _ in range(60):
+        k = rng.randint(3, 16)
+        r = rng.randint(2, 5)
+        n = rng.randint(k - 1, 70)
+        base = rng.randrange(r)  # near-constant: a few values recolored
+        values = [base] * n
+        for i in rng.sample(range(n), rng.randint(0, 3)):
+            values[i] = rng.randrange(r)
+        geo = _kernel_py.Geometry(r, n)
+        rows = _kernel_py.new_table(k)
+        for v, want in enumerate(naive_last_rows(values, k, r, n), 1):
+            _kernel_py.add_value(rows, v, values[v - 1], geo, v)
+            got = {(s, c) for s in range(n + 1) for c in range(r)
+                   if _kernel_py.cell(rows, k - 1, s, c, geo)}
+            assert got == want, (values, k, r, v)
 
 
 def test_first_target_wide_sums():
@@ -129,6 +166,15 @@ def test_search_expired_deadline():
     assert nodes <= 1024  # at most one deadline stride
 
 
+def test_reach_pass_expired_deadline():
+    ones = (1,) * 200  # free for k=10, r=3: the pass would run to n
+    assert _kernel_py.first_zero_sum_target(ones, 200, 10, 3, None) == 0
+    assert _kernel_py.first_zero_sum_target(ones, 200, 10, 3,
+                                            monotonic() - 10.0) is None
+    assert _kernel_py.first_zero_sum_target(ones, 200, 10, 3,
+                                            monotonic() + 60.0) == 0
+
+
 def extend_all(colors, n, k, r, palette):
     """The search's ``(rows, forced)`` after coloring 1, 2, ... with colors,
     one :func:`extend_state` step each from the empty table; None once a
@@ -141,6 +187,57 @@ def extend_all(colors, n, k, r, palette):
         if state is None:
             return None
     return state
+
+
+def naive_last_row(items, k, r, n):
+    """The (sum, color-sum mod r) pairs of k-1 of the (value, color)
+    items, repetition allowed, with sums at most n."""
+    reach = {(0, 0)}
+    for _ in range(k - 1):
+        reach = {(s + v, (c + cv) % r)
+                 for s, c in reach for v, cv in items if s + v <= n}
+    return reach
+
+
+@pytest.mark.parametrize("k, r, n", ((4, 4, 17), (4, 2, 11), (6, 3, 16),
+                                     (5, 5, 24), (8, 4, 28), (9, 3, 30)))
+def test_search_tables_match_their_values(k, r, n):
+    # the search's states depth first, each position taking every color
+    # its target bit does not forbid.  The last row must hold exactly the
+    # sums of k-1 of the table's values: 1..pos as colored, and every
+    # forced target with the one palette color the row leaves it
+    palette = tuple(range(r))
+    geo = _kernel_py.Geometry(r, n)
+    offsets = _kernel_py.forbid_offsets(palette, geo)
+    checked = 0
+
+    def allowed(rows, t):
+        return [c for c, off in zip(palette, offsets)
+                if not (rows[-1] >> (off + t)) & 1]
+
+    def visit(rows, forced, items):
+        nonlocal checked
+        pos = len(items)
+        targets = [(t, allowed(rows, t)) for t in range(pos + 1, n + 1)
+                   if (forced >> t) & 1]
+        assert all(len(left) == 1 for _, left in targets)
+        want = naive_last_row(items + [(t, left[0]) for t, left in targets],
+                              k, r, n)
+        got = {(s, c) for s in range(n + 1) for c in range(r)
+               if _kernel_py.cell(rows, k - 1, s, c, geo)}
+        assert got == want, (items, targets)
+        checked += 1
+        if pos == n:
+            return
+        for c in allowed(rows, pos + 1):
+            if checked >= 600:
+                return
+            state = _kernel_py.extend_state(rows, forced, pos + 1, c, palette,
+                                            offsets, geo)
+            if state is not None:
+                visit(*state, items + [(pos + 1, c)])
+
+    visit(_kernel_py.new_table(k), 0, [])
 
 
 def test_extend_state_wipes_out_prefix():
@@ -171,7 +268,7 @@ def test_add_value_matches_definition(r, sum_cap):
     for v in range(1, sum_cap + 1):
         for c in range(r):
             rows = _kernel_py.new_table(6)
-            _kernel_py.add_value(rows, v, c, geo)
+            _kernel_py.add_value(rows, v, c, geo, 1)
             expected = [1 << ((j * c) % r * geo.width + j * v)
                         if j * v <= sum_cap else 0 for j in range(6)]
             assert rows == expected, (v, c)

@@ -1,4 +1,5 @@
 from itertools import product
+from time import monotonic
 
 import pytest
 
@@ -347,6 +348,17 @@ class TestSolveExact:
         assert result.status is SolveStatus.BUDGET_EXHAUSTED
         # the construction still certifies the bracket low end
         assert result.value == 15
+
+    def test_timeout_covers_the_certified_start(self):
+        # checking the k=130, r=65 construction takes seconds; an expired
+        # timeout stops that check and the search, at the floor k-1
+        start = monotonic()
+        result = solve_exact(ProblemSpec(k=130, r=65), SearchConfig(timeout=0))
+        assert monotonic() - start < 1.0
+        assert result.status is SolveStatus.BUDGET_EXHAUSTED
+        assert result.value == 129
+        assert result.certificate is None
+        assert result.stats.nodes == 0
 
     def test_stats_accumulate(self):
         # the lex-least redo at n=14 colors every position
