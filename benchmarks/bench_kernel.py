@@ -20,14 +20,20 @@ Workloads:
                   extension checks)
   solve-12-4      2M-node budgeted slice of the k=12, r=4 search at n=43
                   (exhausted in 15,335 nodes)
+  scan-12-4       deterministic solve_exact of S_z(12,4)=43: the lex-least
+                  search at n=42, then the n=43 exhaustion resumed from it
+                  (15,414 nodes in all)
 
 Each run is checked: the reach passes must return the targets in
-REACH, the extracted witness must validate, and each search must end
-with the status in WORKLOADS.  Exit 1 on a failed check.
+REACH, the extracted witness must validate, each search must end
+with the status in WORKLOADS, and the scan must give the value,
+certificate and node count in SCAN.  Exit 1 on a failed check.
 
-Best of 3 on a 2-vCPU Xeon VM, three runs: reach-pass 3.2-3.4 ms,
-reach-150-10 25-26 ms, extract 3.4-3.6 ms, search-8-4 3.3-3.5 ms,
-search-6-3 0.1 ms, solve-12-4 47-57 ms.
+Best of 3 on a 2-vCPU Xeon VM, three runs: reach-pass 3.7-3.8 ms,
+reach-150-10 27-28 ms, extract 3.8-4.0 ms, search-8-4 3.6-3.8 ms,
+search-6-3 0.1 ms, solve-12-4 61-64 ms, scan-12-4 61-65 ms (97 ms and
+24,244 nodes when the scan redid the lex-least search after the
+exhaustion).
 """
 
 from __future__ import annotations
@@ -35,7 +41,15 @@ from __future__ import annotations
 import argparse
 from time import perf_counter
 
-from zschur import Coloring, ProblemSpec, Witness, _kernel_py, validate_witness
+from zschur import (
+    Coloring,
+    ProblemSpec,
+    SearchConfig,
+    Witness,
+    _kernel_py,
+    solve_exact,
+    validate_witness,
+)
 from zschur.checker import _lex_least_parts
 from zschur.constructions import construct_even
 
@@ -68,6 +82,18 @@ WORKLOADS = {
     "solve-12-4": ((43, 12, 4, (0, 1, 2, 3), 0, 0b110, 2_000_000, None),
                    _kernel_py.EXHAUSTED),
 }
+
+
+#: Scan workload: (k, r) of the deterministic solve, and the value,
+#: lex-least certificate and nodes it must give.
+SCAN = {
+    "scan-12-4": ((12, 4),
+                  (43, "012301230120022002200220022002203210321032", 15_414)),
+}
+
+
+def deterministic_solve(k, r):
+    return solve_exact(ProblemSpec(k, r), SearchConfig(deterministic=True))
 
 
 def best_time(fn, args, repeats):
@@ -110,6 +136,15 @@ def main() -> int:
             print(f"{wname}: status {status}, expected {want}")
             return 1
         rows.append((wname, took, f"status {status}, {nodes} nodes"))
+
+    for wname, (kr, want) in SCAN.items():
+        took, result = best_time(deterministic_solve, kr, args.repeats)
+        got = (result.value, "".join(map(str, result.certificate.values)),
+               result.stats.nodes)
+        if got != want:
+            print(f"{wname}: value, certificate, nodes {got}, expected {want}")
+            return 1
+        rows.append((wname, took, f"value {got[0]}, {got[2]} nodes"))
 
     width = max(len(name) for name, _, _ in rows)
     for name, took, note in rows:

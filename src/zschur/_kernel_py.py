@@ -258,7 +258,7 @@ def first_zero_sum_target(values, n: int, k: int, r: int,
 
 
 def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
-                         max_nodes, deadline):
+                         max_nodes, deadline, resume=None):
     """Forward-checking depth-first search for a solution-free coloring of [1..n].
 
     Arguments
@@ -270,6 +270,15 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     max_nodes: extension-check budget, or None.
     deadline: absolute time.monotonic() deadline, or None; checked before
         the first extension check and then every 1024 of them.
+    resume: the lexicographically least free coloring of the reduced
+        space of [1..m], m <= n, as a list of residues, or None.  The
+        first m positions of every free coloring of [1..n] form a free
+        coloring of [1..m] in the reduced space, so none is smaller than
+        ``resume``: each depth starts at its color until the first branch
+        that leaves it.  Those steps are ordinary extension checks, so
+        every count and budget stays exact; status and coloring equal
+        those of the search without ``resume``, with no more nodes.  Any
+        other coloring may make EXHAUSTED unsound.
 
     Returns ``(status, coloring, nodes, prunes, max_depth)`` where status
     is FOUND (coloring is a list of n residues), EXHAUSTED (the reduced
@@ -280,6 +289,8 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     Branching is by ascending residue, so the first coloring found is the
     lexicographically least one in the reduced space.
     """
+    if resume is not None and len(resume) > n:
+        raise ValueError(f"resume has {len(resume)} positions, n={n}")
     if n == 0:
         return (FOUND, [], 0, 0, 0)
     geo = Geometry(r, n)
@@ -301,6 +312,12 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     prunes = 0
     max_depth = 0
     choices = len(palette)
+    # start[p]: palette index of the resume color at p.  on_path: every
+    # step so far took its resume color; after the first step that did
+    # not, every later node of the search lies above the resume path.
+    start = [0] + [palette.index(c) for c in resume or ()]
+    on_path = len(start) > 1
+    cidx[1] = start[1] if on_path else 0
 
     pos = 1
     while True:
@@ -338,7 +355,8 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
             colors[pos] = c
             fnz[pos] = fnz[pos - 1] or (pos if c else 0)
             pos += 1
-            cidx[pos] = 0
+            on_path = on_path and pos < len(start) and c == resume[pos - 2]
+            cidx[pos] = start[pos] if on_path else 0
             advanced = True
             break
         if advanced:

@@ -140,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-nodes", type=int, default=None)
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.add_argument("--deterministic", action="store_true",
-                   help="certificate is the lex-least free coloring of "
-                        "the reduced space")
+                   help="an exact value's certificate is the lex-least "
+                        "free coloring of the reduced space; a budget cut "
+                        "before it is found exits 3 with the construction")
     p.add_argument("--cert-out", help="write the certificate coloring here")
     p.set_defaults(func=run_solve)
 

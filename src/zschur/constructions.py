@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Coloring, ConstructionContradictionError
+from .core import Coloring, ConstructionContradictionError, ProblemSpec
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,7 @@ def allowed_set_even(m: int, k: int, r: int) -> AllowedSet:
 
 def construct_odd(k: int, r: int) -> Coloring:
     """The solution-free coloring of [1..kr-r-1] for odd r >= 3."""
+    ProblemSpec(k, r)  # raises ValueError on k < 3 or r < 2
     if r % 2 == 0 or r < 3:
         raise ValueError(f"odd construction needs odd r >= 3, got r={r}")
     n = k * r - r - 1
@@ -131,6 +132,7 @@ def construct_odd(k: int, r: int) -> Coloring:
 
 def construct_even(k: int, r: int) -> Coloring:
     """The solution-free coloring of [1..kr-r-2] for even r >= 2."""
+    ProblemSpec(k, r)  # raises ValueError on k < 3 or r < 2
     if r % 2 == 1:
         raise ValueError(f"even construction needs even r >= 2, got r={r}")
     n = k * r - r - 2
@@ -139,5 +141,5 @@ def construct_even(k: int, r: int) -> Coloring:
 
 
 def construct(k: int, r: int) -> Coloring:
-    """Parity dispatch: the certified coloring for any r >= 2."""
+    """Parity dispatch: the certified coloring for any k >= 3 and r >= 2."""
     return construct_odd(k, r) if r % 2 else construct_even(k, r)

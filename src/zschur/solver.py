@@ -31,8 +31,11 @@ negation followed by translation.
 to a free coloring of [1..n-1], so the answer is the first n whose
 reduced search space is exhausted with no free coloring.  The scan
 starts just above the construction certificate when the checker has
-verified it; proven upper bounds are never assumed, so exactness is
-independently re-derived.
+verified it (at it, in deterministic mode); proven upper bounds are
+never assumed, so exactness is independently re-derived.  Each level
+after one that found a coloring resumes from that lex-least coloring
+L: restricting a free coloring keeps it free and inside the reduced
+space, so no free coloring of the next level starts below L.
 """
 
 from __future__ import annotations
@@ -69,12 +72,13 @@ class SearchConfig:
     ``timeout`` (seconds, at least 0; ``inf`` allowed) caps the time of
     the whole solve, that checker pass included.  The search is sequential, so
     :func:`find_free_coloring` always returns the lexicographically
-    least free coloring of the reduced space.  ``deterministic`` makes :func:`solve_exact` return
-    such a certificate too: when the scan started above the construction
-    certificate and proves the value exact, it re-derives the lex-least
-    coloring at value - 1.  If the budget runs out during that redo, the
-    result is still EXACT and keeps the construction certificate, which
-    is free but neither lex-least nor inside the reduced space.
+    least free coloring of the reduced space.  ``deterministic`` makes
+    every EXACT result of :func:`solve_exact` carry such a certificate
+    too: the scan starts at the construction certificate's n, not above
+    it, so its first level finds the lex-least coloring there.  A budget
+    that runs out before that reports BUDGET_EXHAUSTED at
+    certificate.n + 1 with the construction certificate, which is free
+    but neither lex-least nor inside the reduced space.
     ``threads`` (at least 1) has no effect on the search: the kernel is
     pure Python and holds the GIL, so it runs on one thread whatever the
     count, and values, certificates and node counts never depend on it.
@@ -137,16 +141,26 @@ def find_free_coloring(n: int, spec: ProblemSpec,
     solution-preserving) proves none exists at all; BUDGET means the
     node or time budget ran out first.
     """
-    if cfg is None:
-        cfg = SearchConfig()
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    return _search_level(n, spec, cfg or SearchConfig(), None)
+
+
+def _search_level(n: int, spec: ProblemSpec, cfg: SearchConfig,
+                  resume: Coloring | None) -> FreeSearchOutcome:
+    """:func:`find_free_coloring`, resumed from ``resume``.
+
+    ``resume`` is None or the lex-least free coloring of the reduced
+    space of [1..m], m <= n, as this search returned it; any other
+    coloring could make EXHAUSTED unsound, which is why the public
+    function does not take it.
+    """
     start = monotonic()
     deadline = start + cfg.timeout if cfg.timeout is not None else None
     palette, fix_first, canonical_mask = _symmetry_filters(spec)
     status, colors, nodes, prunes, max_depth = search_free_coloring(
         n, spec.k, spec.r, palette, fix_first, canonical_mask, cfg.max_nodes,
-        deadline)
+        deadline, resume.values if resume is not None else None)
     stats = SearchStats(nodes=nodes, prunes=prunes, max_depth=max_depth,
                         elapsed=monotonic() - start)
     chi = Coloring.of(colors, spec.r) if status == FOUND else None
@@ -178,7 +192,8 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     Infinite immediately when r does not divide k.  Otherwise each n is
     searched for a free coloring: found means the answer exceeds n,
     exhausted means the answer is exactly n (with the previous free
-    coloring as certificate).  Budget exhaustion reports the certified
+    coloring as certificate).  Each level after a found one resumes from
+    its lex-least coloring.  Budget exhaustion reports the certified
     bracket [value, inf): value = certificate.n + 1.
     """
     if cfg is None:
@@ -192,7 +207,9 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     total = SearchStats()
     deadline = start + cfg.timeout if cfg.timeout is not None else None
     n, certificate = _certified_start(spec, deadline)
-    cert_from_search = False
+    if cfg.deterministic and certificate is not None:
+        n = certificate.n  # re-derive the lex-least certificate first
+    resume = None
 
     def remaining_cfg() -> SearchConfig:
         left_n = None
@@ -206,25 +223,16 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
                             deterministic=cfg.deterministic)
 
     while True:
-        outcome = find_free_coloring(n, spec, remaining_cfg())
+        outcome = _search_level(n, spec, remaining_cfg(), resume)
         total.merge(outcome.stats)
-        if outcome.found:
-            certificate = outcome.coloring
-            cert_from_search = True
-            n += 1
-            continue
-        if outcome.exhausted:
-            if cfg.deterministic and not cert_from_search and n > 0:
-                # The stored certificate is the construction; replace it
-                # with the lexicographically least one for the contract.
-                redo = find_free_coloring(n - 1, spec, remaining_cfg())
-                total.merge(redo.stats)
-                if redo.found:
-                    certificate = redo.coloring
-            total.elapsed = monotonic() - start
-            return ExactResult(status=SolveStatus.EXACT, value=n,
-                               certificate=certificate, stats=total)
-        total.elapsed = monotonic() - start
-        floor = certificate.n + 1 if certificate is not None else spec.k - 1
-        return ExactResult(status=SolveStatus.BUDGET_EXHAUSTED, value=floor,
+        if not outcome.found:
+            break
+        certificate = resume = outcome.coloring
+        n += 1
+    total.elapsed = monotonic() - start
+    if outcome.exhausted:
+        return ExactResult(status=SolveStatus.EXACT, value=n,
                            certificate=certificate, stats=total)
+    floor = certificate.n + 1 if certificate is not None else spec.k - 1
+    return ExactResult(status=SolveStatus.BUDGET_EXHAUSTED, value=floor,
+                       certificate=certificate, stats=total)

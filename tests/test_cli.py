@@ -71,6 +71,16 @@ class TestConstruct:
         code, _, err = run_cli(capsys, "construct", "--k", "6", "--r", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("k,message", [("2", "k must be >= 3, got 2"),
+                                           ("1", "k must be >= 3, got 1")])
+    def test_k_below_three(self, capsys, k, message):
+        # k=2 once wrote the header "0 2 2", which check rejects, and k=1
+        # reported a negative n instead of the bad k
+        code, out, err = run_cli(capsys, "construct", "--k", k, "--r", "2")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestCheck:
     def test_free_roundtrip(self, capsys, tmp_path):

@@ -134,6 +134,17 @@ def test_parity_preconditions():
         construct_even(8, 3)
 
 
+@pytest.mark.parametrize("build,k,r,message", [
+    (construct_even, 2, 2, "k must be >= 3, got 2"),  # once the empty coloring
+    (construct_odd, 1, 3, "k must be >= 3, got 1"),  # once "n must be >= 0"
+    (construct, 1, 2, "k must be >= 3, got 1"),
+    (construct, 6, 1, "r must be >= 2, got 1"),
+])
+def test_parameters_checked_before_building(build, k, r, message):
+    with pytest.raises(ValueError, match=message):
+        build(k, r)
+
+
 @pytest.mark.parametrize("k,r", ODD_GRID)
 def test_odd_grid_free(k, r):
     chi = construct_odd(k, r)

@@ -11,7 +11,14 @@ from time import monotonic
 
 import pytest
 
-from zschur import ProblemSpec, SearchConfig, _kernel_py, find_free_coloring
+from zschur import (
+    Palette,
+    ProblemSpec,
+    SearchConfig,
+    _kernel_py,
+    find_free_coloring,
+)
+from zschur.solver import _symmetry_filters
 
 
 def naive_first_target(values, n, k, r):
@@ -156,6 +163,38 @@ def test_search_budget_agreement():
         assert got[2] <= budget  # node count respects the budget
         if got[0] != _kernel_py.BUDGET:
             assert got[:2] == unbudgeted[:2], budget
+
+
+#: k in 3..8 and r in 2..5 with r | k (else the scan never ends), and
+#: both palettes.
+SCAN_CASES = [(k, r, palette) for k in range(3, 9) for r in range(2, 6)
+              if k % r == 0 for palette in (Palette.FULL, Palette.BINARY)]
+
+
+@pytest.mark.parametrize("k,r,palette", SCAN_CASES,
+                         ids=lambda case: str(getattr(case, "value", case)))
+def test_resumed_search_matches_scratch(k, r, palette):
+    # each level of the ascending scan, resumed from the lex-least free
+    # coloring of the level below, against the search from scratch
+    residues, fix_first, mask = _symmetry_filters(ProblemSpec(k, r, palette))
+    args = (k, r, residues, fix_first, mask)
+    below = _kernel_py.search_free_coloring(0, *args, None, None)
+    n = 0
+    while below[0] == _kernel_py.FOUND:
+        n += 1
+        scratch = _kernel_py.search_free_coloring(n, *args, None, None)
+        resumed = _kernel_py.search_free_coloring(n, *args, None, None,
+                                                  below[1])
+        assert resumed[:2] == scratch[:2], n
+        assert resumed[2] <= scratch[2], n
+        for budget in (0, 1, 7, 50):
+            got = _kernel_py.search_free_coloring(n, *args, budget, None,
+                                                  below[1])
+            assert got[2] <= budget, (n, budget)
+            if got[0] != _kernel_py.BUDGET:
+                assert got[:2] == scratch[:2], (n, budget)
+        below = scratch
+    assert below[0] == _kernel_py.EXHAUSTED
 
 
 def test_search_expired_deadline():

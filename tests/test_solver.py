@@ -22,12 +22,14 @@ from zschur.solver import _symmetry_filters
 #: (k, r, palette, lex-least certificate, nodes, prunes, max_depth) of
 #: deterministic solves.
 CERTIFIED_TREES = [
-    (8, 4, Palette.FULL, "01230120022002200220321032", 1504, 1114, 26),
-    (12, 3, Palette.FULL, "01201201201101101101102102102102", 129, 68, 32),
+    (8, 4, Palette.FULL, "01230120022002200220321032", 988, 726, 26),
+    (12, 3, Palette.FULL, "01201201201101101101102102102102", 100, 48, 32),
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
-     3861, 2800, 37),
+     1202, 556, 37),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
-     1237, 469, 40),
+     802, 34, 40),
+    (12, 4, Palette.FULL, "012301230120022002200220022002203210321032",
+     15414, 11536, 42),
 ]
 
 
@@ -268,9 +270,10 @@ class TestSolveExact:
                                                   depth):
         # lex-least certificates recorded from the search without
         # forward checking; pruning dead subtrees must not change them.
-        # The node, prune and depth counts pin the tree of the search
-        # with forward checking and singleton propagation: a change of
-        # table layout must leave them as they are.
+        # The node, prune and depth counts pin the trees of the scan,
+        # with forward checking, singleton propagation and each level
+        # resumed from the one below: a change of table layout must
+        # leave them as they are.
         spec = ProblemSpec(k=k, r=r, palette=palette)
         result = solve_exact(spec, SearchConfig(deterministic=True))
         assert result.status is SolveStatus.EXACT
@@ -280,22 +283,25 @@ class TestSolveExact:
         assert (stats.nodes, stats.prunes, stats.max_depth) == (nodes, prunes,
                                                                 depth)
 
-    def test_budget_cut_redo_keeps_construction_certificate(self):
-        # n=45 exhausts within the budget, so the value is exact, but the
-        # lex-least redo at n=44 runs out: the construction stays.  Only
-        # a forward-checking search exhausts n=45 in 100 nodes, so this
-        # also shows the solver searches with forward checking.
+    def test_budget_cut_before_lex_least_keeps_construction(self):
+        # the deterministic scan first searches n=44, the construction's
+        # n, for the lex-least certificate; that takes 127 nodes, so a
+        # 100-node budget runs out there and the free construction stays
         spec = ProblemSpec(k=10, r=5)
         result = solve_exact(spec, SearchConfig(max_nodes=100,
                                                 deterministic=True))
-        assert result.status is SolveStatus.EXACT
+        assert result.status is SolveStatus.BUDGET_EXHAUSTED
         assert result.value == 45
         assert result.certificate.n == 44
         assert is_solution_free(result.certificate, spec)
+        # only a forward-checking search exhausts n=45 in 100 nodes
+        outcome = find_free_coloring(45, spec, SearchConfig(max_nodes=100))
+        assert outcome.exhausted
+        assert outcome.stats.nodes == 57
 
     def test_budgeted_redo_finds_the_lex_least_certificate(self):
-        # with singleton propagation the lex-least redo at n=44 takes 127
-        # nodes, so a 500k budget re-derives the lex-least certificate
+        # with singleton propagation the lex-least search at n=44 takes
+        # 127 nodes, so a 500k budget derives the lex-least certificate
         spec = ProblemSpec(k=10, r=5)
         result = solve_exact(spec, SearchConfig(max_nodes=500_000,
                                                 deterministic=True))
@@ -361,7 +367,8 @@ class TestSolveExact:
         assert result.stats.nodes == 0
 
     def test_stats_accumulate(self):
-        # the lex-least redo at n=14 colors every position
+        # the deterministic scan's first level, at the construction's
+        # n=14, finds the lex-least certificate and colors every position
         result = solve_exact(ProblemSpec(k=6, r=3),
                              SearchConfig(deterministic=True))
         assert result.stats.nodes > 0
