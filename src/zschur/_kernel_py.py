@@ -17,7 +17,7 @@ of width W = sum_cap + 1: bit c*W + s of ``rows[j]`` says that j values
 (repetition allowed, each at most the current value cap) can realize sum
 s with color-sum c mod r.  Only this module knows the layout; other
 modules build and read tables through :class:`Geometry`,
-:func:`suffix_tables` and :func:`cell`.
+:func:`exact_table` and :func:`cell`.
 
 Adding one value v with color cv takes one step per row, in increasing j
 so that v may be reused any number of times:
@@ -39,14 +39,15 @@ least ``low``, so row j is dead once j + (k-1-j)*low > sum_cap, and the
 dead rows are the low ones.  The update also stops at the first zero
 row: a row receives only from the row below it and rows only grow, so
 every row above a zero row is zero.  Both cuts are exact for the last
-row, which is all the reach pass and the search read; the suffix tables
-of the extraction pass low = 1 and stay exact in every row.
+row, which is all the reach pass and the search read; the extraction
+table (:func:`exact_table`) passes low = 1 and stays exact in every row.
 
-Values are fed in increasing order.  A sum-T solution has k-1 parts that
-are each at least 1, so no part exceeds T-k+2; target T can therefore be
-tested as soon as values up to T-k+2 are in the table, and one shared
-table serves all targets.  Value v updates about min(k-1, n/v) live
-rows, so the pass makes about n(1 + ln k) row updates of r(n+1) bits.
+The reach pass feeds values in increasing order.  A sum-T solution has
+k-1 parts that are each at least 1, so no part exceeds T-k+2; target T
+can therefore be tested as soon as values up to T-k+2 are in the table,
+and one shared table serves all targets.  Value v updates about
+min(k-1, n/v) live rows, so the pass makes about n(1 + ln k) row updates
+of r(n+1) bits.
 
 The search keeps one table snapshot per depth holding *every* colored
 value 1..pos, so the last row forbids colors at all future targets at
@@ -159,20 +160,18 @@ def cell(rows: list[int], j: int, s: int, c: int, geo: Geometry) -> bool:
     return bool((rows[j] >> (c * geo.width + s)) & 1)
 
 
-def suffix_tables(colors, k: int, v_max: int, geo: Geometry) -> list:
-    """Tables of the suffixes of [1..v_max]: entry lo holds values lo..v_max.
+def exact_table(colors, k: int, v_max: int, geo: Geometry) -> list[int]:
+    """Table of the values 1..v_max with every row exact.
 
-    Value v has color ``colors[v - 1]``; entry v_max + 1 is the empty
-    table, and entry 0 is unused.  Requires v_max <= sum_cap.
+    Value v has color ``colors[v - 1]``.  Requires v_max <= sum_cap.  The
+    values join in descending order: row j stays zero while j*v > sum_cap,
+    so the zero-row stop of :func:`add_value` skips the rows no sum fits
+    yet, where ascending order would update all k-1 rows for every value.
     """
-    suffix: list = [None] * (v_max + 2)
     rows = new_table(k)
-    suffix[v_max + 1] = rows
-    for lo in range(v_max, 0, -1):
-        rows = rows[:]
-        add_value(rows, lo, colors[lo - 1], geo, 1)
-        suffix[lo] = rows
-    return suffix
+    for v in range(v_max, 0, -1):
+        add_value(rows, v, colors[v - 1], geo, 1)
+    return rows
 
 
 def forbid_offsets(palette, geo: Geometry) -> list[int]:

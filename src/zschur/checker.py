@@ -3,8 +3,10 @@
 :func:`find_zero_sum_solution` is the production path: a reachability
 pass over sums and color residues
 (:func:`zschur._kernel_py.first_zero_sum_target`), plus lexicographic
-witness extraction from the same kernel's tables.  The returned witness
-is the least one by (target, sorted parts).
+witness extraction, a greedy that reads one exact table of the values
+1..target-k+2 built by the same kernel in one backward pass
+(:func:`zschur._kernel_py.exact_table`).  The returned witness is the
+least one by (target, sorted parts).
 
 :func:`brute_force_oracle` answers the same question by enumerating every
 nondecreasing (k-1)-tuple directly.  It shares no code with the table
@@ -36,34 +38,39 @@ def _lex_least_parts(chi: Coloring, k: int, r: int, target: int) -> tuple[int, .
     """Lexicographically least nondecreasing parts realizing the target.
 
     Greedy smallest-first choice, with feasibility of each remainder read
-    off suffix tables: ``suffix[lo]`` covers selections from [lo..v_max],
-    exactly the sets allowed once a part equal to lo has been chosen.
+    off one table of all values 1..v_max (:func:`_kernel_py.exact_table`).
+    After the lex-least prefix p_1..p_{t-1}, the first v >= p_{t-1} whose
+    remainder some completion M reaches is p_t, and M holds no value
+    u < v: were u < p_{t-1}, the sorted solution would be lex-less than
+    one extending the prefix, which is the least solution's; were u in
+    [p_{t-1}, v), the least of M and v would have passed first.  So the
+    table of all values answers as a table of [v..v_max] would.  The last
+    part is the remaining sum itself.
     """
     v_max = target - k + 2
     geo = _kernel_py.Geometry(r, target)
-    suffix = _kernel_py.suffix_tables(chi.values, k, v_max, geo)
+    colors = chi.values
+    rows = _kernel_py.exact_table(colors, k, v_max, geo)
 
+    failed = f"reachability table promised target {target} but extraction failed"
     parts = []
-    j = k - 1
     s = target
-    c = (r - chi.color(target)) % r
+    c = (r - colors[target - 1]) % r
     lo = 1
-    while j > 0:
-        for v in range(lo, v_max + 1):
-            rest = s - v
-            if rest < (j - 1) * v:
-                break
-            c_rest = (c - chi.color(v)) % r
-            if _kernel_py.cell(suffix[v], j - 1, rest, c_rest, geo):
-                parts.append(v)
-                j -= 1
-                s = rest
-                c = c_rest
-                lo = v
+    for j in range(k - 1, 1, -1):  # j parts left: v, then j-1 more >= v
+        for v in range(lo, s // j + 1):
+            c_rest = (c - colors[v - 1]) % r
+            if _kernel_py.cell(rows, j - 1, s - v, c_rest, geo):
                 break
         else:
-            raise RuntimeError(
-                f"reachability table promised target {target} but extraction failed")
+            raise RuntimeError(failed)
+        parts.append(v)
+        s -= v
+        c = c_rest
+        lo = v
+    if not (lo <= s <= v_max and (c - colors[s - 1]) % r == 0):
+        raise RuntimeError(failed)
+    parts.append(s)
     return tuple(parts)
 
 

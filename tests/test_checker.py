@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -160,9 +161,23 @@ def test_invalid_extracted_witness_raises(monkeypatch):
         find_zero_sum_solution(chi, spec)
 
 
-def test_suffix_tables_match_definition():
-    # extraction reads every row of every suffix table: cell (j, s, c) of
-    # entry lo says j values from [lo..v_max] sum to s with color-sum c
+@pytest.mark.parametrize("row", [0, -1])
+def test_extraction_from_a_wrong_table_raises(monkeypatch, row):
+    # a table that contradicts the reach pass ends extraction with an
+    # error: an empty one passes no first part, and a full one passes
+    # part 1, after which the last part, 3, has the wrong color
+    spec = ProblemSpec(k=3, r=3)
+    chi = Coloring.of((0, 1, 0, 1), 3)
+    assert find_zero_sum_solution(chi, spec) == Witness(parts=(2, 2), target=4)
+    monkeypatch.setattr(_kernel_py, "exact_table",
+                        lambda colors, k, v_max, geo: [1] + [row] * (k - 1))
+    with pytest.raises(RuntimeError, match="extraction failed"):
+        find_zero_sum_solution(chi, spec)
+
+
+def test_exact_table_matches_definition():
+    # extraction reads every row of the one table: cell (j, s, c) says j
+    # values from [1..v_max] sum to s with color-sum c
     rng = random.Random(55)
     for _ in range(40):
         k = rng.randint(3, 6)
@@ -171,17 +186,79 @@ def test_suffix_tables_match_definition():
         sum_cap = v_max + rng.randint(0, 12)
         colors = [rng.randrange(r) for _ in range(v_max)]
         geo = _kernel_py.Geometry(r, sum_cap)
-        suffix = _kernel_py.suffix_tables(colors, k, v_max, geo)
-        for lo in range(1, v_max + 2):
-            for j in range(k):
-                want = set()
-                for parts in combinations_with_replacement(range(lo, v_max + 1), j):
-                    if sum(parts) <= sum_cap:
-                        want.add((sum(parts),
-                                  sum(colors[p - 1] for p in parts) % r))
-                got = {(s, c) for s in range(sum_cap + 1) for c in range(r)
-                       if _kernel_py.cell(suffix[lo], j, s, c, geo)}
-                assert got == want, (colors, k, r, sum_cap, lo, j)
+        rows = _kernel_py.exact_table(colors, k, v_max, geo)
+        for j in range(k):
+            want = set()
+            for parts in combinations_with_replacement(range(1, v_max + 1), j):
+                if sum(parts) <= sum_cap:
+                    want.add((sum(parts), sum(colors[p - 1] for p in parts) % r))
+            got = {(s, c) for s in range(sum_cap + 1) for c in range(r)
+                   if _kernel_py.cell(rows, j, s, c, geo)}
+            assert got == want, (colors, k, r, sum_cap, j)
+
+
+def reference_witness(values, k, r):
+    """Least witness (target, parts) by a greedy over naive suffix sets.
+
+    ``suffix[lo][j]`` is the set of (sum, color-sum mod r) of j values
+    from [lo..n], repetition allowed, sums capped at n: the completions
+    allowed once a part equal to lo is chosen.  Shares no code with the
+    kernel.
+    """
+    n = len(values)
+    suffix = [None] * (n + 2)
+    suffix[n + 1] = [{(0, 0)}] + [set() for _ in range(k - 1)]
+    for lo in range(n, 0, -1):
+        cells = [{(0, 0)}]
+        for j in range(1, k):
+            cells.append(suffix[lo + 1][j]
+                         | {(s + lo, (c + values[lo - 1]) % r)
+                            for s, c in cells[j - 1] if s + lo <= n})
+        suffix[lo] = cells
+    target = next((t for t in range(1, n + 1)
+                   if (t, -values[t - 1] % r) in suffix[1][k - 1]), 0)
+    if not target:
+        return None
+    parts = []
+    s, c, lo = target, -values[target - 1] % r, 1
+    for j in range(k - 1, 0, -1):
+        v = next(v for v in range(lo, s + 1)
+                 if (s - v, (c - values[v - 1]) % r) in suffix[v][j - 1])
+        parts.append(v)
+        s, c, lo = s - v, (c - values[v - 1]) % r, v
+    return target, tuple(parts)
+
+
+def test_witness_matches_reference_greedy():
+    # the greedy reads one table of all values 1..v_max instead of a table
+    # of [v..v_max] per candidate v; witnesses with three or more distinct
+    # parts are those where a completion could use values in [p_{t-1}, v)
+    rng = random.Random(2018)
+    witnesses = spread = oracle_checked = 0
+    for _ in range(400):
+        k = rng.randint(3, 12)
+        r = rng.randint(2, 7)
+        n = rng.randint(0, 60)
+        if rng.random() < 0.5:
+            base = rng.randrange(r)
+            values = tuple(base if rng.random() < 0.9 else rng.randrange(r)
+                           for _ in range(n))
+        else:
+            values = tuple(rng.randrange(r) for _ in range(n))
+        spec = ProblemSpec(k=k, r=r)
+        chi = Coloring.of(values, r)
+        fast = find_zero_sum_solution(chi, spec)
+        want = reference_witness(values, k, r)
+        got = None if fast is None else (fast.target, fast.parts)
+        assert got == want, (values, k, r)
+        if want is not None:
+            witnesses += 1
+            spread += len(set(want[1])) >= 3
+        if n <= 22 and k <= 6:
+            assert fast == brute_force_oracle(chi, spec), (values, k, r)
+            oracle_checked += 1
+    assert witnesses > 250 and spread >= 15 and oracle_checked >= 40, (
+        witnesses, spread, oracle_checked)
 
 
 def test_witness_past_a_large_construction():
@@ -194,3 +271,12 @@ def test_witness_past_a_large_construction():
     witness = find_zero_sum_solution(padded, spec)
     assert witness.target == chi.n + 1
     assert validate_witness(witness, padded, spec)
+    # extraction keeps one table of k rows, not one table per value
+    tracemalloc.start()
+    try:
+        parts = checker._lex_least_parts(padded, 100, 20, witness.target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parts == witness.parts
+    assert peak < 4 * 2**20, peak

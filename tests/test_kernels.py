@@ -331,8 +331,8 @@ def prefix_table(values, k, geo):
     """Table holding values 1..m, value v with color values[v - 1].
 
     The order in which values join a table does not change it, so this
-    is the first entry of the suffix tables of [1..m]."""
-    return _kernel_py.suffix_tables(values, k, len(values), geo)[1]
+    is the exact table of [1..m]."""
+    return _kernel_py.exact_table(values, k, len(values), geo)
 
 
 class TestPrefixTable:

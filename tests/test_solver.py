@@ -36,9 +36,9 @@ CERTIFIED_TREES = [
 def conflicts(prefix, color, k, r, n):
     """Does coloring position len(prefix)+1 with color complete a zero-sum
     solution?  The kernel's conflict bit, read off the prefix's table
-    (entry 1 of the suffix tables of [1..len(prefix)])."""
+    (the exact table of [1..len(prefix)])."""
     geo = _kernel_py.Geometry(r, n)
-    rows = _kernel_py.suffix_tables(prefix, k, len(prefix), geo)[1]
+    rows = _kernel_py.exact_table(prefix, k, len(prefix), geo)
     return _kernel_py.cell(rows, k - 1, len(prefix) + 1, (r - color) % r, geo)
 
 
