@@ -22,14 +22,18 @@ Workloads:
                   extension checks)
   solve-12-4      2M-node budgeted slice of the k=12, r=4 search at n=43
                   (exhausted in 15,335 nodes)
+  slice-12-6      the first 200,000 nodes of the k=12, r=6 search at
+                  n=68 (exhausted only after about 4.5M): a fixed amount
+                  of search work, long enough to show the cost per node
   scan-12-4       deterministic solve_exact of S_z(12,4)=43: the lex-least
                   search at n=42, then the n=43 exhaustion resumed from it
                   (15,414 nodes in all)
 
 Each run is checked: the reach passes must return the targets in
 REACH, each extraction the lex-least parts in EXTRACT, each search must
-end with the status in WORKLOADS, and the scan must give the value,
-certificate and node count in SCAN.  Exit 1 on a failed check.
+end with the status, nodes, prunes and max depth in WORKLOADS, and the
+scan must give the value, certificate and node count in SCAN.  Exit 1
+on a failed check.
 
 Best of 3 on a 2-vCPU Xeon VM, three runs on a busy host: reach-pass
 2.2-3.2 ms, reach-150-10 16-25 ms, extract 1.9-3.2 ms, extract-150-10
@@ -37,6 +41,7 @@ Best of 3 on a 2-vCPU Xeon VM, three runs on a busy host: reach-pass
 scan-12-4 36-59 ms.  Extraction from one table per value (v_max + 1
 tables) took 2.9-3.5 ms on extract and 28-38 ms on the extract-150-10
 input, with 17 MB of tracemalloc peak there against 0.3 MB now.
+slice-12-6 took 0.38-0.74 s on the same VM, by host load.
 """
 
 from __future__ import annotations
@@ -82,14 +87,17 @@ def extract_args(reach):
     return (Coloring.of(values, r), k, r, target)
 
 
-#: Search workloads: arguments of search_free_coloring and the status it must end with.
+#: Search workloads: arguments of search_free_coloring and the
+#: (status, nodes, prunes, max_depth) it must end with.
 WORKLOADS = {
     "search-8-4": ((27, 8, 4, (0, 1, 2, 3), 0, 0b110, None, None),
-                   _kernel_py.EXHAUSTED),
+                   (_kernel_py.EXHAUSTED, 939, 703, 14)),
     "search-6-3": ((15, 6, 3, (0, 1, 2), 0, 0b010, None, None),
-                   _kernel_py.EXHAUSTED),
+                   (_kernel_py.EXHAUSTED, 21, 13, 6)),
     "solve-12-4": ((43, 12, 4, (0, 1, 2, 3), 0, 0b110, 2_000_000, None),
-                   _kernel_py.EXHAUSTED),
+                   (_kernel_py.EXHAUSTED, 15_335, 11_499, 22)),
+    "slice-12-6": ((68, 12, 6, tuple(range(6)), 0, 0b1110, 200_000, None),
+                   (_kernel_py.BUDGET, 200_000, 166_655, 31)),
 }
 
 
@@ -139,12 +147,14 @@ def main() -> int:
         rows.append((wname, took, f"{len(parts)} parts, last {parts[-1]}"))
 
     for wname, (sargs, want) in WORKLOADS.items():
-        took, (status, _, nodes, _, _) = best_time(
+        took, (status, _, *counts) = best_time(
             _kernel_py.search_free_coloring, sargs, args.repeats)
-        if status != want:
-            print(f"{wname}: status {status}, expected {want}")
+        got = (status, *counts)
+        if got != want:
+            print(f"{wname}: status, nodes, prunes, max_depth {got}, "
+                  f"expected {want}")
             return 1
-        rows.append((wname, took, f"status {status}, {nodes} nodes"))
+        rows.append((wname, took, f"status {status}, {counts[0]} nodes"))
 
     for wname, (kr, want) in SCAN.items():
         took, result = best_time(deterministic_solve, kr, args.repeats)

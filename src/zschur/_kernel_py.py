@@ -49,13 +49,13 @@ and one shared table serves all targets.  Value v updates about
 min(k-1, n/v) live rows, so the pass makes about n(1 + ln k) row updates
 of r(n+1) bits.
 
-The search keeps one table snapshot per depth holding *every* colored
-value 1..pos, so the last row forbids colors at all future targets at
-once: target t cannot take color c when bit ((r-c) % r)*W + t of the last
-row is set.  Color c is rejected at pos by that bit, and after an
-assignment the subtree is pruned when some target in (pos, n] has every
-palette color forbidden (a domain wipe-out: one AND over the palette's
-blocks of the last row).  Both cuts remove only subtrees without a free
+The search keeps a stack of frames, one per colored depth; each frame's
+table holds *every* colored value below its position, so the last row
+forbids colors at all future targets at once: target t cannot take color
+c when bit ((r-c) % r)*W + t of the last row is set.  Color c is rejected
+at pos by that bit, and after an assignment the subtree is pruned when
+some target in (pos, n] has every palette color forbidden (a domain
+wipe-out: one AND over the palette's blocks of the last row).  Both cuts remove only subtrees without a free
 coloring, so statuses and the lex-least certificates equal those of a
 search that tests each target only when it is colored; node and prune
 counts are far lower.
@@ -65,7 +65,7 @@ Singleton propagation strengthens the wipe-out test.  A target in
 free coloring below the node, so it joins the table at once as a value
 of that color (:func:`propagate`); its sums can leave further targets
 with one color or none, so this repeats until nothing changes, and a
-target left with none prunes the child.  Each depth keeps the mask of
+target left with none prunes the child.  Each frame keeps the mask of
 targets already forced, so a child adds only the newly forced ones, and
 when the search reaches a forced position its color is the only one not
 forbidden and the table already holds it.  A forced value t feeds only
@@ -83,9 +83,6 @@ from time import monotonic
 EXHAUSTED = 0
 FOUND = 1
 BUDGET = 3
-
-_DEADLINE_STRIDE = 1024  # nodes between wall-clock checks
-_REACH_STRIDE = 64  # values between wall-clock checks of the reach pass
 
 
 class Geometry:
@@ -106,10 +103,11 @@ class Geometry:
         self.size = r * width
         self.full = (1 << self.size) - 1
         self.block = (1 << width) - 1
-        ones = 0  # bit 0 of every block
-        for c in range(r):
-            ones |= 1 << (c * width)
-        self.ones = ones
+        ones, span = 1, width  # bit 0 of every block in the low span bits
+        while span < self.size:
+            ones |= ones << span
+            span *= 2
+        self.ones = ones & self.full
 
 
 def new_table(k: int) -> list[int]:
@@ -137,16 +135,9 @@ def add_value(rows: list[int], v: int, cv: int, geo: Geometry,
     j0 = 0 if excess <= 0 or low == 1 else min(-(-excess // (low - 1)), last)
     keep = (geo.ones << (geo.width - v)) - geo.ones
     up = cv * geo.width + v
-    prev = rows[j0]
-    if cv == 0:
-        for j in range(j0 + 1, last + 1):
-            if not prev:
-                return
-            prev = rows[j] | (prev & keep) << v
-            rows[j] = prev
-        return
+    down = geo.size - up  # no block wraps around when cv == 0
     full = geo.full
-    down = geo.size - up
+    prev = rows[j0]
     for j in range(j0 + 1, last + 1):
         if not prev:
             return
@@ -233,24 +224,20 @@ def first_zero_sum_target(values, n: int, k: int, r: int,
                           deadline: float | None = None) -> int | None:
     """Least target T in [k-1, n] completing a zero-sum solution, else 0.
 
-    ``values`` is 0-based: values[i] is the color of i+1.  ``deadline``
-    is an absolute time.monotonic() deadline, or None; it is checked
-    before the first value and then every 64 values, and the pass
-    returns None once it has passed.
+    ``values`` is 0-based: values[i] is the color of i+1.  Each target T
+    adds the one value T-k+2 before it is tested.  ``deadline`` is an
+    absolute time.monotonic() deadline, or None; when set it is checked
+    before every value, and the pass returns None once it has passed.
     """
     if n < k - 1:
         return 0
     geo = Geometry(r, n)
     rows = new_table(k)
-    v = 0
     for target in range(k - 1, n + 1):
-        cap = target - k + 2
-        while v < cap:
-            if (deadline is not None and v % _REACH_STRIDE == 0
-                    and monotonic() > deadline):
-                return None
-            v += 1
-            add_value(rows, v, values[v - 1], geo, v)
+        if deadline is not None and monotonic() > deadline:
+            return None
+        v = target - k + 2
+        add_value(rows, v, values[v - 1], geo, v)
         if cell(rows, k - 1, target, (r - values[target - 1]) % r, geo):
             return target
     return 0
@@ -267,8 +254,8 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     canonical_mask: bitmask of residues allowed as the first nonzero
         color, or 0 for no restriction (unit-orbit symmetry breaking).
     max_nodes: extension-check budget, or None.
-    deadline: absolute time.monotonic() deadline, or None; checked before
-        the first extension check and then every 1024 of them.
+    deadline: absolute time.monotonic() deadline, or None; when set it is
+        checked before every extension check.
     resume: the lexicographically least free coloring of the reduced
         space of [1..m], m <= n, as a list of residues, or None.  The
         first m positions of every free coloring of [1..n] form a free
@@ -286,7 +273,11 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     a wipe-out after propagation.
 
     Branching is by ascending residue, so the first coloring found is the
-    lexicographically least one in the reduced space.
+    lexicographically least one in the reduced space.  The frame of
+    position p, pushed on advance and popped on backtrack, is ``[rows,
+    forced, seen, i]``: the table of 1..p-1 and the forced targets that
+    ``forced`` marks, whether a color below p is nonzero, and the palette
+    index after p's color, so a FOUND coloring is read off the frames.
     """
     if resume is not None and len(resume) > n:
         raise ValueError(f"resume has {len(resume)} positions, n={n}")
@@ -294,18 +285,8 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
         return (FOUND, [], 0, 0, 0)
     geo = Geometry(r, n)
     last = k - 1
-    # bit forbid[c] + t of the last row forbids color c at target t
-    forbid = forbid_offsets(range(r), geo)
+    # bit offsets[i] + t of the last row forbids color palette[i] at target t
     offsets = forbid_offsets(palette, geo)
-
-    # tables[p] holds every colored value 1..p plus the targets forced
-    # so far, which forced[p] marks; the empty table forces nothing
-    colors = [0] * (n + 1)
-    tables: list = [None] * (n + 1)
-    forced: list = [0] * (n + 1)
-    cidx = [0] * (n + 1)
-    fnz = [0] * (n + 1)
-    tables[0] = new_table(k)
 
     nodes = 0
     prunes = 0
@@ -316,50 +297,43 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     # not, every later node of the search lies above the resume path.
     start = [0] + [palette.index(c) for c in resume or ()]
     on_path = len(start) > 1
-    cidx[1] = start[1] if on_path else 0
+    frames = [[new_table(k), 0, False, start[1] if on_path else 0]]
 
-    pos = 1
-    while True:
-        advanced = False
-        rows = tables[pos - 1]
+    while frames:
+        frame = frames[-1]
+        rows, forced, seen, i = frame
+        pos = len(frames)
         row = rows[last]
-        while cidx[pos] < choices:
-            c = palette[cidx[pos]]
-            cidx[pos] += 1
+        while i < choices:
+            c = palette[i]
+            i += 1
             if pos == 1 and fix_first >= 0 and c != fix_first:
                 continue
-            if (canonical_mask and c != 0 and fnz[pos - 1] == 0
+            if (canonical_mask and c != 0 and not seen
                     and not (canonical_mask >> c) & 1):
                 continue
-            if (deadline is not None and nodes % _DEADLINE_STRIDE == 0
-                    and monotonic() > deadline):
+            if deadline is not None and monotonic() > deadline:
                 return (BUDGET, None, nodes, prunes, max_depth)
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 return (BUDGET, None, nodes - 1, prunes, max_depth)
-            if (row >> (forbid[c] + pos)) & 1:
+            if (row >> (offsets[i - 1] + pos)) & 1:
                 prunes += 1
                 continue
             if pos > max_depth:
                 max_depth = pos
+            frame[3] = i
             if pos == n:
-                colors[pos] = c
-                return (FOUND, colors[1:], nodes, prunes, max_depth)
-            child = extend_state(rows, forced[pos - 1], pos, c, palette,
-                                 offsets, geo)
+                return (FOUND, [palette[f[3] - 1] for f in frames], nodes,
+                        prunes, max_depth)
+            child = extend_state(rows, forced, pos, c, palette, offsets, geo)
             if child is None:
                 prunes += 1
                 continue
-            tables[pos], forced[pos] = child
-            colors[pos] = c
-            fnz[pos] = fnz[pos - 1] or (pos if c else 0)
-            pos += 1
-            on_path = on_path and pos < len(start) and c == resume[pos - 2]
-            cidx[pos] = start[pos] if on_path else 0
-            advanced = True
+            on_path = on_path and pos + 1 < len(start) and c == resume[pos - 1]
+            frames.append([*child, seen or c != 0,
+                           start[pos + 1] if on_path else 0])
             break
-        if advanced:
-            continue
-        pos -= 1
-        if pos == 0:
-            return (EXHAUSTED, None, nodes, prunes, max_depth)
+        else:
+            frames.pop()
+    return (EXHAUSTED, None, nodes, prunes, max_depth)

@@ -53,9 +53,11 @@ class PrimeFactors:
 
 
 def factorize(r: int) -> PrimeFactors:
-    """Trial division; r is tiny (a color count) in this domain."""
+    """Trial division up to sqrt(r), at most 0.2 s for r <= 10**12."""
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
+    if r > 10**12:
+        raise ValueError(f"r={r} is too large to factorize (at most 10**12)")
     factors = []
     rest = r
     p = 2

@@ -6,7 +6,8 @@ file), ``solve`` (exact value by exhaustive search) and ``verify``
 (replay every verification check; it takes no options).
 
 Exit codes are uniform across subcommands: 0 success, 1 a witness or
-property failure, 2 invalid input, 3 budget exhausted (``solve`` only).
+property failure, 2 invalid input (parameters too large to hold in memory
+included), 3 budget exhausted (``solve`` only).
 Output is one fact per line in ``key=value`` form where a summary is
 involved.
 """
@@ -161,6 +162,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ColoringFormatError, ConstructionContradictionError, ValueError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory: the parameters are too large", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -34,6 +34,7 @@ picking a forbidden color.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import Coloring, ConstructionContradictionError, ProblemSpec
@@ -120,14 +121,23 @@ def allowed_set_even(m: int, k: int, r: int) -> AllowedSet:
     return _choose(permitted, forbidden, m, k, r)
 
 
+def construction_colors(k: int, r: int) -> Iterator[int]:
+    """The colors of 1..kr-r-1 (odd r) or 1..kr-r-2 (even r), one at a time.
+
+    A caller with a deadline can stop between positions.
+    """
+    ProblemSpec(k, r)  # raises ValueError on k < 3 or r < 2
+    allowed = allowed_set_odd if r % 2 else allowed_set_even
+    n = k * r - r - 2 + r % 2
+    return (allowed(m, k, r).chosen for m in range(1, n + 1))
+
+
 def construct_odd(k: int, r: int) -> Coloring:
     """The solution-free coloring of [1..kr-r-1] for odd r >= 3."""
     ProblemSpec(k, r)  # raises ValueError on k < 3 or r < 2
     if r % 2 == 0 or r < 3:
         raise ValueError(f"odd construction needs odd r >= 3, got r={r}")
-    n = k * r - r - 1
-    values = tuple(allowed_set_odd(m, k, r).chosen for m in range(1, n + 1))
-    return Coloring(n=n, r=r, values=values)
+    return Coloring.of(construction_colors(k, r), r)
 
 
 def construct_even(k: int, r: int) -> Coloring:
@@ -135,9 +145,7 @@ def construct_even(k: int, r: int) -> Coloring:
     ProblemSpec(k, r)  # raises ValueError on k < 3 or r < 2
     if r % 2 == 1:
         raise ValueError(f"even construction needs even r >= 2, got r={r}")
-    n = k * r - r - 2
-    values = tuple(allowed_set_even(m, k, r).chosen for m in range(1, n + 1))
-    return Coloring(n=n, r=r, values=values)
+    return Coloring.of(construction_colors(k, r), r)
 
 
 def construct(k: int, r: int) -> Coloring:

@@ -14,8 +14,8 @@ solution-preserving symmetries (global translation when r | k, and
 multiplication by a unit of Z/rZ) direct index arithmetic.  All file I/O
 uses the 0..r-1 convention as well.
 
-Everything in this module is an immutable value object: safe to hash,
-share, and send between worker threads without synchronization.
+All types here are immutable value objects, safe to hash and share,
+except :class:`SearchStats`, whose counters a solve merges level by level.
 """
 
 from __future__ import annotations

@@ -35,7 +35,9 @@ verified it (at it, in deterministic mode); proven upper bounds are
 never assumed, so exactness is independently re-derived.  Each level
 after one that found a coloring resumes from that lex-least coloring
 L: restricting a free coloring keeps it free and inside the reduced
-space, so no free coloring of the next level starts below L.
+space, so no free coloring of the next level starts below L.  Every
+level gets the solve's one absolute deadline and the node budget the
+levels before it left.
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ class SearchConfig:
     solve, exactly; it counts search nodes only, so the checker pass that
     verifies the construction certificate is not charged to it.
     ``timeout`` (seconds, at least 0; ``inf`` allowed) caps the time of
-    the whole solve, that checker pass included.  The search is sequential, so
+    the whole solve: one absolute deadline, tested before every
+    construction color, every value of that checker pass and every search
+    node.  The search is sequential, so
     :func:`find_free_coloring` always returns the lexicographically
     least free coloring of the reduced space.  ``deterministic`` makes
     every EXACT result of :func:`solve_exact` carry such a certificate
@@ -143,12 +147,16 @@ def find_free_coloring(n: int, spec: ProblemSpec,
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _search_level(n, spec, cfg or SearchConfig(), None)
+    cfg = cfg or SearchConfig()
+    deadline = monotonic() + cfg.timeout if cfg.timeout is not None else None
+    return _search_level(n, spec, cfg.max_nodes, deadline, None)
 
 
-def _search_level(n: int, spec: ProblemSpec, cfg: SearchConfig,
+def _search_level(n: int, spec: ProblemSpec, max_nodes: int | None,
+                  deadline: float | None,
                   resume: Coloring | None) -> FreeSearchOutcome:
-    """:func:`find_free_coloring`, resumed from ``resume``.
+    """:func:`find_free_coloring` under a node budget and an absolute
+    deadline, resumed from ``resume``.
 
     ``resume`` is None or the lex-least free coloring of the reduced
     space of [1..m], m <= n, as this search returned it; any other
@@ -156,10 +164,9 @@ def _search_level(n: int, spec: ProblemSpec, cfg: SearchConfig,
     function does not take it.
     """
     start = monotonic()
-    deadline = start + cfg.timeout if cfg.timeout is not None else None
     palette, fix_first, canonical_mask = _symmetry_filters(spec)
     status, colors, nodes, prunes, max_depth = search_free_coloring(
-        n, spec.k, spec.r, palette, fix_first, canonical_mask, cfg.max_nodes,
+        n, spec.k, spec.r, palette, fix_first, canonical_mask, max_nodes,
         deadline, resume.values if resume is not None else None)
     stats = SearchStats(nodes=nodes, prunes=prunes, max_depth=max_depth,
                         elapsed=monotonic() - start)
@@ -175,14 +182,18 @@ def _certified_start(spec: ProblemSpec,
     when it verifies as solution-free, else the trivial floor k-1 (every
     coloring of [1..k-2] is free since no target fits).  The two-color
     variant has no construction, so it always starts at the floor, and so
-    does a scan whose deadline passes during the check; the search that
-    follows then stops at once.
+    does a scan whose deadline passes while the construction's colors are
+    produced or checked; the search that follows then stops at once.
     """
     if spec.palette is Palette.FULL:
-        cert = constructions.construct(spec.k, spec.r)
-        if first_zero_sum_target(cert.values, cert.n, spec.k, spec.r,
+        values = []
+        for c in constructions.construction_colors(spec.k, spec.r):
+            if deadline is not None and monotonic() > deadline:
+                return spec.k - 1, None
+            values.append(c)
+        if first_zero_sum_target(values, len(values), spec.k, spec.r,
                                  deadline) == 0:
-            return cert.n + 1, cert
+            return len(values) + 1, Coloring.of(values, spec.r)
     return spec.k - 1, None
 
 
@@ -210,20 +221,9 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     if cfg.deterministic and certificate is not None:
         n = certificate.n  # re-derive the lex-least certificate first
     resume = None
-
-    def remaining_cfg() -> SearchConfig:
-        left_n = None
-        if cfg.max_nodes is not None:
-            left_n = max(cfg.max_nodes - total.nodes, 0)
-        left_t = None
-        if cfg.timeout is not None:
-            left_t = max(cfg.timeout - (monotonic() - start), 0.0)
-        return SearchConfig(max_nodes=left_n, timeout=left_t,
-                            threads=cfg.threads,
-                            deterministic=cfg.deterministic)
-
     while True:
-        outcome = _search_level(n, spec, remaining_cfg(), resume)
+        left = None if cfg.max_nodes is None else cfg.max_nodes - total.nodes
+        outcome = _search_level(n, spec, left, deadline, resume)
         total.merge(outcome.stats)
         if not outcome.found:
             break

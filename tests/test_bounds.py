@@ -10,8 +10,11 @@ def test_factorize_examples():
     assert factorize(8).factors == (2, 2, 2)
     assert factorize(7).factors == (7,)
     assert factorize(12).factors == (2, 2, 3)
-    with pytest.raises(ValueError):
-        factorize(1)
+    assert factorize(999_999_999_989).factors == (999_999_999_989,)
+    # past 10**12 trial division could run for minutes: r is refused
+    for r in (1, 10**12 + 1, 1_000_000_000_000_000_003):
+        with pytest.raises(ValueError):
+            factorize(r)
 
 
 def test_prime_factors_invariants():

@@ -35,9 +35,13 @@ class TestBounds:
         assert "lower=25 upper=25 exact=true" in out
 
     def test_invalid_parameters(self, capsys):
-        code, _, err = run_cli(capsys, "bounds", "--k", "2", "--r", "2")
-        assert code == 2
-        assert "error" in err
+        # an r above 10**12 is refused: trial division of this prime
+        # would run for minutes
+        for k, r in (("2", "2"),
+                     ("2000000000000000006", "1000000000000000003")):
+            code, _, err = run_cli(capsys, "bounds", "--k", k, "--r", r)
+            assert code == 2
+            assert "error" in err
 
 
 class TestConstruct:
@@ -120,6 +124,20 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_huge_header_r(self, capsys, tmp_path):
+        # the table layout of r = 10**6 colors takes well under a second
+        # to build; at r = 10**18 it cannot be held, which is invalid
+        # input, not a witness
+        f = tmp_path / "big.txt"
+        f.write_text("3 3 1000000\n0 0 0\n")
+        code, out, _ = run_cli(capsys, "check", str(f))
+        assert code == 1
+        assert out.strip() == "WITNESS target= 2 parts= 1 1"
+        f.write_text("3 3 1000000000000000000\n0 0 0\n")
+        code, out, err = run_cli(capsys, "check", str(f))
+        assert code == 2
+        assert out == "" and "out of memory" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent/file.txt")
         assert code == 2
@@ -158,10 +176,11 @@ class TestSolve:
         assert "status=budget-exhausted" in out
 
     def test_timeout_covers_the_certified_start(self, capsys):
-        code, out, _ = run_cli(capsys, "solve", "--k", "130", "--r", "65",
-                               "--timeout", "0")
-        assert code == 3
-        assert "status=budget-exhausted value=129" in out
+        for k, r in ((130, 65), (600, 300)):
+            code, out, _ = run_cli(capsys, "solve", "--k", str(k),
+                                   "--r", str(r), "--timeout", "0")
+            assert code == 3
+            assert f"status=budget-exhausted value={k - 1}" in out
 
     def test_binary_variant(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--k", "8", "--r", "4",

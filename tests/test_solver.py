@@ -356,15 +356,18 @@ class TestSolveExact:
         assert result.value == 15
 
     def test_timeout_covers_the_certified_start(self):
-        # checking the k=130, r=65 construction takes seconds; an expired
-        # timeout stops that check and the search, at the floor k-1
-        start = monotonic()
-        result = solve_exact(ProblemSpec(k=130, r=65), SearchConfig(timeout=0))
-        assert monotonic() - start < 1.0
-        assert result.status is SolveStatus.BUDGET_EXHAUSTED
-        assert result.value == 129
-        assert result.certificate is None
-        assert result.stats.nodes == 0
+        # checking the k=130, r=65 construction takes seconds, and building
+        # the k=600, r=300 one takes longer; an expired timeout stops both
+        # and the search, at the floor k-1
+        for k, r in ((130, 65), (600, 300)):
+            start = monotonic()
+            result = solve_exact(ProblemSpec(k=k, r=r),
+                                 SearchConfig(timeout=0))
+            assert monotonic() - start < 1.0
+            assert result.status is SolveStatus.BUDGET_EXHAUSTED
+            assert result.value == k - 1
+            assert result.certificate is None
+            assert result.stats.nodes == 0
 
     def test_stats_accumulate(self):
         # the deterministic scan's first level, at the construction's
