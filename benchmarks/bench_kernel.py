@@ -17,31 +17,36 @@ Workloads:
   extract-150-10  lex-least witness extraction on the reach-150-10
                   coloring and target: 147 x 1, 2, 1340
   search-8-4      exhaust the reduced four-color search at n=27 (the
-                  S_z(8,4) decision step: 939 extension checks)
-  search-6-3      exhaust the reduced three-color search at n=15 (21
-                  extension checks)
+                  S_z(8,4) decision step: 78 extension checks, 268
+                  probes)
+  search-6-3      exhaust the reduced three-color search at n=15 (16
+                  extension checks, 12 probes)
   solve-12-4      2M-node budgeted slice of the k=12, r=4 search at n=43
-                  (exhausted in 15,335 nodes)
-  slice-12-6      the first 200,000 nodes of the k=12, r=6 search at
-                  n=68 (exhausted only after about 4.5M): a fixed amount
-                  of search work, long enough to show the cost per node
+                  (exhausted in 110 nodes and 578 probes)
+  exhaust-12-6    exhaust the reduced six-color search at n=68, the
+                  S_z(12,6) decision step (3,463 nodes and 67,955
+                  probes; about 4.5M nodes without probing): long
+                  enough to show the cost per node and per probe
   scan-12-4       deterministic solve_exact of S_z(12,4)=43: the lex-least
                   search at n=42, then the n=43 exhaustion resumed from it
-                  (15,414 nodes in all)
+                  (280 nodes and 1,046 probes in all)
 
 Each run is checked: the reach passes must return the targets in
 REACH, each extraction the lex-least parts in EXTRACT, each search must
-end with the status, nodes, prunes and max depth in WORKLOADS, and the
-scan must give the value, certificate and node count in SCAN.  Exit 1
-on a failed check.
+end with the status, nodes, prunes, max depth and probes in WORKLOADS,
+and the scan must give the value, certificate, nodes and probes in SCAN.
+Exit 1 on a failed check.
 
 Best of 3 on a 2-vCPU Xeon VM, three runs on a busy host: reach-pass
 2.2-3.2 ms, reach-150-10 16-25 ms, extract 1.9-3.2 ms, extract-150-10
-16-26 ms, search-8-4 2.5-3.5 ms, search-6-3 0.1 ms, solve-12-4 46-58 ms,
-scan-12-4 36-59 ms.  Extraction from one table per value (v_max + 1
-tables) took 2.9-3.5 ms on extract and 28-38 ms on the extract-150-10
-input, with 17 MB of tracemalloc peak there against 0.3 MB now.
-slice-12-6 took 0.38-0.74 s on the same VM, by host load.
+16-26 ms.  Extraction from one table per value (v_max + 1 tables) took
+2.9-3.5 ms on extract and 28-38 ms on the extract-150-10 input, with
+17 MB of tracemalloc peak there against 0.3 MB now.  With probing, best
+of 3 in three runs on the same VM: search-8-4 2.2-3.6 ms, search-6-3
+0.1-0.2 ms, solve-12-4 4.9-7.9 ms, exhaust-12-6 0.50-0.72 s, scan-12-4
+9.4-16 ms; the search without probing, in runs alternating with those,
+took 2.0-3.4 ms, 0.1 ms, 36-57 ms, (no exhaustion of n=68 in under
+about 20 s) and 54-62 ms.
 """
 
 from __future__ import annotations
@@ -88,24 +93,25 @@ def extract_args(reach):
 
 
 #: Search workloads: arguments of search_free_coloring and the
-#: (status, nodes, prunes, max_depth) it must end with.
+#: (status, nodes, prunes, max_depth, probes) it must end with.
 WORKLOADS = {
     "search-8-4": ((27, 8, 4, (0, 1, 2, 3), 0, 0b110, None, None),
-                   (_kernel_py.EXHAUSTED, 939, 703, 14)),
+                   (_kernel_py.EXHAUSTED, 78, 44, 13, 268)),
     "search-6-3": ((15, 6, 3, (0, 1, 2), 0, 0b010, None, None),
-                   (_kernel_py.EXHAUSTED, 21, 13, 6)),
+                   (_kernel_py.EXHAUSTED, 16, 8, 6, 12)),
     "solve-12-4": ((43, 12, 4, (0, 1, 2, 3), 0, 0b110, 2_000_000, None),
-                   (_kernel_py.EXHAUSTED, 15_335, 11_499, 22)),
-    "slice-12-6": ((68, 12, 6, tuple(range(6)), 0, 0b1110, 200_000, None),
-                   (_kernel_py.BUDGET, 200_000, 166_655, 31)),
+                   (_kernel_py.EXHAUSTED, 110, 56, 21, 578)),
+    "exhaust-12-6": ((68, 12, 6, tuple(range(6)), 0, 0b1110, None, None),
+                     (_kernel_py.EXHAUSTED, 3_463, 2_158, 32, 67_955)),
 }
 
 
 #: Scan workload: (k, r) of the deterministic solve, and the value,
-#: lex-least certificate and nodes it must give.
+#: lex-least certificate, nodes and probes it must give.
 SCAN = {
     "scan-12-4": ((12, 4),
-                  (43, "012301230120022002200220022002203210321032", 15_414)),
+                  (43, "012301230120022002200220022002203210321032", 280,
+                   1_046)),
 }
 
 
@@ -151,19 +157,22 @@ def main() -> int:
             _kernel_py.search_free_coloring, sargs, args.repeats)
         got = (status, *counts)
         if got != want:
-            print(f"{wname}: status, nodes, prunes, max_depth {got}, "
+            print(f"{wname}: status, nodes, prunes, max_depth, probes {got}, "
                   f"expected {want}")
             return 1
-        rows.append((wname, took, f"status {status}, {counts[0]} nodes"))
+        rows.append((wname, took, f"status {status}, {counts[0]} nodes, "
+                                  f"{counts[3]} probes"))
 
     for wname, (kr, want) in SCAN.items():
         took, result = best_time(deterministic_solve, kr, args.repeats)
         got = (result.value, "".join(map(str, result.certificate.values)),
-               result.stats.nodes)
+               result.stats.nodes, result.stats.probes)
         if got != want:
-            print(f"{wname}: value, certificate, nodes {got}, expected {want}")
+            print(f"{wname}: value, certificate, nodes, probes {got}, "
+                  f"expected {want}")
             return 1
-        rows.append((wname, took, f"value {got[0]}, {got[2]} nodes"))
+        rows.append((wname, took, f"value {got[0]}, {got[2]} nodes, "
+                                  f"{got[3]} probes"))
 
     width = max(len(name) for name, _, _ in rows)
     for name, took, note in rows:

@@ -88,7 +88,7 @@ def run_solve(args) -> int:
     result = solve_exact(spec, cfg)
     stats = result.stats
     print(f"status={result.status.value} value={format_value(result.value)} "
-          f"nodes={stats.nodes} prunes={stats.prunes} "
+          f"nodes={stats.nodes} prunes={stats.prunes} probes={stats.probes} "
           f"max_depth={stats.max_depth} elapsed={stats.elapsed:.3f}")
     if args.cert_out and result.certificate is not None:
         write_coloring(result.certificate, args.k, args.cert_out)

@@ -176,23 +176,27 @@ class SearchStats:
     """Counters from one search run.
 
     ``nodes`` counts incremental extension checks, ``prunes`` the checks
-    that were rejected: the new position completes a zero-sum solution,
-    or (forward checking) some later target is left with every palette
-    color forbidden, also after each later target left with one color
-    has taken it (singleton propagation).  ``max_depth`` is the deepest
-    position colored without a conflict, ``elapsed`` wall time in
-    seconds.
+    that were rejected: the new position completes a zero-sum solution
+    or has lost the color to a probe, or (forward checking) some later
+    target is left with no palette color, also after each later target
+    left with one color has taken it (singleton propagation).
+    ``probes`` counts the failed-literal probes, each a trial color at a
+    later target closed under singleton propagation.  ``max_depth`` is
+    the deepest position colored without a conflict, ``elapsed`` wall
+    time in seconds.
     """
 
     nodes: int = 0
     prunes: int = 0
     max_depth: int = 0
+    probes: int = 0
     elapsed: float = 0.0
 
     def merge(self, other: SearchStats) -> None:
         self.nodes += other.nodes
         self.prunes += other.prunes
         self.max_depth = max(self.max_depth, other.max_depth)
+        self.probes += other.probes
         self.elapsed += other.elapsed
 
 

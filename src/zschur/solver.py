@@ -15,9 +15,12 @@ colored value, so after each assignment it sees which colors each later
 target may still take, and it cuts the subtree as soon as some later
 target has none left (a domain wipe-out).  A later target left with a
 single color is colored with it at once, and that is repeated until
-nothing changes (singleton propagation).  Such cuts remove only subtrees
-without a free coloring, so they change node counts only, never a
-status or a lex-least certificate.
+nothing changes (singleton propagation).  The first time the search
+backtracks into a depth, it also tries each color left at each later
+target that has lost one, and removes the colors whose trial wipes out
+under singleton propagation (failed-literal probing).  Such cuts remove
+only subtrees without a free coloring, so they change node counts only,
+never a status or a lex-least certificate.
 
 Symmetry reduction (applied only when r | k, where it is sound):
 position 1 is pinned to color 0 (zero-sum solutions are preserved by
@@ -68,13 +71,13 @@ from .core import (
 class SearchConfig:
     """Search limits and certificate mode.
 
-    ``max_nodes`` caps the number of extension checks over the whole
-    solve, exactly; it counts search nodes only, so the checker pass that
-    verifies the construction certificate is not charged to it.
-    ``timeout`` (seconds, at least 0; ``inf`` allowed) caps the time of
-    the whole solve: one absolute deadline, tested before every
-    construction color, every value of that checker pass and every search
-    node.  The search is sequential, so
+    ``max_nodes`` caps the number of extension checks plus probes over
+    the whole solve, exactly; it counts search nodes and probes only, so
+    the checker pass that verifies the construction certificate is not
+    charged to it.  ``timeout`` (seconds, at least 0; ``inf`` allowed)
+    caps the time of the whole solve: one absolute deadline, tested
+    before every construction color, every value of that checker pass,
+    every search node and every probe.  The search is sequential, so
     :func:`find_free_coloring` always returns the lexicographically
     least free coloring of the reduced space.  ``deterministic`` makes
     every EXACT result of :func:`solve_exact` carry such a certificate
@@ -165,11 +168,11 @@ def _search_level(n: int, spec: ProblemSpec, max_nodes: int | None,
     """
     start = monotonic()
     palette, fix_first, canonical_mask = _symmetry_filters(spec)
-    status, colors, nodes, prunes, max_depth = search_free_coloring(
+    status, colors, nodes, prunes, max_depth, probes = search_free_coloring(
         n, spec.k, spec.r, palette, fix_first, canonical_mask, max_nodes,
         deadline, resume.values if resume is not None else None)
     stats = SearchStats(nodes=nodes, prunes=prunes, max_depth=max_depth,
-                        elapsed=monotonic() - start)
+                        probes=probes, elapsed=monotonic() - start)
     chi = Coloring.of(colors, spec.r) if status == FOUND else None
     return FreeSearchOutcome(status=status, coloring=chi, stats=stats)
 
@@ -222,7 +225,8 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
         n = certificate.n  # re-derive the lex-least certificate first
     resume = None
     while True:
-        left = None if cfg.max_nodes is None else cfg.max_nodes - total.nodes
+        left = (None if cfg.max_nodes is None
+                else cfg.max_nodes - total.nodes - total.probes)
         outcome = _search_level(n, spec, left, deadline, resume)
         total.merge(outcome.stats)
         if not outcome.found:

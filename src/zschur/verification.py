@@ -76,7 +76,8 @@ def _timed_solve(k: int, r: int, palette: Palette,
              "missing or wrong-length certificate")
     _require(is_solution_free(cert, spec), "certificate is not solution-free")
     _require(took < limit, f"took {took:.2f}s, limit {limit}s")
-    return f"value={result.value} nodes={result.stats.nodes}"
+    return (f"value={result.value} nodes={result.stats.nodes} "
+            f"probes={result.stats.probes}")
 
 
 # --- criterion 1: exact small values ---------------------------------------

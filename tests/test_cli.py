@@ -170,10 +170,12 @@ class TestSolve:
         assert "status=infinite value=inf" in out
 
     def test_budget_exit_code(self, capsys):
-        code, out, _ = run_cli(capsys, "solve", "--k", "12", "--r", "4",
+        code, out, _ = run_cli(capsys, "solve", "--k", "12", "--r", "6",
                                "--max-nodes", "1000")
         assert code == 3
         assert "status=budget-exhausted" in out
+        fields = dict(f.split("=") for f in out.split()[:6])
+        assert int(fields["nodes"]) + int(fields["probes"]) <= 1000
 
     def test_timeout_covers_the_certified_start(self, capsys):
         for k, r in ((130, 65), (600, 300)):

@@ -1,12 +1,13 @@
 """The kernel against references that share no code with it.
 
 The reachability pass is checked against a naive set-of-(sum, color-sum)
-dynamic program, the search against a plain enumeration of colorings in
-ascending order, and the tables against their definition.
+dynamic program, the search against plain depth-first enumerations of
+colorings in ascending order, and the tables against their definition.
 """
 
 import random
 import tracemalloc
+from itertools import count, product
 from time import monotonic
 
 import pytest
@@ -35,14 +36,15 @@ def naive_first_target(values, n, k, r):
                  if (t, -values[t - 1] % r) in reach), 0)
 
 
-def brute_force_search(n, k, r, palette, fix_first, canonical_mask):
+def brute_force_search(n, k, r, palette, fix_first, canonical_mask,
+                       prefix=()):
     """(status, coloring) the kernel's search must return.
 
-    Enumerates the colorings of [1..n] in ascending order, applying the
-    filters (fix_first at position 1, the canonical mask on the first
-    nonzero color), and returns the first free one.  A partial coloring
-    is abandoned as soon as it has a solution, since no completion of it
-    is then free.
+    Enumerates the colorings of [1..n] that start with ``prefix`` in
+    ascending order, applying the filters (fix_first at position 1, the
+    canonical mask on the first nonzero color), and returns the first
+    free one.  A partial coloring is abandoned as soon as it has a
+    solution, since no completion of it is then free.
     """
     def first_free(colors):
         if naive_first_target(colors, len(colors), k, r):
@@ -60,7 +62,7 @@ def brute_force_search(n, k, r, palette, fix_first, canonical_mask):
                 return found
         return None
 
-    found = first_free([])
+    found = first_free(list(prefix))
     if found is None:
         return (_kernel_py.EXHAUSTED, None)
     return (_kernel_py.FOUND, found)
@@ -155,12 +157,73 @@ def test_search_identical_results():
         assert got[:2] == want, (n, k, r, palette, fix_first, mask)
 
 
+def naive_lex_least_search(n, k, r, palette, fix_first, canonical_mask):
+    """The lex-least free coloring of [1..n] under the filters, or None.
+
+    Depth first in ascending order, like :func:`brute_force_search`, but
+    each prefix keeps the sets of (sum, color-sum mod r) pairs that j of
+    its values reach, j < k, so that coloring the next value v tests only
+    whether v completes a solution: a solution's target exceeds its
+    parts.  No forward checking, propagation or probing.
+    """
+    def first_free(colors, reach):
+        if len(colors) == n:
+            return colors
+        v = len(colors) + 1
+        for c in palette:
+            if v == 1 and fix_first >= 0 and c != fix_first:
+                continue
+            if (canonical_mask and c and not any(colors)
+                    and not (canonical_mask >> c) & 1):
+                continue
+            if (v, -c % r) in reach[k - 1]:
+                continue
+            grown = [reach[0]]
+            for j in range(1, k):  # in increasing j: v may repeat
+                grown.append(reach[j] | {(s + v, (cs + c) % r)
+                                         for s, cs in grown[j - 1]
+                                         if s + v <= n})
+            found = first_free(colors + [c], grown)
+            if found is not None:
+                return found
+        return None
+
+    return first_free([], [{(0, 0)}] + [set() for _ in range(k - 1)])
+
+
+def test_search_matches_naive_lex_least_search():
+    # seeded random searches, k in 3..8, r in 2..5, both palettes, with
+    # and without the symmetry filters, n from k-2 up to min(kr, 24):
+    # probing removes only colors no free coloring takes, so status and
+    # lex-least coloring equal those of the naive search
+    rng = random.Random(12)
+    probed = 0
+    for _ in range(200):
+        k = rng.randint(3, 8)
+        r = rng.randint(2, 5)
+        palette = rng.choice((Palette.FULL, Palette.BINARY))
+        residues, fix_first, mask = _symmetry_filters(
+            ProblemSpec(k, r, palette))
+        if rng.random() < 0.25:
+            fix_first, mask = -1, 0
+        n = rng.randint(k - 2, min(k * r, 24))
+        got = _kernel_py.search_free_coloring(n, k, r, residues, fix_first,
+                                              mask, None, None)
+        want = naive_lex_least_search(n, k, r, residues, fix_first, mask)
+        status = _kernel_py.EXHAUSTED if want is None else _kernel_py.FOUND
+        assert got[:2] == (status, want), (n, k, r, residues, fix_first,
+                                           mask)
+        probed += got[5] > 0
+    assert probed >= 10  # enough of the searches probe
+
+
 def test_search_budget_agreement():
     args = (15, 6, 3, (0, 1, 2), 0, 0b10)
     unbudgeted = _kernel_py.search_free_coloring(*args, None, None)
-    for budget in (0, 1, 7, 50, 1000):
+    assert unbudgeted[5] > 0  # the search probes
+    for budget in (0, 1, 7, 20, 50, 1000):
         got = _kernel_py.search_free_coloring(*args, budget, None)
-        assert got[2] <= budget  # node count respects the budget
+        assert got[2] + got[5] <= budget  # nodes and probes share it
         if got[0] != _kernel_py.BUDGET:
             assert got[:2] == unbudgeted[:2], budget
 
@@ -190,7 +253,7 @@ def test_resumed_search_matches_scratch(k, r, palette):
         for budget in (0, 1, 7, 50):
             got = _kernel_py.search_free_coloring(n, *args, budget, None,
                                                   below[1])
-            assert got[2] <= budget, (n, budget)
+            assert got[2] + got[5] <= budget, (n, budget)
             if got[0] != _kernel_py.BUDGET:
                 assert got[:2] == scratch[:2], (n, budget)
         below = scratch
@@ -198,11 +261,35 @@ def test_resumed_search_matches_scratch(k, r, palette):
 
 
 def test_search_expired_deadline():
-    status, coloring, nodes, prunes, depth = _kernel_py.search_free_coloring(
+    status, coloring, nodes, _, _, probes = _kernel_py.search_free_coloring(
         15, 6, 3, (0, 1, 2), 0, 0b10, None, monotonic() - 10.0)
     assert status == _kernel_py.BUDGET
     assert coloring is None
-    assert nodes == 0  # the deadline is tested before every node
+    assert nodes == probes == 0  # the deadline is tested before every node
+
+
+def test_deadline_is_tested_before_every_node_and_probe(monkeypatch):
+    # a clock that ticks once per reading: a deadline of m - 0.5 lets
+    # exactly m readings pass, one before each node and each probe
+    for m in (1, 10, 100, 1000):
+        ticks = count()
+        monkeypatch.setattr(_kernel_py, "monotonic", lambda: next(ticks))
+        status, _, nodes, _, _, probes = _kernel_py.search_free_coloring(
+            68, 12, 6, tuple(range(6)), 0, 0b1110, None, m - 0.5)
+        assert status == _kernel_py.BUDGET
+        assert nodes + probes == m, m
+    assert probes > 0
+
+
+def test_probe_forced_target_takes_its_forced_color():
+    # the lex-least certificate of S_z(12,4) at n=42; a search that lets
+    # a target forced by probing take another color it has left returns
+    # a lex-less coloring that is not free
+    outcome = find_free_coloring(42, ProblemSpec(12, 4))
+    assert outcome.found
+    assert ("".join(map(str, outcome.coloring.values))
+            == "012301230120022002200220022002203210321032")
+    assert outcome.stats.probes > 0
 
 
 def test_reach_pass_expired_deadline():
@@ -216,13 +303,15 @@ def test_reach_pass_expired_deadline():
 
 def extend_all(colors, n, k, r, palette):
     """The search's ``(rows, forced)`` after coloring 1, 2, ... with colors,
-    one :func:`extend_state` step each from the empty table; None once a
-    step wipes out."""
+    one :func:`extend_state` step each from the empty table with nothing
+    removed; None once a step wipes out."""
     geo = _kernel_py.Geometry(r, n)
     offsets = _kernel_py.forbid_offsets(palette, geo)
+    removed = [0] * len(palette)
     state = (_kernel_py.new_table(k), 0)
     for pos, c in enumerate(colors, 1):
-        state = _kernel_py.extend_state(*state, pos, c, palette, offsets, geo)
+        state = _kernel_py.extend_state(*state, removed, pos, c, palette,
+                                        offsets, geo)
         if state is None:
             return None
     return state
@@ -248,6 +337,7 @@ def test_search_tables_match_their_values(k, r, n):
     palette = tuple(range(r))
     geo = _kernel_py.Geometry(r, n)
     offsets = _kernel_py.forbid_offsets(palette, geo)
+    removed = [0] * r
     checked = 0
 
     def allowed(rows, t):
@@ -271,8 +361,8 @@ def test_search_tables_match_their_values(k, r, n):
         for c in allowed(rows, pos + 1):
             if checked >= 600:
                 return
-            state = _kernel_py.extend_state(rows, forced, pos + 1, c, palette,
-                                            offsets, geo)
+            state = _kernel_py.extend_state(rows, forced, removed, pos + 1,
+                                            c, palette, offsets, geo)
             if state is not None:
                 visit(*state, items + [(pos + 1, c)])
 
@@ -296,6 +386,68 @@ def test_extend_state_propagation_refutes_prefix():
     # indeed no coloring of [1..5] starting 0, 0 is free
     assert all(naive_first_target((0, 0, a, b, c), 5, 4, 2)
                for a in (0, 1) for b in (0, 1) for c in (0, 1))
+
+
+def test_probing_refutes_prefix():
+    # S_z(4,4) = 13, so [1..12] has free colorings, but none starts
+    # 0, 0, 2.  Singleton propagation does not see it; probing does, and
+    # removes only colors that no free completion takes
+    n, k, r, palette = 12, 4, 4, (0, 1, 2, 3)
+    assert brute_force_search(n, k, r, palette, -1, 0)[0] == _kernel_py.FOUND
+    assert brute_force_search(n, k, r, palette, -1, 0,
+                              (0, 0, 2))[0] == _kernel_py.EXHAUSTED
+    rows, forced = extend_all((0, 0, 2), n, k, r, palette)
+    geo = _kernel_py.Geometry(r, n)
+    offsets = _kernel_py.forbid_offsets(palette, geo)
+    removed = [0] * r
+    assert _kernel_py.close(rows[:], forced, removed[:], 3, palette,
+                            offsets, geo) == forced  # nothing new to force
+    probes = []
+    assert _kernel_py.close(rows, forced, removed, 3, palette, offsets, geo,
+                            lambda: probes.append(1)) is None
+    assert len(probes) == 5
+
+
+def test_probe_removals_are_sound():
+    # each color a probe removes at a target of a free prefix is taken
+    # there by no free completion of the prefix
+    n, k, r = 12, 4, 4
+    palette = (0, 1, 2, 3)
+    geo = _kernel_py.Geometry(r, n)
+    offsets = _kernel_py.forbid_offsets(palette, geo)
+    removals = 0
+    for prefix in product(palette, repeat=3):
+        state = extend_all(prefix, n, k, r, palette)
+        if state is None:
+            continue
+        rows, forced = state
+        removed = [0] * r
+        if _kernel_py.close(rows, forced, removed, 3, palette, offsets, geo,
+                            lambda: None) is None:
+            continue
+        taken = {(t, c) for found in free_completions(prefix, n, k, r,
+                                                      palette)
+                 for t, c in enumerate(found, 1)}
+        for i, mask in enumerate(removed):
+            for t in range(4, n + 1):
+                if (mask >> t) & 1:
+                    removals += 1
+                    assert (t, palette[i]) not in taken, (prefix, t)
+    assert removals > 0
+
+
+def free_completions(prefix, n, k, r, palette):
+    """Every free coloring of [1..n] that starts with prefix."""
+    def extend(colors):
+        if naive_first_target(colors, len(colors), k, r):
+            return
+        if len(colors) == n:
+            yield tuple(colors)
+            return
+        for c in palette:
+            yield from extend(colors + [c])
+
+    return list(extend(list(prefix)))
 
 
 @pytest.mark.parametrize("r", (2, 3, 5))

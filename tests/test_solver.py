@@ -19,17 +19,18 @@ from zschur import _kernel_py
 from zschur.solver import _symmetry_filters
 
 
-#: (k, r, palette, lex-least certificate, nodes, prunes, max_depth) of
-#: deterministic solves.
+#: (k, r, palette, lex-least certificate, nodes, prunes, max_depth,
+#: probes) of deterministic solves.
 CERTIFIED_TREES = [
-    (8, 4, Palette.FULL, "01230120022002200220321032", 988, 726, 26),
-    (12, 3, Palette.FULL, "01201201201101101101102102102102", 100, 48, 32),
+    (8, 4, Palette.FULL, "01230120022002200220321032", 151, 81, 26, 350),
+    (12, 3, Palette.FULL, "01201201201101101101102102102102", 83, 31, 32,
+     52),
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
-     1202, 556, 37),
+     818, 232, 37, 371),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
-     802, 34, 40),
+     800, 32, 40, 0),
     (12, 4, Palette.FULL, "012301230120022002200220022002203210321032",
-     15414, 11536, 42),
+     280, 146, 42, 1046),
 ]
 
 
@@ -136,11 +137,25 @@ class TestFindFreeColoring:
         assert outcome.coloring.values == expected
 
     def test_budget_exhaustion(self):
-        # exhausting S_z(12,4) at n=43 takes tens of thousands of nodes
+        # exhausting S_z(12,4) at n=43 takes 110 nodes and 578 probes
         spec = ProblemSpec(k=12, r=4)
         outcome = find_free_coloring(43, spec, SearchConfig(max_nodes=50))
         assert outcome.status == 3
-        assert outcome.stats.nodes <= 50
+        assert outcome.stats.nodes + outcome.stats.probes <= 50
+
+    def test_budget_covers_probes(self):
+        # exhausting S_z(12,6) at n=68 takes 3,463 nodes and 67,955
+        # probes; the budget caps the two together
+        spec = ProblemSpec(k=12, r=6)
+        outcome = find_free_coloring(68, spec, SearchConfig(max_nodes=1000))
+        assert outcome.status == 3
+        assert outcome.stats.probes > 0
+        assert outcome.stats.nodes + outcome.stats.probes <= 1000
+
+    def test_exhausts_12_6_at_68(self):
+        outcome = find_free_coloring(68, ProblemSpec(k=12, r=6))
+        assert outcome.exhausted
+        assert (outcome.stats.nodes, outcome.stats.probes) == (3463, 67955)
 
     def test_timeout_already_expired(self):
         spec = ProblemSpec(k=6, r=3)
@@ -234,15 +249,16 @@ class TestSolveExact:
         assert result.certificate is None
 
     def test_budget_exhaustion_brackets_truth(self):
-        result = solve_exact(ProblemSpec(k=12, r=4),
+        result = solve_exact(ProblemSpec(k=12, r=6),
                              SearchConfig(max_nodes=5000))
         assert result.status is SolveStatus.BUDGET_EXHAUSTED
-        assert result.stats.nodes <= 5000
-        # true value is 4k-5 = 43; the certified bracket must contain it
-        assert result.value <= 43
+        assert result.stats.nodes + result.stats.probes <= 5000
+        # the unbudgeted scan settles S_z(12,6) = 68; the certified
+        # bracket must contain it
+        assert result.value <= 68
         assert result.certificate is not None
         assert result.value == result.certificate.n + 1
-        assert is_solution_free(result.certificate, ProblemSpec(k=12, r=4))
+        assert is_solution_free(result.certificate, ProblemSpec(k=12, r=6))
 
     def test_certificates_restrict_free(self):
         for k, r, palette in ((4, 2, Palette.FULL), (6, 3, Palette.FULL),
@@ -263,30 +279,31 @@ class TestSolveExact:
         assert result.certificate.values == min(free)
 
     @pytest.mark.parametrize(
-        "k,r,palette,certificate,nodes,prunes,depth", CERTIFIED_TREES,
+        "k,r,palette,certificate,nodes,prunes,depth,probes", CERTIFIED_TREES,
         ids=["-".join(map(str, case[:4])) for case in CERTIFIED_TREES])
     def test_deterministic_certificates_unchanged(self, k, r, palette,
                                                   certificate, nodes, prunes,
-                                                  depth):
+                                                  depth, probes):
         # lex-least certificates recorded from the search without
         # forward checking; pruning dead subtrees must not change them.
-        # The node, prune and depth counts pin the trees of the scan,
-        # with forward checking, singleton propagation and each level
-        # resumed from the one below: a change of table layout must
-        # leave them as they are.
+        # The node, prune, depth and probe counts pin the trees of the
+        # scan, with forward checking, singleton propagation, probing
+        # and each level resumed from the one below: a change of table
+        # layout must leave them as they are.
         spec = ProblemSpec(k=k, r=r, palette=palette)
         result = solve_exact(spec, SearchConfig(deterministic=True))
         assert result.status is SolveStatus.EXACT
         assert result.value == len(certificate) + 1
         assert "".join(map(str, result.certificate.values)) == certificate
         stats = result.stats
-        assert (stats.nodes, stats.prunes, stats.max_depth) == (nodes, prunes,
-                                                                depth)
+        assert (stats.nodes, stats.prunes, stats.max_depth,
+                stats.probes) == (nodes, prunes, depth, probes)
 
     def test_budget_cut_before_lex_least_keeps_construction(self):
         # the deterministic scan first searches n=44, the construction's
-        # n, for the lex-least certificate; that takes 127 nodes, so a
-        # 100-node budget runs out there and the free construction stays
+        # n, for the lex-least certificate; that takes 121 nodes and 32
+        # probes, so a budget of 100 runs out there and the free
+        # construction stays
         spec = ProblemSpec(k=10, r=5)
         result = solve_exact(spec, SearchConfig(max_nodes=100,
                                                 deterministic=True))
@@ -294,14 +311,14 @@ class TestSolveExact:
         assert result.value == 45
         assert result.certificate.n == 44
         assert is_solution_free(result.certificate, spec)
-        # only a forward-checking search exhausts n=45 in 100 nodes
+        # n=45 is exhausted in 38 nodes and 47 probes, within the budget
         outcome = find_free_coloring(45, spec, SearchConfig(max_nodes=100))
         assert outcome.exhausted
-        assert outcome.stats.nodes == 57
+        assert (outcome.stats.nodes, outcome.stats.probes) == (38, 47)
 
     def test_budgeted_redo_finds_the_lex_least_certificate(self):
-        # with singleton propagation the lex-least search at n=44 takes
-        # 127 nodes, so a 500k budget derives the lex-least certificate
+        # the lex-least search at n=44 takes 121 nodes and 32 probes, so
+        # a 500k budget derives the lex-least certificate
         spec = ProblemSpec(k=10, r=5)
         result = solve_exact(spec, SearchConfig(max_nodes=500_000,
                                                 deterministic=True))
@@ -320,18 +337,20 @@ class TestSolveExact:
         seq = find_free_coloring(n, spec)
         par = find_free_coloring(n, spec, SearchConfig(threads=2))
         assert seq.exhausted and par.exhausted
-        assert (par.stats.nodes, par.stats.prunes) == (seq.stats.nodes,
-                                                       seq.stats.prunes)
+        assert ((par.stats.nodes, par.stats.prunes, par.stats.probes)
+                == (seq.stats.nodes, seq.stats.prunes, seq.stats.probes))
 
     def test_budget_is_exact_under_threads(self):
-        spec = ProblemSpec(k=12, r=4)
-        outcome = find_free_coloring(43, spec, SearchConfig(max_nodes=50,
+        # S_z(12,4) now settles in 688 steps (nodes plus probes), so the
+        # budgets run out on S_z(12,6) instead
+        spec = ProblemSpec(k=12, r=6)
+        outcome = find_free_coloring(68, spec, SearchConfig(max_nodes=50,
                                                             threads=2))
         assert outcome.status == 3
-        assert outcome.stats.nodes <= 50
+        assert outcome.stats.nodes + outcome.stats.probes <= 50
         result = solve_exact(spec, SearchConfig(max_nodes=5000, threads=2))
         assert result.status is SolveStatus.BUDGET_EXHAUSTED
-        assert result.stats.nodes <= 5000
+        assert result.stats.nodes + result.stats.probes == 5000
 
     def test_thread_count_does_not_change_value(self):
         for threads in (1, 2, 4):
