@@ -9,7 +9,7 @@ small exact values by symmetry-reduced exhaustive search with
 machine-checkable certificates.
 """
 
-from .bounds import PrimeFactors, factorize, is_prime, theoretical_bounds
+from .bounds import factorize, is_prime, theoretical_bounds
 from .checker import (
     brute_force_oracle,
     find_zero_sum_solution,
@@ -66,7 +66,6 @@ __all__ = [
     "INF",
     "ModulusMismatchError",
     "Palette",
-    "PrimeFactors",
     "ProblemSpec",
     "SearchConfig",
     "SearchStats",

@@ -30,30 +30,14 @@ Everything else is left at the trivial floor k - 1 (no solution fits in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import INF, BoundEntry, BoundsReport, ExtendedInt, Palette
 
 
-@dataclass(frozen=True)
-class PrimeFactors:
-    """Prime factorization with multiplicity, ascending."""
+def factorize(r: int) -> tuple[int, ...]:
+    """The primes of r with multiplicity, ascending.
 
-    factors: tuple[int, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.factors)
-
-    def product(self) -> int:
-        out = 1
-        for p in self.factors:
-            out *= p
-        return out
-
-
-def factorize(r: int) -> PrimeFactors:
-    """Trial division up to sqrt(r), at most 0.2 s for r <= 10**12."""
+    Trial division up to sqrt(r), at most 0.2 s for r <= 10**12.
+    """
     if r < 2:
         raise ValueError(f"need r >= 2, got {r}")
     if r > 10**12:
@@ -68,11 +52,11 @@ def factorize(r: int) -> PrimeFactors:
         p += 1
     if rest > 1:
         factors.append(rest)
-    return PrimeFactors(factors=tuple(factors))
+    return tuple(factors)
 
 
 def is_prime(r: int) -> bool:
-    return r >= 2 and factorize(r).t == 1
+    return r >= 2 and len(factorize(r)) == 1
 
 
 def _full_palette_entries(k: int, r: int) -> list[BoundEntry]:
@@ -101,7 +85,7 @@ def _full_palette_entries(k: int, r: int) -> list[BoundEntry]:
     elif r == 4:
         entries.append(BoundEntry("upper", 4 * k - 5, "four-color-upper"))
     elif r >= 6 and not is_prime(r):
-        deficit = sum(p - 1 for p in factorize(r).factors)
+        deficit = sum(p - 1 for p in factorize(r))
         entries.append(BoundEntry(
             "upper", k * r - deficit - 1, "composite-prime-factor-upper"))
     return entries

@@ -41,12 +41,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _palette(name: str) -> Palette:
-    return Palette.BINARY if name == "binary" else Palette.FULL
-
-
 def run_bounds(args) -> int:
-    report = theoretical_bounds(args.k, args.r, _palette(args.variant))
+    report = theoretical_bounds(args.k, args.r, Palette(args.variant))
     for entry in report.entries:
         print(f"{entry.kind} {format_value(entry.value)} {entry.source}")
     exact = "true" if report.exact else "false"
@@ -69,10 +65,10 @@ def run_construct(args) -> int:
 def run_check(args) -> int:
     chi, header_k = read_coloring(args.coloring)
     k = args.k if args.k is not None else header_k
-    if args.k is not None and args.k != header_k:
-        print(f"warning: file header says k={header_k}, checking with k={args.k}",
-              file=sys.stderr)
     spec = ProblemSpec(k=k, r=chi.r)
+    if k != header_k:
+        print(f"warning: file header says k={header_k}, checking with k={k}",
+              file=sys.stderr)
     witness = find_zero_sum_solution(chi, spec)
     if witness is None:
         print("FREE")
@@ -82,7 +78,7 @@ def run_check(args) -> int:
 
 
 def run_solve(args) -> int:
-    spec = ProblemSpec(k=args.k, r=args.r, palette=_palette(args.variant))
+    spec = ProblemSpec(k=args.k, r=args.r, palette=Palette(args.variant))
     cfg = SearchConfig(max_nodes=args.max_nodes, timeout=args.timeout,
                        deterministic=args.deterministic)
     result = solve_exact(spec, cfg)

@@ -1,11 +1,13 @@
 """Replayable verification checks behind ``zschur verify``.
 
-Each check re-derives one published fact from scratch (exact value,
-certificate, equivalence, invariance or bound) and reports pass/fail
-with timing; the acceptance test suite runs the same checks.  The
-suite is every check, including the exact values S_z(6,3)=15, two-color
-S_z(8,4)=25 and S_z(8,4)=27, with no node budget: each search settles
-in a few thousand nodes.
+``CHECKS`` is the one list of acceptance checks.  Each row names a
+callable that takes no arguments and re-derives one published fact from
+scratch (exact value, certificate, equivalence, invariance or bound);
+``run_check`` turns it into a pass/fail line with timing.  ``zschur
+verify`` runs every row in order, and ``tests/test_acceptance.py`` runs
+each row as one test.  The exact values S_z(6,3)=15, two-color
+S_z(8,4)=25 and S_z(8,4)=27 are searched with no node budget: each
+search settles in a few hundred nodes.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from time import monotonic
 from typing import Callable, Iterable
 
@@ -78,24 +81,6 @@ def _timed_solve(k: int, r: int, palette: Palette,
     _require(took < limit, f"took {took:.2f}s, limit {limit}s")
     return (f"value={result.value} nodes={result.stats.nodes} "
             f"probes={result.stats.probes}")
-
-
-# --- criterion 1: exact small values ---------------------------------------
-
-def check_solve_4_2() -> str:
-    return _timed_solve(4, 2, Palette.FULL, 5, 1.0)
-
-
-def check_solve_6_2() -> str:
-    return _timed_solve(6, 2, Palette.FULL, 9, 1.0)
-
-
-def check_solve_6_3() -> str:
-    return _timed_solve(6, 3, Palette.FULL, 15, 300.0)
-
-
-def check_solve_8_4_binary() -> str:
-    return _timed_solve(8, 4, Palette.BINARY, 25, 600.0)
 
 
 # --- criterion 2: construction certificates --------------------------------
@@ -189,8 +174,9 @@ def random_coloring(rng: random.Random, n: int, r: int) -> Coloring:
     return Coloring(n=n, r=r, values=tuple(rng.randrange(r) for _ in range(n)))
 
 
-def check_oracle_equivalence(trials: int = 1000, seed: int = 20180713) -> str:
-    rng = random.Random(seed)
+def check_oracle_equivalence() -> str:
+    trials = 1000
+    rng = random.Random(20180713)
     agree = 0
     for _ in range(trials):
         k = rng.choice((3, 4, 5))
@@ -212,8 +198,9 @@ def check_oracle_equivalence(trials: int = 1000, seed: int = 20180713) -> str:
 
 # --- criterion 5: invariance suite ------------------------------------------
 
-def check_translation_invariance(trials: int = 200, seed: int = 424242) -> str:
-    rng = random.Random(seed)
+def check_translation_invariance() -> str:
+    trials = 200
+    rng = random.Random(424242)
     for _ in range(trials):
         r = rng.choice((2, 3, 4))
         k = r * rng.randint(1, 3)
@@ -228,8 +215,9 @@ def check_translation_invariance(trials: int = 200, seed: int = 424242) -> str:
     return f"trials={trials} violations=0"
 
 
-def check_unit_invariance(trials: int = 200, seed: int = 515151) -> str:
-    rng = random.Random(seed)
+def check_unit_invariance() -> str:
+    trials = 200
+    rng = random.Random(515151)
     for _ in range(trials):
         k = rng.randint(3, 6)
         r = rng.choice((2, 3, 4, 5, 6))
@@ -328,26 +316,31 @@ def check_four_color_certificate() -> str:
     return "free_coloring_n=26"
 
 
-def check_solve_8_4() -> str:
-    return _timed_solve(8, 4, Palette.FULL, 27, 600.0)
-
-
+# Solve rows: (k, r, palette, expected exact value, wall-clock limit in s).
 CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
-    ("solve-4-2", check_solve_4_2),
-    ("solve-6-2", check_solve_6_2),
-    ("solve-6-3", check_solve_6_3),
-    ("solve-8-4-binary", check_solve_8_4_binary),
+    # criterion 1: exact small values, zero tolerance
+    ("solve-4-2", partial(_timed_solve, 4, 2, Palette.FULL, 5, 1.0)),
+    ("solve-6-2", partial(_timed_solve, 6, 2, Palette.FULL, 9, 1.0)),
+    ("solve-6-3", partial(_timed_solve, 6, 3, Palette.FULL, 15, 300.0)),
+    ("solve-8-4-binary", partial(_timed_solve, 8, 4, Palette.BINARY, 25, 600.0)),
+    # criterion 2: construction certificates, each case < 2 s
     ("constructions-odd", check_constructions_odd),
     ("constructions-even", check_constructions_even),
+    # criterion 3: permitted/forbidden property conformance
     ("construction-properties", check_construction_properties),
+    # criterion 4: oracle equivalence on 1000 random colorings
     ("oracle-equivalence", check_oracle_equivalence),
+    # criterion 5: invariance suite
     ("translation-invariance", check_translation_invariance),
     ("unit-invariance", check_unit_invariance),
     ("restriction-monotonicity", check_restriction_monotonicity),
+    # criterion 6: bounds table and the product lemma
     ("bounds-table", check_bounds_table),
+    # criterion 7: checker performance at n=500, k=50, r=10
     ("checker-performance", check_checker_performance),
+    # criterion 8: S_z(8,4) = 27, free coloring of [1..26] and exhaustion
     ("four-color-certificate", check_four_color_certificate),
-    ("solve-8-4", check_solve_8_4),
+    ("solve-8-4", partial(_timed_solve, 8, 4, Palette.FULL, 27, 600.0)),
 )
 
 

@@ -117,6 +117,14 @@ class TestCheck:
         # only the warning and a clean exit path are asserted here
         assert code in (0, 1)
 
+    def test_invalid_k_exits_without_warning(self, capsys, tmp_path):
+        f = tmp_path / "c.txt"
+        f.write_text(format_coloring(construct_odd(6, 3), 6))
+        code, out, err = run_cli(capsys, "check", str(f), "--k", "2")
+        assert code == 2
+        assert "k must be >= 3" in err
+        assert "warning" not in err
+
     def test_malformed_file(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("not a header\n")
