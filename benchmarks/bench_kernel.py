@@ -3,7 +3,7 @@
 
 Run from a checkout:
 
-    python3 benchmarks/bench_kernel.py [--repeats N]
+    python3 benchmarks/bench_kernel.py [--repeats N] [--json PATH]
 
 Workloads:
   reach-pass      one full reachability pass (n=500, k=50, r=10) over a
@@ -27,6 +27,9 @@ Workloads:
                   S_z(12,6) decision step (3,463 nodes and 67,955
                   probes; about 4.5M nodes without probing): long
                   enough to show the cost per node and per probe
+  exhaust-18-6    exhaust the reduced six-color search at n=104, the
+                  S_z(18,6) decision step (7,868 nodes and 312,652
+                  probes): the probe-heavy search
   scan-12-4       deterministic solve_exact of S_z(12,4)=43: the lex-least
                   search at n=42, then the n=43 exhaustion resumed from it
                   (280 nodes and 1,046 probes in all)
@@ -35,23 +38,33 @@ Each run is checked: the reach passes must return the targets in
 REACH, each extraction the lex-least parts in EXTRACT, each search must
 end with the status, nodes, prunes, max depth and probes in WORKLOADS,
 and the scan must give the value, certificate, nodes and probes in SCAN.
-Exit 1 on a failed check.
+Exit 1 on a failed check.  ``--json PATH`` also writes the machine
+(nproc, CPU model, Python), the commit, and per workload its best time,
+repeat count and the checked results to PATH.
 
 Best of 3 on a 2-vCPU Xeon VM, three runs on a busy host: reach-pass
 2.2-3.2 ms, reach-150-10 16-25 ms, extract 1.9-3.2 ms, extract-150-10
 16-26 ms.  Extraction from one table per value (v_max + 1 tables) took
 2.9-3.5 ms on extract and 28-38 ms on the extract-150-10 input, with
-17 MB of tracemalloc peak there against 0.3 MB now.  With probing, best
-of 3 in three runs on the same VM: search-8-4 2.2-3.6 ms, search-6-3
-0.1-0.2 ms, solve-12-4 4.9-7.9 ms, exhaust-12-6 0.50-0.72 s, scan-12-4
-9.4-16 ms; the search without probing, in runs alternating with those,
-took 2.0-3.4 ms, 0.1 ms, 36-57 ms, (no exhaustion of n=68 in under
-about 20 s) and 54-62 ms.
+17 MB of tracemalloc peak there against 0.3 MB now.  With probes that
+test the last row before they copy the table, best of 3 in three runs
+on the same VM: search-8-4 1.9-3.0 ms, search-6-3 0.2 ms, solve-12-4
+3.7-6.8 ms, exhaust-12-6 0.42-0.51 s, exhaust-18-6 1.9-2.2 s, scan-12-4
+9.1-12 ms.  Probes that copy and close the table every time took
+2.9-3.9 ms, 0.2-0.3 ms, 6.0-8.9 ms, 0.67-0.68 s, 3.1 s and 11-16 ms in
+runs alternating with those.  The search without probing took 36-57 ms
+on solve-12-4, about 20 s on exhaust-12-6, and did not finish
+exhaust-18-6 in 300 s.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import platform
+import subprocess
+from pathlib import Path
 from time import perf_counter
 
 from zschur import (
@@ -103,6 +116,8 @@ WORKLOADS = {
                    (_kernel_py.EXHAUSTED, 110, 56, 21, 578)),
     "exhaust-12-6": ((68, 12, 6, tuple(range(6)), 0, 0b1110, None, None),
                      (_kernel_py.EXHAUSTED, 3_463, 2_158, 32, 67_955)),
+    "exhaust-18-6": ((104, 18, 6, tuple(range(6)), 0, 0b1110, None, None),
+                     (_kernel_py.EXHAUSTED, 7_868, 4_637, 50, 312_652)),
 }
 
 
@@ -130,19 +145,47 @@ def best_time(fn, args, repeats):
     return best, result
 
 
+def machine() -> dict:
+    """nproc, CPU model and Python version of this machine."""
+    model = platform.processor() or None
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next((line.split(":", 1)[1].strip() for line in f
+                          if line.startswith("model name")), model)
+    except OSError:
+        pass
+    return {"nproc": os.cpu_count(), "cpu_model": model,
+            "python": platform.python_version()}
+
+
+def commit() -> str | None:
+    """The checkout's commit, marked -dirty with uncommitted changes."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent, capture_output=True,
+            text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--json", metavar="PATH",
+                        help="also write the machine, commit and results "
+                             "to PATH")
     args = parser.parse_args()
 
-    rows = []
+    rows = []  # (name, best seconds, checked results, note)
     for wname, (nkr, want) in REACH.items():
         took, target = best_time(_kernel_py.first_zero_sum_target,
                                  reach_args(*nkr), args.repeats)
         if target != want:
             print(f"{wname}: target {target}, expected {want}")
             return 1
-        rows.append((wname, took, f"target {target}"))
+        rows.append((wname, took, {"target": target}, f"target {target}"))
 
     for wname, (reach, want) in EXTRACT.items():
         took, parts = best_time(_lex_least_parts, extract_args(reach),
@@ -150,7 +193,8 @@ def main() -> int:
         if parts != want:
             print(f"{wname}: parts {parts}, expected {want}")
             return 1
-        rows.append((wname, took, f"{len(parts)} parts, last {parts[-1]}"))
+        rows.append((wname, took, {"parts": list(parts)},
+                     f"{len(parts)} parts, last {parts[-1]}"))
 
     for wname, (sargs, want) in WORKLOADS.items():
         took, (status, _, *counts) = best_time(
@@ -160,8 +204,11 @@ def main() -> int:
             print(f"{wname}: status, nodes, prunes, max_depth, probes {got}, "
                   f"expected {want}")
             return 1
-        rows.append((wname, took, f"status {status}, {counts[0]} nodes, "
-                                  f"{counts[3]} probes"))
+        checked = dict(zip(("status", "nodes", "prunes", "max_depth",
+                            "probes"), got))
+        rows.append((wname, took, checked, f"status {status}, "
+                                           f"{counts[0]} nodes, "
+                                           f"{counts[3]} probes"))
 
     for wname, (kr, want) in SCAN.items():
         took, result = best_time(deterministic_solve, kr, args.repeats)
@@ -171,12 +218,22 @@ def main() -> int:
             print(f"{wname}: value, certificate, nodes, probes {got}, "
                   f"expected {want}")
             return 1
-        rows.append((wname, took, f"value {got[0]}, {got[2]} nodes, "
-                                  f"{got[3]} probes"))
+        checked = dict(zip(("value", "certificate", "nodes", "probes"), got))
+        rows.append((wname, took, checked, f"value {got[0]}, {got[2]} nodes, "
+                                           f"{got[3]} probes"))
 
-    width = max(len(name) for name, _, _ in rows)
-    for name, took, note in rows:
+    width = max(len(name) for name, *_ in rows)
+    for name, took, _, note in rows:
         print(f"{name:<{width}}  {took * 1e3:>9.1f} ms  {note}")
+    if args.json:
+        report = {"machine": machine(), "commit": commit(),
+                  "workloads": {name: {"best_s": took,
+                                       "repeats": args.repeats,
+                                       "checked": checked}
+                                for name, took, checked, _ in rows}}
+        with open(args.json, "w") as f:
+            json.dump(report, f, indent=2)
+            f.write("\n")
     return 0
 
 

@@ -83,11 +83,16 @@ or by ``resume``, so each is removed at p, and the frame's table is
 closed with probes: each target that has lost a color but kept two or
 more is colored in turn with each color it has left, on a copy closed by
 singleton propagation, and a color whose copy wipes out is removed (see
-:func:`close`).  A child frame gets singleton propagation only and
-inherits the removals.  A target forced by a removal may keep colors the
-table does not forbid, which is why the masks join every test: the
-search must give it its forced color alone.  The cuts again remove only
-subtrees without a free coloring, and the branch order is unchanged.
+:func:`close`).  A probe first computes only the last row that its
+color would give, from the few rows that feed it (a sum holds at most
+sum_cap // t copies of target t), and tests that row alone: most probes
+wipe out there or force nothing, and only a probe whose row forces a
+target copies the table and closes the copy.  A child frame gets
+singleton propagation only and inherits the removals.  A target forced
+by a removal may keep colors the table does not forbid, which is why the
+masks join every test: the search must give it its forced color alone.
+The cuts again remove only subtrees without a free coloring, and the
+branch order is unchanged.
 """
 
 from __future__ import annotations
@@ -134,6 +139,12 @@ def new_table(k: int) -> list[int]:
     return [1] + [0] * (k - 1)
 
 
+def _first_live_row(last: int, low: int, sum_cap: int) -> int:
+    """The least row j with j + (last-j)*low <= sum_cap, at most ``last``."""
+    excess = last * low - sum_cap  # row j is live iff j*(low-1) >= excess
+    return 0 if excess <= 0 or low == 1 else min(-(-excess // (low - 1)), last)
+
+
 def add_value(rows: list[int], v: int, cv: int, geo: Geometry,
               low: int) -> None:
     """Allow value v (color cv) with unlimited multiplicity.
@@ -150,8 +161,7 @@ def add_value(rows: list[int], v: int, cv: int, geo: Geometry,
     The last row is exact; with low == 1 every row is.
     """
     last = len(rows) - 1
-    excess = last * low - geo.sum_cap  # row j is live iff j*(low-1) >= excess
-    j0 = 0 if excess <= 0 or low == 1 else min(-(-excess // (low - 1)), last)
+    j0 = _first_live_row(last, low, geo.sum_cap)
     keep = (geo.ones << (geo.width - v)) - geo.ones
     up = cv * geo.width + v
     down = geo.size - up  # no block wraps around when cv == 0
@@ -216,6 +226,16 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int,
     probe, and the closure ends when the probes of every such target
     remove nothing.
 
+    Most probes end at the first round of that closure, so a probe runs
+    that round first on the last row alone: it computes only the last
+    row that adding t would give, without a copy, from the rows that can
+    feed it (at most sum_cap // t copies of t fit in a sum, so one row
+    step when t > sum_cap / 2).  A wipe-out there fails the probe, and a
+    row that forces no target passes it.  Only a probe whose row forces
+    a target copies the table and closes the copy.  The verdicts, and so
+    the removals and the calls of ``charge``, are those of closing a
+    copy for every probe.
+
     Returns the new forced mask, or None when some target in
     (pos, sum_cap] has no color left (a wipe-out).
     """
@@ -223,19 +243,19 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int,
     while True:
         row = rows[-1]
         every = most = above  # every, or all but at most one, color gone
-        some = 0  # at least one color gone
-        for off, gone in zip(offsets, removed):
-            f = (row >> off) | gone
+        gone = []  # per color, the targets where it is not left
+        for off, mask in zip(offsets, removed):
+            f = (row >> off) | mask
             most = (most & f) | every
             every &= f
-            some |= f
+            gone.append(f)
         if every:
             return None
         new = most & ~forced
         if new:
             forced |= new
-            for c, off, gone in zip(palette, offsets, removed):
-                hit = new & ~(row >> off) & ~gone
+            for c, f in zip(palette, gone):
+                hit = new & ~f
                 while hit:
                     low = hit & -hit
                     hit ^= low
@@ -243,22 +263,49 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int,
             continue
         if charge is None:
             return forced
+        some = 0  # at least one color gone
+        for f in gone:
+            some |= f
         targets = above & some & ~most
+        # a probe's first round runs on the last row alone, which the
+        # rows from start up give as add_value would.  Its tests skip t:
+        # the probe forces t and leaves it c alone, as a sum that uses t
+        # has k-1 >= 2 parts and so leaves bit t as it is
+        last = len(rows) - 1
+        j0 = _first_live_row(last, pos + 1, geo.sum_cap)
+        width, size, full = geo.width, geo.size, geo.full
         while targets:
             bit = targets & -targets
             targets ^= bit
             t = bit.bit_length() - 1
             failed = False
-            for i, (c, off) in enumerate(zip(palette, offsets)):
-                if (row >> off | removed[i]) & bit:
+            keep = (geo.ones << (width - t)) - geo.ones
+            start = max(j0, last - geo.sum_cap // t)
+            others = above ^ bit
+            for i, (c, f) in enumerate(zip(palette, gone)):
+                if f & bit:
                     continue
                 charge()
-                copy = rows[:]
-                add_value(copy, t, c, geo, pos + 1)
-                gone = [m if j == i else m | bit
-                        for j, m in enumerate(removed)]
-                if close(copy, forced | bit, gone, pos, palette, offsets,
-                         geo) is None:
+                up = c * width + t
+                down = size - up
+                trial = rows[start]
+                for j in range(start + 1, last + 1):
+                    y = trial & keep
+                    trial = rows[j] | ((y << up) & full) | (y >> down)
+                none = one = others  # no color, or at most one, left
+                for off, mask in zip(offsets, removed):
+                    g = (trial >> off) | mask
+                    one = (one & g) | none
+                    none &= g
+                if not none and one & ~forced:
+                    # the row forces a target: close a copy of the table
+                    copy = rows[:]
+                    add_value(copy, t, c, geo, pos + 1)
+                    cut = [m if j == i else m | bit
+                           for j, m in enumerate(removed)]
+                    none = close(copy, forced | bit, cut, pos, palette,
+                                 offsets, geo) is None
+                if none:
                     removed[i] |= bit
                     failed = True
             if failed:

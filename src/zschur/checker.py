@@ -28,10 +28,24 @@ from .core import (
 )
 
 
+def _residues(chi: Coloring, k: int, r: int) -> int:
+    """The number of residues the tables need: r, or fewer for small colors.
+
+    A solution's k colors are each at most c_max, the largest color chi
+    uses, so their sum lies in [0, k*c_max].  When k*c_max < r that sum
+    is 0 mod r exactly when it is 0, which is exactly when it is 0 mod
+    k*c_max + 1.  Tables over min(r, k*c_max + 1) residues therefore have
+    the same solutions, and the same least witness, as tables over r,
+    with rows that do not grow with a huge r the colors never use.
+    """
+    return min(r, k * max(chi.values, default=0) + 1)
+
+
 def _first_target(chi: Coloring, spec: ProblemSpec) -> int:
     """Least solvable target in [k-1, chi.n], or 0 when the coloring is free."""
     require_same_modulus(chi, spec)
-    return _kernel_py.first_zero_sum_target(chi.values, chi.n, spec.k, spec.r)
+    return _kernel_py.first_zero_sum_target(
+        chi.values, chi.n, spec.k, _residues(chi, spec.k, spec.r))
 
 
 def _lex_least_parts(chi: Coloring, k: int, r: int, target: int) -> tuple[int, ...]:
@@ -45,8 +59,10 @@ def _lex_least_parts(chi: Coloring, k: int, r: int, target: int) -> tuple[int, .
     one extending the prefix, which is the least solution's; were u in
     [p_{t-1}, v), the least of M and v would have passed first.  So the
     table of all values answers as a table of [v..v_max] would.  The last
-    part is the remaining sum itself.
+    part is the remaining sum itself.  The table has
+    :func:`_residues` color blocks, which may be fewer than r.
     """
+    r = _residues(chi, k, r)
     v_max = target - k + 2
     geo = _kernel_py.Geometry(r, target)
     colors = chi.values

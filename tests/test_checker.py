@@ -17,6 +17,7 @@ from zschur import (
     is_solution_free,
     validate_witness,
 )
+from zschur.core import parse_coloring
 from zschur.verification import random_coloring
 
 
@@ -280,3 +281,40 @@ def test_witness_past_a_large_construction():
         tracemalloc.stop()
     assert parts == witness.parts
     assert peak < 4 * 2**20, peak
+
+
+def test_huge_header_modulus_with_small_colors_stays_small():
+    # colors 0..2 with k=3 sum to at most 6, so the tables need 7
+    # residues, not the header's 10**7
+    chi, k = parse_coloring("3 3 10000000\n0 1 2\n")
+    tracemalloc.start()
+    try:
+        witness = find_zero_sum_solution(chi, ProblemSpec(k, chi.r))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    assert peak < 2**20, peak
+
+
+def test_small_colors_under_a_large_modulus_match_the_oracle():
+    # r around k*c_max, where the residues the tables need change from r
+    # to k*c_max + 1, and r far above it, where only colors summing to
+    # exactly 0 make a solution
+    rng = random.Random(71)
+    witnesses = free = 0
+    for _ in range(300):
+        k = rng.randint(3, 5)
+        c_max = rng.randint(0, 3)
+        r = max(2, rng.choice((k * c_max + rng.randint(-2, 3),
+                               10 ** rng.randint(2, 9))))
+        n = rng.randint(0, 16)
+        chi = Coloring.of([rng.randint(0, min(c_max, r - 1))
+                           for _ in range(n)], r)
+        spec = ProblemSpec(k, r)
+        fast = find_zero_sum_solution(chi, spec)
+        assert fast == brute_force_oracle(chi, spec), (chi.values, k, r)
+        assert is_solution_free(chi, spec) == (fast is None)
+        witnesses += fast is not None
+        free += fast is None
+    assert witnesses >= 50 and free >= 50

@@ -133,15 +133,17 @@ class TestCheck:
         assert "error" in err
 
     def test_huge_header_r(self, capsys, tmp_path):
-        # the table layout of r = 10**6 colors takes well under a second
-        # to build; at r = 10**18 it cannot be held, which is invalid
-        # input, not a witness
+        # colors up to c_max need only k*c_max + 1 residues, so a huge
+        # header r with small colors is checked at once.  A color near
+        # r = 10**18 needs table rows that cannot be held, which is
+        # invalid input, not a witness
         f = tmp_path / "big.txt"
-        f.write_text("3 3 1000000\n0 0 0\n")
-        code, out, _ = run_cli(capsys, "check", str(f))
-        assert code == 1
-        assert out.strip() == "WITNESS target= 2 parts= 1 1"
-        f.write_text("3 3 1000000000000000000\n0 0 0\n")
+        for r in (10**6, 10**18):
+            f.write_text(f"3 3 {r}\n0 0 0\n")
+            code, out, _ = run_cli(capsys, "check", str(f))
+            assert code == 1, r
+            assert out.strip() == "WITNESS target= 2 parts= 1 1"
+        f.write_text(f"3 3 {10**18}\n0 0 {10**18 - 1}\n")
         code, out, err = run_cli(capsys, "check", str(f))
         assert code == 2
         assert out == "" and "out of memory" in err

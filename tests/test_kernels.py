@@ -450,6 +450,99 @@ def free_completions(prefix, n, k, r, palette):
     return list(extend(list(prefix)))
 
 
+def colors_left(rows, removed, t, palette, geo):
+    """The palette colors that neither the last row nor ``removed``
+    takes from target t."""
+    r = geo.r
+    return [c for i, c in enumerate(palette)
+            if not _kernel_py.cell(rows, len(rows) - 1, t, (r - c) % r, geo)
+            and not (removed[i] >> t) & 1]
+
+
+def reference_close(rows, forced, removed, pos, palette, offsets, geo,
+                    charge, seen):
+    """:func:`_kernel_py.close` with probes, every probe on a copy.
+
+    Propagation is the kernel's closure without probes.  Each probe adds
+    its target to a copy of the table, removes the target's other colors
+    in a copy of the masks and closes the copy.  ``seen`` collects
+    ``(twice, fallback)`` per probe: twice when two copies of the target
+    fit a sum, fallback when the copy's last row leaves every target a
+    color and forces some target besides the probed one."""
+    while True:
+        forced = _kernel_py.close(rows, forced, removed, pos, palette,
+                                  offsets, geo)
+        if forced is None:
+            return None
+        failed = False
+        for t in range(pos + 1, geo.sum_cap + 1):
+            left = colors_left(rows, removed, t, palette, geo)
+            if (forced >> t) & 1 or not 2 <= len(left) < len(palette):
+                continue
+            for i, c in enumerate(palette):
+                if c not in left:
+                    continue
+                charge()
+                copy = rows[:]
+                _kernel_py.add_value(copy, t, c, geo, pos + 1)
+                cut = [m if j == i else m | 1 << t
+                       for j, m in enumerate(removed)]
+                counts = [len(colors_left(copy, cut, u, palette, geo))
+                          for u in range(pos + 1, geo.sum_cap + 1)
+                          if u != t and not (forced >> u) & 1]
+                seen.append((2 * t <= geo.sum_cap,
+                             0 not in counts and 1 in counts))
+                if _kernel_py.close(copy, forced | 1 << t, cut, pos, palette,
+                                    offsets, geo) is None:
+                    removed[i] |= 1 << t
+                    failed = True
+            if failed:
+                break
+        if not failed:
+            return forced
+
+
+def test_last_row_probe_matches_probe_on_a_copy():
+    # frames from seeded random prefixes, some colors removed at the next
+    # position as a backtrack removes them: the closure with probes must
+    # end with the forced mask, the colors left at every target and the
+    # probe count of the reference that closes a copy for every probe
+    rng = random.Random(14)
+    seen = []
+    cases = 0
+    for _ in range(150):
+        k = rng.randint(3, 8)
+        r = rng.randint(3, 6)
+        n = rng.randint(k + 2, min(k * r, 40))
+        palette = tuple(range(r))
+        m = rng.randint(1, n // 2)
+        state = extend_all([rng.randrange(r) for _ in range(m)], n, k, r,
+                           palette)
+        if state is None:
+            continue
+        rows, forced = state
+        geo = _kernel_py.Geometry(r, n)
+        offsets = _kernel_py.forbid_offsets(palette, geo)
+        removed = [0] * r
+        for i in rng.sample(range(r), rng.randint(0, r - 1)):
+            removed[i] |= 1 << (m + 1)
+        results = []
+        for close in (_kernel_py.close, reference_close):
+            got_rows, got_removed, probes = rows[:], removed[:], []
+            extra = (seen,) if close is reference_close else ()
+            got = close(got_rows, forced, got_removed, m, palette, offsets,
+                        geo, lambda: probes.append(1), *extra)
+            left = None if got is None else [
+                colors_left(got_rows, got_removed, t, palette, geo)
+                for t in range(m + 1, n + 1)]
+            results.append((got, left, len(probes)))
+        assert results[0] == results[1], (k, r, n, m)
+        cases += 1
+    assert cases >= 50
+    assert any(twice for twice, _ in seen)
+    assert any(fallback for _, fallback in seen)
+
+
 @pytest.mark.parametrize("r", (2, 3, 5))
 @pytest.mark.parametrize("sum_cap", (1, 2, 63, 64, 65, 130))
 def test_add_value_matches_definition(r, sum_cap):
