@@ -106,7 +106,7 @@ BUDGET = 3
 
 
 class _OutOfBudget(Exception):
-    """The node budget or the deadline ran out before a probe."""
+    """The node budget or the deadline ran out before a node or a probe."""
 
 
 class Geometry:
@@ -410,12 +410,15 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     max_depth = 0
     choices = len(palette)
 
-    def charge():
-        nonlocal probes
+    def spend():
         if deadline is not None and monotonic() > deadline:
             raise _OutOfBudget
         if max_nodes is not None and nodes + probes >= max_nodes:
             raise _OutOfBudget
+
+    def charge():
+        nonlocal probes
+        spend()
         probes += 1
 
     # start[p]: palette index of the resume color at p.  on_path: every
@@ -426,64 +429,61 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     frames = [[new_table(k), 0, [0] * choices, False,
                start[1] if on_path else 0, False]]
 
-    while frames:
-        frame = frames[-1]
-        rows, forced, removed, seen, i, _ = frame
-        pos = len(frames)
-        row = rows[last]
-        while i < choices:
-            c = palette[i]
-            i += 1
-            if pos == 1 and fix_first >= 0 and c != fix_first:
-                continue
-            if (canonical_mask and c != 0 and not seen
-                    and not (canonical_mask >> c) & 1):
-                continue
-            if deadline is not None and monotonic() > deadline:
-                return (BUDGET, None, nodes, prunes, max_depth, probes)
-            nodes += 1
-            if max_nodes is not None and nodes + probes > max_nodes:
-                return (BUDGET, None, nodes - 1, prunes, max_depth, probes)
-            if (row >> offsets[i - 1] | removed[i - 1]) >> pos & 1:
-                prunes += 1
-                continue
-            if pos > max_depth:
-                max_depth = pos
-            frame[4] = i
-            if pos == n:
-                return (FOUND, [palette[f[4] - 1] for f in frames], nodes,
-                        prunes, max_depth, probes)
-            child = extend_state(rows, forced, removed, pos, c, palette,
-                                 offsets, geo)
-            if child is None:
-                prunes += 1
-                continue
-            on_path = on_path and pos + 1 < len(start) and c == resume[pos - 1]
-            frames.append([*child, removed, seen or c != 0,
-                           start[pos + 1] if on_path else 0, False])
-            break
-        else:
-            frames.pop()
-            if not frames or frames[-1][5]:
-                continue
-            # first backtrack into the frame of pos - 1: the colors below
-            # its next index are refuted or skipped there; remove them
-            # and probe.  The table is copied since a forced position
-            # shares it with the frame below, the masks since children
-            # share them.
+    try:
+        while frames:
             frame = frames[-1]
-            frame[5] = True
-            rows, forced, removed, _, i, _ = frame
-            rows, removed = rows[:], removed[:]
-            for j in range(i):
-                removed[j] |= 1 << (pos - 1)
-            try:
+            rows, forced, removed, seen, i, _ = frame
+            pos = len(frames)
+            row = rows[last]
+            while i < choices:
+                c = palette[i]
+                i += 1
+                if pos == 1 and fix_first >= 0 and c != fix_first:
+                    continue
+                if (canonical_mask and c != 0 and not seen
+                        and not (canonical_mask >> c) & 1):
+                    continue
+                spend()
+                nodes += 1
+                if (row >> offsets[i - 1] | removed[i - 1]) >> pos & 1:
+                    prunes += 1
+                    continue
+                if pos > max_depth:
+                    max_depth = pos
+                frame[4] = i
+                if pos == n:
+                    return (FOUND, [palette[f[4] - 1] for f in frames], nodes,
+                            prunes, max_depth, probes)
+                child = extend_state(rows, forced, removed, pos, c, palette,
+                                     offsets, geo)
+                if child is None:
+                    prunes += 1
+                    continue
+                on_path = on_path and pos + 1 < len(start) and c == resume[pos - 1]
+                frames.append([*child, removed, seen or c != 0,
+                               start[pos + 1] if on_path else 0, False])
+                break
+            else:
+                frames.pop()
+                if not frames or frames[-1][5]:
+                    continue
+                # first backtrack into the frame of pos - 1: the colors below
+                # its next index are refuted or skipped there; remove them
+                # and probe.  The table is copied since a forced position
+                # shares it with the frame below, the masks since children
+                # share them.
+                frame = frames[-1]
+                frame[5] = True
+                rows, forced, removed, _, i, _ = frame
+                rows, removed = rows[:], removed[:]
+                for j in range(i):
+                    removed[j] |= 1 << (pos - 1)
                 forced = close(rows, forced, removed, pos - 2, palette,
                                offsets, geo, charge)
-            except _OutOfBudget:
-                return (BUDGET, None, nodes, prunes, max_depth, probes)
-            if forced is None:
-                frame[4] = choices  # a wipe-out: pop the frame next
-            else:
-                frame[:3] = rows, forced, removed
+                if forced is None:
+                    frame[4] = choices  # a wipe-out: pop the frame next
+                else:
+                    frame[:3] = rows, forced, removed
+    except _OutOfBudget:
+        return (BUDGET, None, nodes, prunes, max_depth, probes)
     return (EXHAUSTED, None, nodes, prunes, max_depth, probes)

@@ -30,7 +30,8 @@ Everything else is left at the trivial floor k - 1 (no solution fits in
 
 from __future__ import annotations
 
-from .core import INF, BoundEntry, BoundsReport, ExtendedInt, Palette
+from .core import (INF, BoundEntry, BoundsReport, ExtendedInt, Palette,
+                   check_parameters)
 
 
 def factorize(r: int) -> tuple[int, ...]:
@@ -99,10 +100,7 @@ def theoretical_bounds(k: int, r: int,
     trivial floor k-1), the upper bound the min over upper/exact entries
     (infinite when none applies); exactness means the two coincide.
     """
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
+    check_parameters(k, r)
 
     entries: list[BoundEntry]
     if k % r != 0:

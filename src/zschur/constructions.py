@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import Coloring, ConstructionContradictionError, ProblemSpec
+from .core import Coloring, ConstructionContradictionError, check_parameters
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,7 @@ def allowed_set_odd(m: int, k: int, r: int) -> AllowedSet:
     but surfaces as ConstructionContradictionError at the first position
     whose allowed set collapses.
     """
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    check_parameters(k, r)
     if not 1 <= m <= k * r - r - 1:
         raise ValueError(f"m={m} outside [1, {k * r - r - 1}]")
     a_perm = -(-m // (k - 1))
@@ -97,10 +94,7 @@ def allowed_set_even(m: int, k: int, r: int) -> AllowedSet:
     For r = 2 the step-one families are empty and only the extra pair
     applies.
     """
-    if r < 2:
-        raise ValueError(f"r must be >= 2, got {r}")
-    if k < 3:
-        raise ValueError(f"k must be >= 3, got {k}")
+    check_parameters(k, r)
     if not 1 <= m <= k * r - r - 2:
         raise ValueError(f"m={m} outside [1, {k * r - r - 2}]")
     a_perm = -(-m // (k - 1))
@@ -124,9 +118,9 @@ def allowed_set_even(m: int, k: int, r: int) -> AllowedSet:
 def construction_colors(k: int, r: int) -> Iterator[int]:
     """The colors of 1..kr-r-1 (odd r) or 1..kr-r-2 (even r), one at a time.
 
-    A caller with a deadline can stop between positions.
+    A caller with a deadline can stop between positions.  Callers pass
+    k and r that :func:`~zschur.core.check_parameters` accepted.
     """
-    ProblemSpec(k, r)  # raises ValueError on k < 3 or r < 2
     allowed = allowed_set_odd if r % 2 else allowed_set_even
     n = k * r - r - 2 + r % 2
     return (allowed(m, k, r).chosen for m in range(1, n + 1))
@@ -134,15 +128,15 @@ def construction_colors(k: int, r: int) -> Iterator[int]:
 
 def construct_odd(k: int, r: int) -> Coloring:
     """The solution-free coloring of [1..kr-r-1] for odd r >= 3."""
-    ProblemSpec(k, r)  # raises ValueError on k < 3 or r < 2
-    if r % 2 == 0 or r < 3:
+    check_parameters(k, r)
+    if r % 2 == 0:
         raise ValueError(f"odd construction needs odd r >= 3, got r={r}")
     return Coloring.of(construction_colors(k, r), r)
 
 
 def construct_even(k: int, r: int) -> Coloring:
     """The solution-free coloring of [1..kr-r-2] for even r >= 2."""
-    ProblemSpec(k, r)  # raises ValueError on k < 3 or r < 2
+    check_parameters(k, r)
     if r % 2 == 1:
         raise ValueError(f"even construction needs even r >= 2, got r={r}")
     return Coloring.of(construction_colors(k, r), r)

@@ -61,6 +61,14 @@ class Palette(Enum):
         return tuple(range(r))
 
 
+def check_parameters(k: int, r: int) -> None:
+    """S_z(k, r) is defined for k >= 3 terms and r >= 2 colors only."""
+    if k < 3:
+        raise ValueError(f"k must be >= 3, got {k}")
+    if r < 2:
+        raise ValueError(f"r must be >= 2, got {r}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Parameters of one zero-sum Schur problem.
@@ -75,10 +83,7 @@ class ProblemSpec:
     palette: Palette = Palette.FULL
 
     def __post_init__(self) -> None:
-        if self.k < 3:
-            raise ValueError(f"k must be >= 3, got {self.k}")
-        if self.r < 2:
-            raise ValueError(f"r must be >= 2, got {self.r}")
+        check_parameters(self.k, self.r)
 
     @property
     def r_divides_k(self) -> bool:
@@ -288,7 +293,13 @@ def format_coloring(chi: Coloring, k: int) -> str:
 
 
 def parse_coloring(text: str) -> tuple[Coloring, int]:
-    """Parse the coloring text format; returns (coloring, header k)."""
+    """Parse the coloring text format; returns (coloring, header k).
+
+    A bad k or r fails :func:`check_parameters` (the rule of
+    :class:`ProblemSpec`); a bad n, color count or color fails
+    :class:`Coloring`.  Their ValueError, like a non-integer token, is
+    raised as :class:`ColoringFormatError`, so ``zschur check`` exits 2.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -299,25 +310,12 @@ def parse_coloring(text: str) -> tuple[Coloring, int]:
             f"header must be 'n k r', got {lines[0]!r}")
     try:
         n, k, r = (int(tok) for tok in header)
+        check_parameters(k, r)
+        values = tuple(int(tok) for ln in lines[1:] for tok in ln.split())
+        chi = Coloring(n=n, r=r, values=values)
     except ValueError as exc:
-        raise ColoringFormatError(f"non-integer header field: {exc}") from exc
-    if n < 0 or k < 3 or r < 2:
-        raise ColoringFormatError(
-            f"header out of range: n={n} k={k} r={r} (need n>=0, k>=3, r>=2)")
-    tokens: list[str] = []
-    for ln in lines[1:]:
-        tokens.extend(ln.split())
-    if len(tokens) != n:
-        raise ColoringFormatError(
-            f"expected {n} colors, found {len(tokens)}")
-    try:
-        values = tuple(int(tok) for tok in tokens)
-    except ValueError as exc:
-        raise ColoringFormatError(f"non-integer color: {exc}") from exc
-    for v in values:
-        if not 0 <= v < r:
-            raise ColoringFormatError(f"color {v} outside [0, {r - 1}]")
-    return Coloring(n=n, r=r, values=values), k
+        raise ColoringFormatError(str(exc)) from exc
+    return chi, k
 
 
 def write_coloring(chi: Coloring, k: int, path: str | Path) -> None:

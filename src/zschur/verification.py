@@ -27,6 +27,8 @@ from .solver import SolveStatus, solve_exact
 
 ODD_GRID = tuple((k, r) for r in (3, 5, 7, 9) for k in (2 * r, 3 * r))
 EVEN_GRID = tuple((k, r) for r in (2, 4, 6, 8) for k in (2 * r, 3 * r))
+#: Wall-clock limit of every exact solve row, in seconds.
+SOLVE_LIMIT_S = 1.0
 
 
 @dataclass
@@ -64,8 +66,7 @@ def run_check(name: str, fn: Callable[[], str]) -> CheckResult:
     return CheckResult(name, True, detail, monotonic() - start)
 
 
-def _timed_solve(k: int, r: int, palette: Palette,
-                 expected: int, limit: float) -> str:
+def _timed_solve(k: int, r: int, palette: Palette, expected: int) -> str:
     spec = ProblemSpec(k=k, r=r, palette=palette)
     start = monotonic()
     result = solve_exact(spec)
@@ -78,7 +79,7 @@ def _timed_solve(k: int, r: int, palette: Palette,
     _require(cert is not None and cert.n == expected - 1,
              "missing or wrong-length certificate")
     _require(is_solution_free(cert, spec), "certificate is not solution-free")
-    _require(took < limit, f"took {took:.2f}s, limit {limit}s")
+    _require(took < SOLVE_LIMIT_S, f"took {took:.2f}s, limit {SOLVE_LIMIT_S}s")
     return (f"value={result.value} nodes={result.stats.nodes} "
             f"probes={result.stats.probes}")
 
@@ -316,13 +317,13 @@ def check_four_color_certificate() -> str:
     return "free_coloring_n=26"
 
 
-# Solve rows: (k, r, palette, expected exact value, wall-clock limit in s).
+# Solve rows: (k, r, palette, expected exact value).
 CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     # criterion 1: exact small values, zero tolerance
-    ("solve-4-2", partial(_timed_solve, 4, 2, Palette.FULL, 5, 1.0)),
-    ("solve-6-2", partial(_timed_solve, 6, 2, Palette.FULL, 9, 1.0)),
-    ("solve-6-3", partial(_timed_solve, 6, 3, Palette.FULL, 15, 300.0)),
-    ("solve-8-4-binary", partial(_timed_solve, 8, 4, Palette.BINARY, 25, 600.0)),
+    ("solve-4-2", partial(_timed_solve, 4, 2, Palette.FULL, 5)),
+    ("solve-6-2", partial(_timed_solve, 6, 2, Palette.FULL, 9)),
+    ("solve-6-3", partial(_timed_solve, 6, 3, Palette.FULL, 15)),
+    ("solve-8-4-binary", partial(_timed_solve, 8, 4, Palette.BINARY, 25)),
     # criterion 2: construction certificates, each case < 2 s
     ("constructions-odd", check_constructions_odd),
     ("constructions-even", check_constructions_even),
@@ -340,7 +341,7 @@ CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("checker-performance", check_checker_performance),
     # criterion 8: S_z(8,4) = 27, free coloring of [1..26] and exhaustion
     ("four-color-certificate", check_four_color_certificate),
-    ("solve-8-4", partial(_timed_solve, 8, 4, Palette.FULL, 27, 600.0)),
+    ("solve-8-4", partial(_timed_solve, 8, 4, Palette.FULL, 27)),
 )
 
 

@@ -1,4 +1,6 @@
 import random
+import re
+from functools import partial
 
 import pytest
 
@@ -10,12 +12,19 @@ from zschur import (
     Palette,
     ProblemSpec,
     Witness,
+    allowed_set_even,
+    allowed_set_odd,
+    construct,
+    construct_even,
+    construct_odd,
     format_coloring,
     format_value,
     format_witness,
     parse_coloring,
+    theoretical_bounds,
     validate_witness,
 )
+from zschur.cli import main
 
 
 def test_problem_spec_validation():
@@ -133,22 +142,51 @@ def test_coloring_text_roundtrip():
     assert empty[0].n == 0
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "# only comments\n",
-    "1 2\n0\n",
-    "not ints here\n0\n",
-    "2 4 2\n0\n",          # too few values
-    "1 4 2\n0 1\n",        # too many values
-    "1 4 2\n2\n",          # color out of range
-    "1 4 2\nx\n",          # non-integer color
-    "1 2 2\n0\n",          # k below 3
-    "1 4 1\n0\n",          # r below 2
-    "-1 4 2\n",            # negative n
-])
-def test_coloring_parse_errors(text):
-    with pytest.raises(ColoringFormatError):
+PARSE_ERRORS = [
+    ("", "empty coloring file"),
+    ("# only comments\n", "empty coloring file"),
+    ("1 2\n0\n", "header must be 'n k r', got '1 2'"),
+    ("not ints here\n0\n", "invalid literal for int() with base 10: 'not'"),
+    ("2 4 2\n0\n", "expected 2 values, got 1"),
+    ("1 4 2\n0 1\n", "expected 1 values, got 2"),
+    ("1 4 2\n2\n", "color 2 outside [0, 1]"),
+    ("1 4 2\nx\n", "invalid literal for int() with base 10: 'x'"),
+    ("1 2 2\n0\n", "k must be >= 3, got 2"),
+    ("1 4 1\n0\n", "r must be >= 2, got 1"),
+    ("-1 4 2\n", "n must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS,
+                         ids=[text for text, _ in PARSE_ERRORS])
+def test_coloring_parse_errors(text, message, tmp_path, capsys):
+    with pytest.raises(ColoringFormatError, match=f"^{re.escape(message)}$"):
         parse_coloring(text)
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("k,r,message", [
+    (2, 3, "k must be >= 3, got 2"),
+    (6, 1, "r must be >= 2, got 1"),
+])
+@pytest.mark.parametrize("build,error", [
+    (ProblemSpec, ValueError),
+    (theoretical_bounds, ValueError),
+    (construct, ValueError),
+    (construct_odd, ValueError),
+    (construct_even, ValueError),
+    (partial(allowed_set_odd, 1), ValueError),
+    (partial(allowed_set_even, 1), ValueError),
+    (lambda k, r: parse_coloring(f"1 {k} {r}\n0\n"), ColoringFormatError),
+], ids=["ProblemSpec", "theoretical_bounds", "construct", "construct_odd",
+        "construct_even", "allowed_set_odd", "allowed_set_even",
+        "parse_coloring"])
+def test_one_rule_for_k_and_r(build, error, k, r, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(k, r)
 
 
 def test_format_witness_line():
