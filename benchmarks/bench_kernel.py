@@ -33,6 +33,10 @@ Workloads:
   scan-12-4       deterministic solve_exact of S_z(12,4)=43: the lex-least
                   search at n=42, then the n=43 exhaustion resumed from it
                   (280 nodes and 1,046 probes in all)
+  scan-5-5        deterministic solve_exact of S_z(5,5)=38: 20 levels, from
+                  the construction's n=19 to the n=38 exhaustion, in
+                  windows of 1, 2, 4, 8 and 16 levels (456 nodes and 405
+                  probes in all): the cost of the ascending scan
 
 Each run is checked: the reach passes must return the targets in
 REACH, each extraction the lex-least parts in EXTRACT, each search must
@@ -54,7 +58,11 @@ on the same VM: search-8-4 1.9-3.0 ms, search-6-3 0.2 ms, solve-12-4
 2.9-3.9 ms, 0.2-0.3 ms, 6.0-8.9 ms, 0.67-0.68 s, 3.1 s and 11-16 ms in
 runs alternating with those.  The search without probing took 36-57 ms
 on solve-12-4, about 20 s on exhaust-12-6, and did not finish
-exhaust-18-6 in 300 s.
+exhaust-18-6 in 300 s.  With the scan in windows of levels, best of 3
+in three runs alternating with the scan that searched each level on its
+own and resumed it from the level below (same VM, a busier host):
+scan-5-5 4.8-7.9 ms against 10.1-10.7 ms (818 nodes and 371 probes),
+scan-12-4 10.6-11.5 ms against 11.5-11.8 ms (the same counts).
 """
 
 from __future__ import annotations
@@ -127,6 +135,8 @@ SCAN = {
     "scan-12-4": ((12, 4),
                   (43, "012301230120022002200220022002203210321032", 280,
                    1_046)),
+    "scan-5-5": ((5, 5),
+                 (38, "0101010404040404040404040404040101010", 456, 405)),
 }
 
 

@@ -78,21 +78,37 @@ exact.
 
 Failed-literal probing strengthens it again, once per frame: the first
 time the search backtracks into the frame of p.  Every color p tried
-before is then refuted at p, or was skipped there by the symmetry filters
-or by ``resume``, so each is removed at p, and the frame's table is
-closed with probes: each target that has lost a color but kept two or
-more is colored in turn with each color it has left, on a copy closed by
-singleton propagation, and a color whose copy wipes out is removed (see
-:func:`close`).  A probe first computes only the last row that its
-color would give, from the few rows that feed it (a sum holds at most
-sum_cap // t copies of target t), and tests that row alone: most probes
-wipe out there or force nothing, and only a probe whose row forces a
-target copies the table and closes the copy.  A child frame gets
-singleton propagation only and inherits the removals.  A target forced
-by a removal may keep colors the table does not forbid, which is why the
-masks join every test: the search must give it its forced color alone.
-The cuts again remove only subtrees without a free coloring, and the
-branch order is unchanged.
+before is then refuted at p (at the current level or a lower one, which
+refutes it at every higher level too), or was skipped there by the
+symmetry filters or by ``resume``, so each is removed at p, and the
+frame's table is closed with probes: each target that has lost a color
+but kept two or more is colored in turn with each color it has left, on
+a copy closed by singleton propagation, and a color whose copy wipes out
+is removed (see :func:`close`).  A probe first computes only the last
+row that its color would give, from the few rows that feed it (a sum up
+to n holds at most n // t copies of target t), and tests that row alone:
+most probes wipe out there or force nothing, and only a probe whose row
+forces a target copies the table and closes the copy.  A child frame
+gets singleton propagation only and inherits the removals.  A target
+forced by a removal may keep colors the table does not forbid, which is
+why the masks join every test: the search must give it its forced color
+alone.  The cuts again remove only subtrees without a free coloring, and
+the branch order is unchanged.
+
+One search covers a window of levels n..n_max, the solver's ascending
+scan.  Its tables span the sums up to n_max, and each closure reads the
+targets up to the current level n only.  When the search colors position
+n below n_max, that coloring is the lex-least free one of [1..n]: it is
+kept, and the search goes on at level n + 1 with its ordinary extension
+step from there.  A free coloring of [1..n+1] restricts to one of
+[1..n], so no free coloring of the new level is smaller, and every fact
+a frame holds (a forced target, a removed color) holds for it too; the
+frames and their probed flags stay.  The cap is the window's last level
+because the dead-row cut of :func:`add_value` is relative to the cap: a
+row dead at cap n may be live at n + 1, so a table built at cap n is not
+exact one level up.  A wider cap makes every row step dearer, so the
+solver's windows grow from one level, and ``resume`` replays the level
+below only at the start of a window.
 """
 
 from __future__ import annotations
@@ -113,11 +129,11 @@ class Geometry:
     """Bit layout of the tables with r color blocks of sums 0..sum_cap.
 
     ``width`` is the block width sum_cap + 1, ``size`` the row width
-    r * width, ``full`` the row of all ones, ``block`` the ones of one
-    block and ``ones`` bit 0 of every block.
+    r * width, ``full`` the row of all ones and ``ones`` bit 0 of every
+    block.
     """
 
-    __slots__ = ("r", "sum_cap", "width", "size", "full", "block", "ones")
+    __slots__ = ("r", "sum_cap", "width", "size", "full", "ones")
 
     def __init__(self, r: int, sum_cap: int) -> None:
         width = sum_cap + 1
@@ -126,7 +142,6 @@ class Geometry:
         self.width = width
         self.size = r * width
         self.full = (1 << self.size) - 1
-        self.block = (1 << width) - 1
         ones, span = 1, width  # bit 0 of every block in the low span bits
         while span < self.size:
             ones |= ones << span
@@ -199,11 +214,14 @@ def forbid_offsets(palette, geo: Geometry) -> list[int]:
     return [((geo.r - c) % geo.r) * geo.width for c in palette]
 
 
-def close(rows: list[int], forced: int, removed: list[int], pos: int,
+def close(rows: list[int], forced: int, removed: list[int], pos: int, n: int,
           palette, offsets: list[int], geo: Geometry,
           charge=None) -> int | None:
-    """Close the table over the targets in (pos, sum_cap]: singleton
+    """Close the table over the targets in (pos, n]: singleton
     propagation, and with ``charge`` failed-literal probing too.
+
+    ``n`` is the level searched, at most sum_cap; bits of the last row
+    above n are never read.
 
     Color ``palette[i]`` is left at target t unless bit t of the last row
     forbids it (bit ``offsets[i] + t``) or bit t of ``removed[i]`` removes
@@ -229,17 +247,17 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int,
     Most probes end at the first round of that closure, so a probe runs
     that round first on the last row alone: it computes only the last
     row that adding t would give, without a copy, from the rows that can
-    feed it (at most sum_cap // t copies of t fit in a sum, so one row
-    step when t > sum_cap / 2).  A wipe-out there fails the probe, and a
+    feed it (at most n // t copies of t fit in a sum up to n, so one row
+    step when t > n / 2).  A wipe-out there fails the probe, and a
     row that forces no target passes it.  Only a probe whose row forces
     a target copies the table and closes the copy.  The verdicts, and so
     the removals and the calls of ``charge``, are those of closing a
     copy for every probe.
 
-    Returns the new forced mask, or None when some target in
-    (pos, sum_cap] has no color left (a wipe-out).
+    Returns the new forced mask, or None when some target in (pos, n]
+    has no color left (a wipe-out).
     """
-    above = geo.block >> (pos + 1) << (pos + 1)
+    above = (1 << (n + 1)) - (1 << (pos + 1))
     while True:
         row = rows[-1]
         every = most = above  # every, or all but at most one, color gone
@@ -268,11 +286,12 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int,
             some |= f
         targets = above & some & ~most
         # a probe's first round runs on the last row alone, which the
-        # rows from start up give as add_value would.  Its tests skip t:
-        # the probe forces t and leaves it c alone, as a sum that uses t
-        # has k-1 >= 2 parts and so leaves bit t as it is
+        # rows from start up give as add_value would in the sums up to n,
+        # the only ones it reads.  Its tests skip t: the probe forces t
+        # and leaves it c alone, as a sum that uses t has k-1 >= 2 parts
+        # and so leaves bit t as it is
         last = len(rows) - 1
-        j0 = _first_live_row(last, pos + 1, geo.sum_cap)
+        j0 = _first_live_row(last, pos + 1, n)
         width, size, full = geo.width, geo.size, geo.full
         while targets:
             bit = targets & -targets
@@ -280,7 +299,7 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int,
             t = bit.bit_length() - 1
             failed = False
             keep = (geo.ones << (width - t)) - geo.ones
-            start = max(j0, last - geo.sum_cap // t)
+            start = max(j0, last - n // t)
             others = above ^ bit
             for i, (c, f) in enumerate(zip(palette, gone)):
                 if f & bit:
@@ -303,7 +322,7 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int,
                     add_value(copy, t, c, geo, pos + 1)
                     cut = [m if j == i else m | bit
                            for j, m in enumerate(removed)]
-                    none = close(copy, forced | bit, cut, pos, palette,
+                    none = close(copy, forced | bit, cut, pos, n, palette,
                                  offsets, geo) is None
                 if none:
                     removed[i] |= bit
@@ -315,8 +334,9 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int,
 
 
 def extend_state(rows: list[int], forced: int, removed: list[int], pos: int,
-                 c: int, palette, offsets: list[int], geo: Geometry):
-    """One step of the search: the table after coloring pos with c.
+                 n: int, c: int, palette, offsets: list[int], geo: Geometry):
+    """One step of the search at level n: the table after coloring pos
+    with c, closed over the targets in (pos, n].
 
     The caller has checked that c is left at pos.  Returns the closed
     ``(rows, forced)`` of the child (singleton propagation only), or None
@@ -327,7 +347,7 @@ def extend_state(rows: list[int], forced: int, removed: list[int], pos: int,
         return rows, forced
     child = rows[:]
     add_value(child, pos, c, geo, pos)
-    forced = close(child, forced, removed, pos, palette, offsets, geo)
+    forced = close(child, forced, removed, pos, n, palette, offsets, geo)
     return None if forced is None else (child, forced)
 
 
@@ -355,8 +375,9 @@ def first_zero_sum_target(values, n: int, k: int, r: int,
 
 
 def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
-                         max_nodes, deadline, resume=None):
-    """Forward-checking depth-first search for a solution-free coloring of [1..n].
+                         max_nodes, deadline, resume=None, n_max=None):
+    """Forward-checking depth-first search for solution-free colorings of
+    [1..n], [1..n+1], ..., [1..n_max] in one pass.
 
     Arguments
     ---------
@@ -378,28 +399,49 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
         never probed, so it is not bound to take fewer nodes, but it took
         no more at any of the 776 scan levels of k <= 12, r <= 6 compared
         (both palettes).  Any other coloring may make EXHAUSTED unsound.
+    n_max: the last level of the window, at least n; None for n alone.
 
-    Returns ``(status, coloring, nodes, prunes, max_depth, probes)``
-    where status is FOUND (coloring is a list of n residues), EXHAUSTED
-    (the reduced space has no free coloring; coloring is None) or
-    BUDGET.  ``nodes`` counts extension checks, ``prunes`` the checks
-    rejected by a color not left or a wipe-out after propagation,
-    ``probes`` the probes of :func:`close`.
+    The search runs at level n until it colors position n: that is the
+    lex-least free coloring of [1..n].  Below n_max it keeps it and goes
+    on at level n + 1 with its ordinary extension step, keeping its
+    frames and their probed flags, so ``resume`` replays a coloring only
+    at the start of a window (see the module docstring).  Every table
+    spans the sums up to n_max, since the dead-row cut of
+    :func:`add_value` is relative to the sum cap: a table built at cap n
+    is not exact at n + 1.
 
-    Branching is by ascending residue, so the first coloring found is the
-    lexicographically least one in the reduced space.  The frame of
-    position p, pushed on advance and popped on backtrack, is ``[rows,
-    forced, removed, seen, i, probed]``: the table of 1..p-1 and the
-    forced targets that ``forced`` marks, the removed masks, whether a
-    color below p is nonzero, the palette index after p's color (so a
-    FOUND coloring is read off the frames), and whether the frame was
+    Returns ``(status, coloring, nodes, prunes, max_depth, probes)``.
+    status is FOUND (a free coloring of [1..n_max] exists), EXHAUSTED
+    (the reduced space of some level has no free coloring) or BUDGET.
+    ``coloring`` is the lex-least free coloring of the last level that
+    has one in this call, a list of residues, or None when no level has
+    one: FOUND gives that of n_max, and otherwise the search stopped at
+    the level just above the coloring, or at n when it is None.  So with
+    n_max = n, only FOUND carries a coloring.  ``nodes`` counts extension
+    checks, ``prunes`` the checks rejected by a color not left or a
+    wipe-out after propagation, ``probes`` the probes of :func:`close`.
+
+    Branching is by ascending residue, so the first coloring found at
+    each level is the lexicographically least one in the reduced space.
+    The frame of position p, pushed on advance and popped on backtrack,
+    is ``[rows, forced, removed, seen, i, probed]``: the table of 1..p-1
+    and the forced targets that ``forced`` marks, the removed masks,
+    whether a color below p is nonzero, the palette index after p's color
+    (so a coloring is read off the frames), and whether the frame was
     probed.
     """
+    if n_max is None:
+        n_max = n
+    if n_max < n:
+        raise ValueError(f"n_max={n_max} is below n={n}")
     if resume is not None and len(resume) > n:
         raise ValueError(f"resume has {len(resume)} positions, n={n}")
-    if n == 0:
+    if n_max == 0:
         return (FOUND, [], 0, 0, 0, 0)
-    geo = Geometry(r, n)
+    found = None  # the lex-least coloring of the last level that has one
+    if n == 0:
+        found, n = [], 1
+    geo = Geometry(r, n_max)
     last = k - 1
     # bit offsets[i] + t of the last row forbids color palette[i] at target t
     offsets = forbid_offsets(palette, geo)
@@ -452,10 +494,13 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
                     max_depth = pos
                 frame[4] = i
                 if pos == n:
-                    return (FOUND, [palette[f[4] - 1] for f in frames], nodes,
-                            prunes, max_depth, probes)
-                child = extend_state(rows, forced, removed, pos, c, palette,
-                                     offsets, geo)
+                    found = [palette[f[4] - 1] for f in frames]
+                    if n == n_max:
+                        return (FOUND, found, nodes, prunes, max_depth,
+                                probes)
+                    n += 1  # go on one level up from this coloring
+                child = extend_state(rows, forced, removed, pos, n, c,
+                                     palette, offsets, geo)
                 if child is None:
                     prunes += 1
                     continue
@@ -478,12 +523,12 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
                 rows, removed = rows[:], removed[:]
                 for j in range(i):
                     removed[j] |= 1 << (pos - 1)
-                forced = close(rows, forced, removed, pos - 2, palette,
+                forced = close(rows, forced, removed, pos - 2, n, palette,
                                offsets, geo, charge)
                 if forced is None:
                     frame[4] = choices  # a wipe-out: pop the frame next
                 else:
                     frame[:3] = rows, forced, removed
     except _OutOfBudget:
-        return (BUDGET, None, nodes, prunes, max_depth, probes)
-    return (EXHAUSTED, None, nodes, prunes, max_depth, probes)
+        return (BUDGET, found, nodes, prunes, max_depth, probes)
+    return (EXHAUSTED, found, nodes, prunes, max_depth, probes)

@@ -35,12 +35,17 @@ to a free coloring of [1..n-1], so the answer is the first n whose
 reduced search space is exhausted with no free coloring.  The scan
 starts just above the construction certificate when the checker has
 verified it (at it, in deterministic mode); proven upper bounds are
-never assumed, so exactness is independently re-derived.  Each level
-after one that found a coloring resumes from that lex-least coloring
-L: restricting a free coloring keeps it free and inside the reduced
-space, so no free coloring of the next level starts below L.  Every
-level gets the solve's one absolute deadline and the node budget the
-levels before it left.
+never assumed, so exactness is independently re-derived.  The levels
+are searched in windows of 1, 2, 4, ... levels, one kernel search per
+window: within a window the search goes on from each level's lex-least
+coloring L to the next level, and each window after the first resumes
+from the last L of the window below.  Restricting a free coloring keeps
+it free and inside the reduced space, so no free coloring of a higher
+level starts below L.  A window's tables span the sums up to its last
+level, which makes each step dearer the wider it is; hence windows that
+double from one level rather than one window for the whole scan.  Every
+window gets the solve's one absolute deadline and the node budget the
+windows before it left.
 """
 
 from __future__ import annotations
@@ -109,7 +114,12 @@ class SearchConfig:
 
 @dataclass
 class FreeSearchOutcome:
-    """Result of one fixed-n search: found / exhausted / out of budget."""
+    """Result of one search: found / exhausted / out of budget.
+
+    ``coloring`` is the lex-least free coloring of the last level that
+    has one in the search, or None; a search of one level has it only
+    when found.
+    """
 
     status: int  # FOUND, EXHAUSTED or BUDGET
     coloring: Coloring | None
@@ -152,28 +162,30 @@ def find_free_coloring(n: int, spec: ProblemSpec,
         raise ValueError(f"n must be >= 0, got {n}")
     cfg = cfg or SearchConfig()
     deadline = monotonic() + cfg.timeout if cfg.timeout is not None else None
-    return _search_level(n, spec, cfg.max_nodes, deadline, None)
+    return _search_window(n, n, spec, cfg.max_nodes, deadline, None)
 
 
-def _search_level(n: int, spec: ProblemSpec, max_nodes: int | None,
-                  deadline: float | None,
-                  resume: Coloring | None) -> FreeSearchOutcome:
-    """:func:`find_free_coloring` under a node budget and an absolute
-    deadline, resumed from ``resume``.
+def _search_window(n: int, n_max: int, spec: ProblemSpec,
+                   max_nodes: int | None, deadline: float | None,
+                   resume: Coloring | None) -> FreeSearchOutcome:
+    """The levels n..n_max in one search, under a node budget and an
+    absolute deadline, resumed from ``resume``.
 
     ``resume`` is None or the lex-least free coloring of the reduced
     space of [1..m], m <= n, as this search returned it; any other
     coloring could make EXHAUSTED unsound, which is why the public
-    function does not take it.
+    function does not take it.  The outcome's coloring is the lex-least
+    one of the last level that has one in this window, whatever the
+    status, or None; the window stopped one level above it, or at n.
     """
     start = monotonic()
     palette, fix_first, canonical_mask = _symmetry_filters(spec)
     status, colors, nodes, prunes, max_depth, probes = search_free_coloring(
         n, spec.k, spec.r, palette, fix_first, canonical_mask, max_nodes,
-        deadline, resume.values if resume is not None else None)
+        deadline, resume.values if resume is not None else None, n_max)
     stats = SearchStats(nodes=nodes, prunes=prunes, max_depth=max_depth,
                         probes=probes, elapsed=monotonic() - start)
-    chi = Coloring.of(colors, spec.r) if status == FOUND else None
+    chi = Coloring.of(colors, spec.r) if colors is not None else None
     return FreeSearchOutcome(status=status, coloring=chi, stats=stats)
 
 
@@ -206,9 +218,12 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     Infinite immediately when r does not divide k.  Otherwise each n is
     searched for a free coloring: found means the answer exceeds n,
     exhausted means the answer is exactly n (with the previous free
-    coloring as certificate).  Each level after a found one resumes from
-    its lex-least coloring.  Budget exhaustion reports the certified
-    bracket [value, inf): value = certificate.n + 1.
+    coloring as certificate).  The levels are searched in windows of 1,
+    2, 4, ... levels, each one search resumed from the lex-least coloring
+    the window below ended with.  Budget exhaustion reports the certified
+    bracket [value, inf): value = certificate.n + 1, where the
+    certificate is the last lex-least coloring found, also inside the
+    window the budget ran out in.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -224,15 +239,19 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     if cfg.deterministic and certificate is not None:
         n = certificate.n  # re-derive the lex-least certificate first
     resume = None
+    size = 1
     while True:
         left = (None if cfg.max_nodes is None
                 else cfg.max_nodes - total.nodes - total.probes)
-        outcome = _search_level(n, spec, left, deadline, resume)
+        outcome = _search_window(n, n + size - 1, spec, left, deadline,
+                                 resume)
         total.merge(outcome.stats)
+        if outcome.coloring is not None:
+            certificate = resume = outcome.coloring
+            n = certificate.n + 1
         if not outcome.found:
             break
-        certificate = resume = outcome.coloring
-        n += 1
+        size *= 2
     total.elapsed = monotonic() - start
     if outcome.exhausted:
         return ExactResult(status=SolveStatus.EXACT, value=n,

@@ -237,27 +237,43 @@ SCAN_CASES = [(k, r, palette) for k in range(3, 9) for r in range(2, 6)
 @pytest.mark.parametrize("k,r,palette", SCAN_CASES,
                          ids=lambda case: str(getattr(case, "value", case)))
 def test_resumed_search_matches_scratch(k, r, palette):
-    # each level of the ascending scan, resumed from the lex-least free
-    # coloring of the level below, against the search from scratch
+    # one search over the levels n0..n1, a window of 1, 2, 4 or 8 levels,
+    # resumed from the lex-least free coloring of n0 - 1, against the
+    # search from scratch at each level: FOUND with the coloring of n1,
+    # or EXHAUSTED at the first exhausted level with the coloring of the
+    # level below (None when that is the resumed one).  A resumed single
+    # level takes no more nodes than the search from scratch.  A budgeted
+    # window may stop anywhere, but what it returns is a lex-least
+    # coloring of a level of the window
     residues, fix_first, mask = _symmetry_filters(ProblemSpec(k, r, palette))
     args = (k, r, residues, fix_first, mask)
-    below = _kernel_py.search_free_coloring(0, *args, None, None)
-    n = 0
-    while below[0] == _kernel_py.FOUND:
-        n += 1
-        scratch = _kernel_py.search_free_coloring(n, *args, None, None)
-        resumed = _kernel_py.search_free_coloring(n, *args, None, None,
-                                                  below[1])
-        assert resumed[:2] == scratch[:2], n
-        assert resumed[2] <= scratch[2], n
-        for budget in (0, 1, 7, 50):
-            got = _kernel_py.search_free_coloring(n, *args, budget, None,
-                                                  below[1])
-            assert got[2] + got[5] <= budget, (n, budget)
-            if got[0] != _kernel_py.BUDGET:
-                assert got[:2] == scratch[:2], (n, budget)
-        below = scratch
-    assert below[0] == _kernel_py.EXHAUSTED
+    scratch = [_kernel_py.search_free_coloring(0, *args, None, None)]
+    while scratch[-1][0] == _kernel_py.FOUND:
+        scratch.append(_kernel_py.search_free_coloring(len(scratch), *args,
+                                                       None, None))
+    exhausted = len(scratch) - 1
+    for n0 in range(1, exhausted + 1):
+        for length in (1, 2, 4, 8):
+            n1 = n0 + length - 1
+            if n1 < exhausted:
+                want = (_kernel_py.FOUND, scratch[n1][1])
+            else:
+                want = (_kernel_py.EXHAUSTED, scratch[exhausted - 1][1]
+                        if exhausted > n0 else None)
+            window = (*args, None, None, scratch[n0 - 1][1], n1)
+            got = _kernel_py.search_free_coloring(n0, *window)
+            assert got[:2] == want, (n0, n1)
+            if length == 1:
+                assert got[2] <= scratch[n0][2], n0
+            for budget in (0, 1, 7, 50):
+                window = (*args, budget, None, scratch[n0 - 1][1], n1)
+                got = _kernel_py.search_free_coloring(n0, *window)
+                assert got[2] + got[5] <= budget, (n0, n1, budget)
+                if got[0] != _kernel_py.BUDGET:
+                    assert got[:2] == want, (n0, n1, budget)
+                elif got[1] is not None:
+                    assert n0 <= len(got[1]) < n1, (n0, n1, budget)
+                    assert got[1] == scratch[len(got[1])][1]
 
 
 def test_search_expired_deadline():
@@ -301,17 +317,18 @@ def test_reach_pass_expired_deadline():
                                             monotonic() + 60.0) == 0
 
 
-def extend_all(colors, n, k, r, palette):
-    """The search's ``(rows, forced)`` after coloring 1, 2, ... with colors,
-    one :func:`extend_state` step each from the empty table with nothing
-    removed; None once a step wipes out."""
-    geo = _kernel_py.Geometry(r, n)
+def extend_all(colors, n, k, r, palette, cap=None):
+    """The search's ``(rows, forced)`` at level n after coloring 1, 2, ...
+    with colors, one :func:`extend_state` step each from the empty table
+    of sum cap ``cap`` (n by default) with nothing removed; None once a
+    step wipes out."""
+    geo = _kernel_py.Geometry(r, n if cap is None else cap)
     offsets = _kernel_py.forbid_offsets(palette, geo)
     removed = [0] * len(palette)
     state = (_kernel_py.new_table(k), 0)
     for pos, c in enumerate(colors, 1):
-        state = _kernel_py.extend_state(*state, removed, pos, c, palette,
-                                        offsets, geo)
+        state = _kernel_py.extend_state(*state, removed, pos, n, c,
+                                        palette, offsets, geo)
         if state is None:
             return None
     return state
@@ -362,7 +379,7 @@ def test_search_tables_match_their_values(k, r, n):
             if checked >= 600:
                 return
             state = _kernel_py.extend_state(rows, forced, removed, pos + 1,
-                                            c, palette, offsets, geo)
+                                            n, c, palette, offsets, geo)
             if state is not None:
                 visit(*state, items + [(pos + 1, c)])
 
@@ -400,11 +417,11 @@ def test_probing_refutes_prefix():
     geo = _kernel_py.Geometry(r, n)
     offsets = _kernel_py.forbid_offsets(palette, geo)
     removed = [0] * r
-    assert _kernel_py.close(rows[:], forced, removed[:], 3, palette,
+    assert _kernel_py.close(rows[:], forced, removed[:], 3, n, palette,
                             offsets, geo) == forced  # nothing new to force
     probes = []
-    assert _kernel_py.close(rows, forced, removed, 3, palette, offsets, geo,
-                            lambda: probes.append(1)) is None
+    assert _kernel_py.close(rows, forced, removed, 3, n, palette, offsets,
+                            geo, lambda: probes.append(1)) is None
     assert len(probes) == 5
 
 
@@ -422,8 +439,8 @@ def test_probe_removals_are_sound():
             continue
         rows, forced = state
         removed = [0] * r
-        if _kernel_py.close(rows, forced, removed, 3, palette, offsets, geo,
-                            lambda: None) is None:
+        if _kernel_py.close(rows, forced, removed, 3, n, palette, offsets,
+                            geo, lambda: None) is None:
             continue
         taken = {(t, c) for found in free_completions(prefix, n, k, r,
                                                       palette)
@@ -459,7 +476,7 @@ def colors_left(rows, removed, t, palette, geo):
             and not (removed[i] >> t) & 1]
 
 
-def reference_close(rows, forced, removed, pos, palette, offsets, geo,
+def reference_close(rows, forced, removed, pos, n, palette, offsets, geo,
                     charge, seen):
     """:func:`_kernel_py.close` with probes, every probe on a copy.
 
@@ -467,15 +484,15 @@ def reference_close(rows, forced, removed, pos, palette, offsets, geo,
     its target to a copy of the table, removes the target's other colors
     in a copy of the masks and closes the copy.  ``seen`` collects
     ``(twice, fallback)`` per probe: twice when two copies of the target
-    fit a sum, fallback when the copy's last row leaves every target a
-    color and forces some target besides the probed one."""
+    fit a sum up to n, fallback when the copy's last row leaves every
+    target a color and forces some target besides the probed one."""
     while True:
-        forced = _kernel_py.close(rows, forced, removed, pos, palette,
+        forced = _kernel_py.close(rows, forced, removed, pos, n, palette,
                                   offsets, geo)
         if forced is None:
             return None
         failed = False
-        for t in range(pos + 1, geo.sum_cap + 1):
+        for t in range(pos + 1, n + 1):
             left = colors_left(rows, removed, t, palette, geo)
             if (forced >> t) & 1 or not 2 <= len(left) < len(palette):
                 continue
@@ -488,12 +505,12 @@ def reference_close(rows, forced, removed, pos, palette, offsets, geo,
                 cut = [m if j == i else m | 1 << t
                        for j, m in enumerate(removed)]
                 counts = [len(colors_left(copy, cut, u, palette, geo))
-                          for u in range(pos + 1, geo.sum_cap + 1)
+                          for u in range(pos + 1, n + 1)
                           if u != t and not (forced >> u) & 1]
-                seen.append((2 * t <= geo.sum_cap,
+                seen.append((2 * t <= n,
                              0 not in counts and 1 in counts))
-                if _kernel_py.close(copy, forced | 1 << t, cut, pos, palette,
-                                    offsets, geo) is None:
+                if _kernel_py.close(copy, forced | 1 << t, cut, pos, n,
+                                    palette, offsets, geo) is None:
                     removed[i] |= 1 << t
                     failed = True
             if failed:
@@ -506,22 +523,25 @@ def test_last_row_probe_matches_probe_on_a_copy():
     # frames from seeded random prefixes, some colors removed at the next
     # position as a backtrack removes them: the closure with probes must
     # end with the forced mask, the colors left at every target and the
-    # probe count of the reference that closes a copy for every probe
+    # probe count of the reference that closes a copy for every probe.
+    # Half the tables are wider than the level, as in a window of levels
     rng = random.Random(14)
+    caps = random.Random(15)
     seen = []
-    cases = 0
+    cases = wide = 0
     for _ in range(150):
         k = rng.randint(3, 8)
         r = rng.randint(3, 6)
         n = rng.randint(k + 2, min(k * r, 40))
         palette = tuple(range(r))
         m = rng.randint(1, n // 2)
+        cap = n if caps.random() < 0.5 else caps.randint(n + 1, 2 * n)
         state = extend_all([rng.randrange(r) for _ in range(m)], n, k, r,
-                           palette)
+                           palette, cap)
         if state is None:
             continue
         rows, forced = state
-        geo = _kernel_py.Geometry(r, n)
+        geo = _kernel_py.Geometry(r, cap)
         offsets = _kernel_py.forbid_offsets(palette, geo)
         removed = [0] * r
         for i in rng.sample(range(r), rng.randint(0, r - 1)):
@@ -530,15 +550,16 @@ def test_last_row_probe_matches_probe_on_a_copy():
         for close in (_kernel_py.close, reference_close):
             got_rows, got_removed, probes = rows[:], removed[:], []
             extra = (seen,) if close is reference_close else ()
-            got = close(got_rows, forced, got_removed, m, palette, offsets,
-                        geo, lambda: probes.append(1), *extra)
+            got = close(got_rows, forced, got_removed, m, n, palette,
+                        offsets, geo, lambda: probes.append(1), *extra)
             left = None if got is None else [
                 colors_left(got_rows, got_removed, t, palette, geo)
                 for t in range(m + 1, n + 1)]
             results.append((got, left, len(probes)))
-        assert results[0] == results[1], (k, r, n, m)
+        assert results[0] == results[1], (k, r, n, m, cap)
         cases += 1
-    assert cases >= 50
+        wide += cap > n
+    assert cases >= 50 and wide >= 20
     assert any(twice for twice, _ in seen)
     assert any(fallback for _, fallback in seen)
 

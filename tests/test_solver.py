@@ -26,9 +26,9 @@ CERTIFIED_TREES = [
     (12, 3, Palette.FULL, "01201201201101101101102102102102", 83, 31, 32,
      52),
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
-     818, 232, 37, 371),
+     456, 248, 37, 405),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
-     800, 32, 40, 0),
+     138, 32, 40, 0),
     (12, 4, Palette.FULL, "012301230120022002200220022002203210321032",
      280, 146, 42, 1046),
 ]
@@ -288,7 +288,8 @@ class TestSolveExact:
         # forward checking; pruning dead subtrees must not change them.
         # The node, prune, depth and probe counts pin the trees of the
         # scan, with forward checking, singleton propagation, probing
-        # and each level resumed from the one below: a change of table
+        # and the levels searched in windows of 1, 2, 4, ... levels, one
+        # search each, resumed from the window below: a change of table
         # layout must leave them as they are.
         spec = ProblemSpec(k=k, r=r, palette=palette)
         result = solve_exact(spec, SearchConfig(deterministic=True))
@@ -315,6 +316,36 @@ class TestSolveExact:
         outcome = find_free_coloring(45, spec, SearchConfig(max_nodes=100))
         assert outcome.exhausted
         assert (outcome.stats.nodes, outcome.stats.probes) == (38, 47)
+
+    @pytest.mark.parametrize("budget,found", ((400, 25), (600, 37)))
+    def test_budget_runs_out_in_a_later_window(self, budget, found):
+        # the deterministic S_z(5,5) scan searches the windows 19, 20-21,
+        # 22-25, 26-33 and 34-49 (the construction's n is 19) in 861
+        # steps.  A budget of 400 runs out in the fourth window, after
+        # the third found the lex-least coloring of 25, and one of 600 in
+        # the fifth, after it found that of 37: the certificate is the
+        # last level found, and the budget holds exactly across windows
+        spec = ProblemSpec(k=5, r=5)
+        result = solve_exact(spec, SearchConfig(max_nodes=budget,
+                                                deterministic=True))
+        assert result.status is SolveStatus.BUDGET_EXHAUSTED
+        assert result.stats.nodes + result.stats.probes == budget
+        certificate = result.certificate
+        assert certificate.n == found
+        assert result.value == found + 1 <= 38
+        assert is_solution_free(certificate, spec)
+        assert find_free_coloring(certificate.n, spec).coloring == certificate
+
+    def test_expired_timeout_across_windows(self):
+        # an expired timeout stops the construction check, so the scan
+        # starts at the floor k-1 = 4 and its first window at once
+        for deterministic in (False, True):
+            result = solve_exact(ProblemSpec(k=5, r=5),
+                                 SearchConfig(timeout=0,
+                                              deterministic=deterministic))
+            assert result.status is SolveStatus.BUDGET_EXHAUSTED
+            assert (result.value, result.certificate) == (4, None)
+            assert result.stats.nodes + result.stats.probes == 0
 
     def test_budgeted_redo_finds_the_lex_least_certificate(self):
         # the lex-least search at n=44 takes 121 nodes and 32 probes, so
