@@ -42,6 +42,15 @@ every row above a zero row is zero.  Both cuts are exact for the last
 row, which is all the reach pass and the search read; the extraction
 table (:func:`exact_table`) passes low = 1 and stays exact in every row.
 
+The last row feeds no other row: :func:`add_value` uses row j-1 only to
+update row j, for j up to k-1.  So a search table's last row also
+records the colors removed at its targets (see below), each as the bit
+that forbids the color there.  Such a bit reaches no other row and no
+later sum; it changes only the tests that read whether a color is left
+at a target, and those count a color as gone whether a sum forbids it
+or a removal takes it.  :func:`cell` reads a removal in a search table's
+last row as a reachable sum.
+
 The reach pass feeds values in increasing order.  A sum-T solution has
 k-1 parts that are each at least 1, so no part exceeds T-k+2; target T
 can therefore be tested as soon as values up to T-k+2 are in the table,
@@ -52,16 +61,14 @@ of r(n+1) bits.
 The search keeps a stack of frames, one per colored depth; each frame's
 table holds *every* colored value below its position, so the last row
 forbids colors at all future targets at once: target t cannot take color
-c when bit ((r-c) % r)*W + t of the last row is set.  Each frame also
-keeps one removed mask per palette color (bit t: the color is removed at
-t), and a color is *left* at t when neither forbids it.  Color c is
+c when bit ((r-c) % r)*W + t of the last row is set, by a sum or by a
+removal.  A color is *left* at t when that bit is clear.  Color c is
 rejected at pos when it is not left there, and after an assignment the
 subtree is pruned when some target in (pos, n] has no color left (a
-domain wipe-out: one AND over the palette's blocks of the last row and
-the masks).  These cuts remove only subtrees without a free coloring, so
-statuses and the lex-least certificates equal those of a search that
-tests each target only when it is colored; node and prune counts are far
-lower.
+domain wipe-out: one AND over the palette's blocks of the last row).
+These cuts remove only subtrees without a free coloring, so statuses and
+the lex-least certificates equal those of a search that tests each
+target only when it is colored; node and prune counts are far lower.
 
 Singleton propagation strengthens the wipe-out test.  A target in
 (pos, n] with exactly one color left takes that color in every free
@@ -72,9 +79,9 @@ with none prunes the child.  Each frame keeps the mask of targets
 already forced, so a child adds only the newly forced ones, and when the
 search reaches a forced position its color is the only one left and the
 table already holds it.  A forced value t feeds only sums above t, so
-when the search reaches position p, bit p of the last row comes from the
-values below p alone, all colored by then: the conflict test stays
-exact.
+when the search reaches position p, the sums that set bit p of the last
+row use values below p alone, all colored by then: the conflict test
+stays exact, and a bit there that no sum sets is a removal.
 
 Failed-literal probing strengthens it again, once per frame: the first
 time the search backtracks into the frame of p.  Every color p tried
@@ -84,16 +91,17 @@ symmetry filters or by ``resume``, so each is removed at p, and the
 frame's table is closed with probes: each target that has lost a color
 but kept two or more is colored in turn with each color it has left, on
 a copy closed by singleton propagation, and a color whose copy wipes out
-is removed (see :func:`close`).  A probe first computes only the last
-row that its color would give, from the few rows that feed it (a sum up
-to n holds at most n // t copies of target t), and tests that row alone:
-most probes wipe out there or force nothing, and only a probe whose row
-forces a target copies the table and closes the copy.  A child frame
-gets singleton propagation only and inherits the removals.  A target
-forced by a removal may keep colors the table does not forbid, which is
-why the masks join every test: the search must give it its forced color
-alone.  The cuts again remove only subtrees without a free coloring, and
-the branch order is unchanged.
+is removed (see :func:`close`).  Every removal is set in the last row of
+a copy of the frame's table, which the frame then keeps.  A probe first
+computes only the last row that its color would give, from the few rows
+that feed it (a sum up to n holds at most n // t copies of target t),
+and tests that row alone: most probes wipe out there or force nothing,
+and only a probe whose row forces a target copies the table and closes
+the copy.  A child frame gets singleton propagation only and inherits
+the removals with the table it copies.  A target forced by a removal
+keeps no other color, since the removal stays in the last row: the
+search gives it its forced color alone.  The cuts again remove only
+subtrees without a free coloring, and the branch order is unchanged.
 
 One search covers a window of levels n..n_max, the solver's ascending
 scan.  Its tables span the sums up to n_max, and each closure reads the
@@ -214,45 +222,61 @@ def forbid_offsets(palette, geo: Geometry) -> list[int]:
     return [((geo.r - c) % geo.r) * geo.width for c in palette]
 
 
-def close(rows: list[int], forced: int, removed: list[int], pos: int, n: int,
-          palette, offsets: list[int], geo: Geometry,
-          charge=None) -> int | None:
+def _singles(row: int, above: int, forced: int,
+             offsets: list[int]) -> int | None:
+    """The targets in ``above`` that ``row`` leaves exactly one color and
+    ``forced`` does not mark, or None when it leaves some target none.
+
+    Color i is left at target t unless bit ``offsets[i] + t`` of the row
+    is set (forbidden by a sum, or removed).
+    """
+    every = most = above  # every, or all but at most one, color gone
+    for off in offsets:
+        f = row >> off
+        most = (most & f) | every
+        every &= f
+    return None if every else most & ~forced
+
+
+def close(rows: list[int], forced: int, pos: int, n: int, palette,
+          offsets: list[int], geo: Geometry, charge=None) -> int | None:
     """Close the table over the targets in (pos, n]: singleton
     propagation, and with ``charge`` failed-literal probing too.
 
     ``n`` is the level searched, at most sum_cap; bits of the last row
     above n are never read.
 
-    Color ``palette[i]`` is left at target t unless bit t of the last row
-    forbids it (bit ``offsets[i] + t``) or bit t of ``removed[i]`` removes
-    it.  A target with one color left takes it in every free coloring
-    that extends the table's values, so it joins the table as a value of
-    that color (:func:`add_value`, in place) and bit t of ``forced`` marks
-    it; that may force further targets, so this repeats until nothing
-    changes.
+    Color ``palette[i]`` is left at target t unless bit ``offsets[i] + t``
+    of the last row is set: a sum forbids it, or a probe or a backtrack
+    removed it.  A target with one color left takes it in every free
+    coloring that extends the table's values, so it joins the table as a
+    value of that color (:func:`add_value`, in place) and bit t of
+    ``forced`` marks it; that may force further targets, so this repeats
+    until nothing changes.
 
     ``charge`` is None (no probes) or a function called before each
     probe, which counts it or ends the closure by raising.  A probe takes
     a target t that is not forced and has lost at least one color but
     kept two or more (so the binary palette never probes), and one color
-    c left at t: it adds t with color c to a copy of the table, removes
-    t's other colors in a copy of ``removed`` and closes the copy without
-    probes.  A wipe-out there means no free coloring gives t color c, so
-    c is removed at t in ``removed`` (in place).  Targets are probed in
-    ascending order, each with every color it has left; once the probes
-    of a target remove a color, propagation runs again before the next
-    probe, and the closure ends when the probes of every such target
-    remove nothing.
+    c left at t: it adds t with color c to a copy of the table, sets the
+    bits of t's other colors in the copy's last row, and closes the copy
+    without probes.  A wipe-out there means no free coloring gives t
+    color c, so c is removed at t: its bit is set in the last row (in
+    place).  Targets are probed in ascending order, each with every color
+    it has left; once the probes of a target remove a color, propagation
+    runs again before the next probe, and the closure ends when the
+    probes of every such target remove nothing.
 
     Most probes end at the first round of that closure, so a probe runs
     that round first on the last row alone: it computes only the last
     row that adding t would give, without a copy, from the rows that can
     feed it (at most n // t copies of t fit in a sum up to n, so one row
-    step when t > n / 2).  A wipe-out there fails the probe, and a
-    row that forces no target passes it.  Only a probe whose row forces
-    a target copies the table and closes the copy.  The verdicts, and so
-    the removals and the calls of ``charge``, are those of closing a
-    copy for every probe.
+    step when t > n / 2), and sets t's cut bits in it.  That row, with t
+    counted as forced, gets the test of a propagation round: a wipe-out
+    fails the probe, and a row that forces no target passes it.  Only a
+    probe whose row forces a target copies the table and closes the
+    copy.  The verdicts, and so the removals and the calls of
+    ``charge``, are those of closing a copy for every probe.
 
     Returns the new forced mask, or None when some target in (pos, n]
     has no color left (a wipe-out).
@@ -260,20 +284,13 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int, n: int,
     above = (1 << (n + 1)) - (1 << (pos + 1))
     while True:
         row = rows[-1]
-        every = most = above  # every, or all but at most one, color gone
-        gone = []  # per color, the targets where it is not left
-        for off, mask in zip(offsets, removed):
-            f = (row >> off) | mask
-            most = (most & f) | every
-            every &= f
-            gone.append(f)
-        if every:
+        new = _singles(row, above, forced, offsets)
+        if new is None:
             return None
-        new = most & ~forced
         if new:
             forced |= new
-            for c, f in zip(palette, gone):
-                hit = new & ~f
+            for c, off in zip(palette, offsets):
+                hit = new & ~(row >> off)
                 while hit:
                     low = hit & -hit
                     hit ^= low
@@ -281,15 +298,20 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int, n: int,
             continue
         if charge is None:
             return forced
-        some = 0  # at least one color gone
-        for f in gone:
-            some |= f
-        targets = above & some & ~most
+        # spread << t has the bits of every color at t; some marks the
+        # targets that have lost at least one color
+        spread = some = 0
+        for off in offsets:
+            spread |= 1 << off
+            some |= row >> off
+        # nothing is left to force, so each target not forced keeps two
+        # or more colors
+        targets = above & some & ~forced
         # a probe's first round runs on the last row alone, which the
         # rows from start up give as add_value would in the sums up to n,
-        # the only ones it reads.  Its tests skip t: the probe forces t
-        # and leaves it c alone, as a sum that uses t has k-1 >= 2 parts
-        # and so leaves bit t as it is
+        # the only ones it reads.  Adding t leaves bit t as it is, as a
+        # sum that uses t has k-1 >= 2 parts, so with the cut bits t
+        # keeps c alone, and counted as forced it is not forced again
         last = len(rows) - 1
         j0 = _first_live_row(last, pos + 1, n)
         width, size, full = geo.width, geo.size, geo.full
@@ -300,9 +322,8 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int, n: int,
             failed = False
             keep = (geo.ones << (width - t)) - geo.ones
             start = max(j0, last - n // t)
-            others = above ^ bit
-            for i, (c, f) in enumerate(zip(palette, gone)):
-                if f & bit:
+            for c, off in zip(palette, offsets):
+                if (row >> (off + t)) & 1:
                     continue
                 charge()
                 up = c * width + t
@@ -311,21 +332,16 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int, n: int,
                 for j in range(start + 1, last + 1):
                     y = trial & keep
                     trial = rows[j] | ((y << up) & full) | (y >> down)
-                none = one = others  # no color, or at most one, left
-                for off, mask in zip(offsets, removed):
-                    g = (trial >> off) | mask
-                    one = (one & g) | none
-                    none &= g
-                if not none and one & ~forced:
-                    # the row forces a target: close a copy of the table
+                cut = (spread ^ (1 << off)) << t  # t's other colors
+                new = _singles(trial | cut, above, forced | bit, offsets)
+                if new:  # the row forces a target: close a copy
                     copy = rows[:]
                     add_value(copy, t, c, geo, pos + 1)
-                    cut = [m if j == i else m | bit
-                           for j, m in enumerate(removed)]
-                    none = close(copy, forced | bit, cut, pos, n, palette,
-                                 offsets, geo) is None
-                if none:
-                    removed[i] |= bit
+                    copy[-1] |= cut
+                    new = close(copy, forced | bit, pos, n, palette,
+                                offsets, geo)
+                if new is None:
+                    rows[-1] |= bit << off
                     failed = True
             if failed:
                 break  # propagate the removals before the next probe
@@ -333,21 +349,23 @@ def close(rows: list[int], forced: int, removed: list[int], pos: int, n: int,
             return forced
 
 
-def extend_state(rows: list[int], forced: int, removed: list[int], pos: int,
-                 n: int, c: int, palette, offsets: list[int], geo: Geometry):
+def extend_state(rows: list[int], forced: int, pos: int, n: int, c: int,
+                 palette, offsets: list[int], geo: Geometry):
     """One step of the search at level n: the table after coloring pos
     with c, closed over the targets in (pos, n].
 
     The caller has checked that c is left at pos.  Returns the closed
     ``(rows, forced)`` of the child (singleton propagation only), or None
-    on a wipe-out.  When pos was forced, c is its color and the table
-    already holds it.
+    on a wipe-out.  The child's table is a copy, so it inherits the
+    colors removed in the last row of ``rows``.  When pos was forced, c
+    is its color and the table already holds it: the child shares
+    ``rows``.
     """
     if (forced >> pos) & 1:
         return rows, forced
     child = rows[:]
     add_value(child, pos, c, geo, pos)
-    forced = close(child, forced, removed, pos, n, palette, offsets, geo)
+    forced = close(child, forced, pos, n, palette, offsets, geo)
     return None if forced is None else (child, forced)
 
 
@@ -424,11 +442,12 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     Branching is by ascending residue, so the first coloring found at
     each level is the lexicographically least one in the reduced space.
     The frame of position p, pushed on advance and popped on backtrack,
-    is ``[rows, forced, removed, seen, i, probed]``: the table of 1..p-1
-    and the forced targets that ``forced`` marks, the removed masks,
-    whether a color below p is nonzero, the palette index after p's color
-    (so a coloring is read off the frames), and whether the frame was
-    probed.
+    is ``[rows, forced, seen, i, probed]``: the table of 1..p-1 and the
+    forced targets that ``forced`` marks, with the colors removed at
+    later targets in its last row; whether a color below p is nonzero;
+    the palette index after p's color (so a coloring is read off the
+    frames); and whether the frame was probed.  Probing a frame replaces
+    its table with a closed copy.
     """
     if n_max is None:
         n_max = n
@@ -468,13 +487,12 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     # not, every later node of the search lies above the resume path.
     start = [0] + [palette.index(c) for c in resume or ()]
     on_path = len(start) > 1
-    frames = [[new_table(k), 0, [0] * choices, False,
-               start[1] if on_path else 0, False]]
+    frames = [[new_table(k), 0, False, start[1] if on_path else 0, False]]
 
     try:
         while frames:
             frame = frames[-1]
-            rows, forced, removed, seen, i, _ = frame
+            rows, forced, seen, i, _ = frame
             pos = len(frames)
             row = rows[last]
             while i < choices:
@@ -487,48 +505,47 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
                     continue
                 spend()
                 nodes += 1
-                if (row >> offsets[i - 1] | removed[i - 1]) >> pos & 1:
+                if (row >> (offsets[i - 1] + pos)) & 1:
                     prunes += 1
                     continue
                 if pos > max_depth:
                     max_depth = pos
-                frame[4] = i
+                frame[3] = i
                 if pos == n:
-                    found = [palette[f[4] - 1] for f in frames]
+                    found = [palette[f[3] - 1] for f in frames]
                     if n == n_max:
                         return (FOUND, found, nodes, prunes, max_depth,
                                 probes)
                     n += 1  # go on one level up from this coloring
-                child = extend_state(rows, forced, removed, pos, n, c,
-                                     palette, offsets, geo)
+                child = extend_state(rows, forced, pos, n, c, palette,
+                                     offsets, geo)
                 if child is None:
                     prunes += 1
                     continue
                 on_path = on_path and pos + 1 < len(start) and c == resume[pos - 1]
-                frames.append([*child, removed, seen or c != 0,
+                frames.append([*child, seen or c != 0,
                                start[pos + 1] if on_path else 0, False])
                 break
             else:
                 frames.pop()
-                if not frames or frames[-1][5]:
+                if not frames or frames[-1][4]:
                     continue
                 # first backtrack into the frame of pos - 1: the colors below
                 # its next index are refuted or skipped there; remove them
-                # and probe.  The table is copied since a forced position
-                # shares it with the frame below, the masks since children
-                # share them.
+                # in the last row and probe.  The table is copied since a
+                # forced position shares it with the frame below.
                 frame = frames[-1]
-                frame[5] = True
-                rows, forced, removed, _, i, _ = frame
-                rows, removed = rows[:], removed[:]
-                for j in range(i):
-                    removed[j] |= 1 << (pos - 1)
-                forced = close(rows, forced, removed, pos - 2, n, palette,
-                               offsets, geo, charge)
+                frame[4] = True
+                rows, forced, _, i, _ = frame
+                rows = rows[:]
+                for off in offsets[:i]:
+                    rows[-1] |= 1 << (off + pos - 1)
+                forced = close(rows, forced, pos - 2, n, palette, offsets,
+                               geo, charge)
                 if forced is None:
-                    frame[4] = choices  # a wipe-out: pop the frame next
+                    frame[3] = choices  # a wipe-out: pop the frame next
                 else:
-                    frame[:3] = rows, forced, removed
+                    frame[:2] = rows, forced
     except _OutOfBudget:
         return (BUDGET, found, nodes, prunes, max_depth, probes)
     return (EXHAUSTED, found, nodes, prunes, max_depth, probes)

@@ -324,11 +324,10 @@ def extend_all(colors, n, k, r, palette, cap=None):
     step wipes out."""
     geo = _kernel_py.Geometry(r, n if cap is None else cap)
     offsets = _kernel_py.forbid_offsets(palette, geo)
-    removed = [0] * len(palette)
     state = (_kernel_py.new_table(k), 0)
     for pos, c in enumerate(colors, 1):
-        state = _kernel_py.extend_state(*state, removed, pos, n, c,
-                                        palette, offsets, geo)
+        state = _kernel_py.extend_state(*state, pos, n, c, palette, offsets,
+                                        geo)
         if state is None:
             return None
     return state
@@ -354,7 +353,6 @@ def test_search_tables_match_their_values(k, r, n):
     palette = tuple(range(r))
     geo = _kernel_py.Geometry(r, n)
     offsets = _kernel_py.forbid_offsets(palette, geo)
-    removed = [0] * r
     checked = 0
 
     def allowed(rows, t):
@@ -378,8 +376,8 @@ def test_search_tables_match_their_values(k, r, n):
         for c in allowed(rows, pos + 1):
             if checked >= 600:
                 return
-            state = _kernel_py.extend_state(rows, forced, removed, pos + 1,
-                                            n, c, palette, offsets, geo)
+            state = _kernel_py.extend_state(rows, forced, pos + 1, n, c,
+                                            palette, offsets, geo)
             if state is not None:
                 visit(*state, items + [(pos + 1, c)])
 
@@ -416,18 +414,18 @@ def test_probing_refutes_prefix():
     rows, forced = extend_all((0, 0, 2), n, k, r, palette)
     geo = _kernel_py.Geometry(r, n)
     offsets = _kernel_py.forbid_offsets(palette, geo)
-    removed = [0] * r
-    assert _kernel_py.close(rows[:], forced, removed[:], 3, n, palette,
-                            offsets, geo) == forced  # nothing new to force
+    assert _kernel_py.close(rows[:], forced, 3, n, palette, offsets,
+                            geo) == forced  # nothing new to force
     probes = []
-    assert _kernel_py.close(rows, forced, removed, 3, n, palette, offsets,
-                            geo, lambda: probes.append(1)) is None
+    assert _kernel_py.close(rows, forced, 3, n, palette, offsets, geo,
+                            lambda: probes.append(1)) is None
     assert len(probes) == 5
 
 
 def test_probe_removals_are_sound():
-    # each color a probe removes at a target of a free prefix is taken
-    # there by no free completion of the prefix
+    # each color the closure with probes takes from a target of a free
+    # prefix, by propagation or by a probe's removal, is taken there by
+    # no free completion of the prefix
     n, k, r = 12, 4, 4
     palette = (0, 1, 2, 3)
     geo = _kernel_py.Geometry(r, n)
@@ -438,18 +436,18 @@ def test_probe_removals_are_sound():
         if state is None:
             continue
         rows, forced = state
-        removed = [0] * r
-        if _kernel_py.close(rows, forced, removed, 3, n, palette, offsets,
-                            geo, lambda: None) is None:
+        before = {t: colors_left(rows, t, palette, geo)
+                  for t in range(4, n + 1)}
+        if _kernel_py.close(rows, forced, 3, n, palette, offsets, geo,
+                            lambda: None) is None:
             continue
         taken = {(t, c) for found in free_completions(prefix, n, k, r,
                                                       palette)
                  for t, c in enumerate(found, 1)}
-        for i, mask in enumerate(removed):
-            for t in range(4, n + 1):
-                if (mask >> t) & 1:
-                    removals += 1
-                    assert (t, palette[i]) not in taken, (prefix, t)
+        for t, left in before.items():
+            for c in set(left) - set(colors_left(rows, t, palette, geo)):
+                removals += 1
+                assert (t, c) not in taken, (prefix, t, c)
     assert removals > 0
 
 
@@ -467,51 +465,56 @@ def free_completions(prefix, n, k, r, palette):
     return list(extend(list(prefix)))
 
 
-def colors_left(rows, removed, t, palette, geo):
-    """The palette colors that neither the last row nor ``removed``
-    takes from target t."""
+def colors_left(rows, t, palette, geo):
+    """The palette colors that the last row leaves target t: those whose
+    cell (t, -c mod r) is clear, as a removal sets it."""
     r = geo.r
-    return [c for i, c in enumerate(palette)
-            if not _kernel_py.cell(rows, len(rows) - 1, t, (r - c) % r, geo)
-            and not (removed[i] >> t) & 1]
+    return [c for c in palette
+            if not _kernel_py.cell(rows, len(rows) - 1, t, (r - c) % r, geo)]
 
 
-def reference_close(rows, forced, removed, pos, n, palette, offsets, geo,
-                    charge, seen):
+def remove(rows, t, c, geo):
+    """Remove color c at target t: set the cell that forbids it in the
+    last row."""
+    rows[-1] |= 1 << ((geo.r - c) % geo.r * geo.width + t)
+
+
+def reference_close(rows, forced, pos, n, palette, offsets, geo, charge,
+                    seen):
     """:func:`_kernel_py.close` with probes, every probe on a copy.
 
     Propagation is the kernel's closure without probes.  Each probe adds
     its target to a copy of the table, removes the target's other colors
-    in a copy of the masks and closes the copy.  ``seen`` collects
+    in the copy's last row and closes the copy; a probe that wipes out
+    removes its color in the last row of ``rows``.  ``seen`` collects
     ``(twice, fallback)`` per probe: twice when two copies of the target
     fit a sum up to n, fallback when the copy's last row leaves every
     target a color and forces some target besides the probed one."""
     while True:
-        forced = _kernel_py.close(rows, forced, removed, pos, n, palette,
-                                  offsets, geo)
+        forced = _kernel_py.close(rows, forced, pos, n, palette, offsets,
+                                  geo)
         if forced is None:
             return None
         failed = False
         for t in range(pos + 1, n + 1):
-            left = colors_left(rows, removed, t, palette, geo)
+            left = colors_left(rows, t, palette, geo)
             if (forced >> t) & 1 or not 2 <= len(left) < len(palette):
                 continue
-            for i, c in enumerate(palette):
-                if c not in left:
-                    continue
+            for c in left:
                 charge()
                 copy = rows[:]
                 _kernel_py.add_value(copy, t, c, geo, pos + 1)
-                cut = [m if j == i else m | 1 << t
-                       for j, m in enumerate(removed)]
-                counts = [len(colors_left(copy, cut, u, palette, geo))
+                for other in palette:
+                    if other != c:
+                        remove(copy, t, other, geo)
+                counts = [len(colors_left(copy, u, palette, geo))
                           for u in range(pos + 1, n + 1)
                           if u != t and not (forced >> u) & 1]
                 seen.append((2 * t <= n,
                              0 not in counts and 1 in counts))
-                if _kernel_py.close(copy, forced | 1 << t, cut, pos, n,
-                                    palette, offsets, geo) is None:
-                    removed[i] |= 1 << t
+                if _kernel_py.close(copy, forced | 1 << t, pos, n, palette,
+                                    offsets, geo) is None:
+                    remove(rows, t, c, geo)
                     failed = True
             if failed:
                 break
@@ -522,9 +525,10 @@ def reference_close(rows, forced, removed, pos, n, palette, offsets, geo,
 def test_last_row_probe_matches_probe_on_a_copy():
     # frames from seeded random prefixes, some colors removed at the next
     # position as a backtrack removes them: the closure with probes must
-    # end with the forced mask, the colors left at every target and the
-    # probe count of the reference that closes a copy for every probe.
-    # Half the tables are wider than the level, as in a window of levels
+    # end with the forced mask, the table, the colors left at every target
+    # and the probe count of the reference that closes a copy for every
+    # probe.  Half the tables are wider than the level, as in a window of
+    # levels
     rng = random.Random(14)
     caps = random.Random(15)
     seen = []
@@ -543,19 +547,18 @@ def test_last_row_probe_matches_probe_on_a_copy():
         rows, forced = state
         geo = _kernel_py.Geometry(r, cap)
         offsets = _kernel_py.forbid_offsets(palette, geo)
-        removed = [0] * r
-        for i in rng.sample(range(r), rng.randint(0, r - 1)):
-            removed[i] |= 1 << (m + 1)
+        for c in rng.sample(palette, rng.randint(0, r - 1)):
+            remove(rows, m + 1, c, geo)
         results = []
         for close in (_kernel_py.close, reference_close):
-            got_rows, got_removed, probes = rows[:], removed[:], []
+            got_rows, probes = rows[:], []
             extra = (seen,) if close is reference_close else ()
-            got = close(got_rows, forced, got_removed, m, n, palette,
-                        offsets, geo, lambda: probes.append(1), *extra)
+            got = close(got_rows, forced, m, n, palette, offsets, geo,
+                        lambda: probes.append(1), *extra)
             left = None if got is None else [
-                colors_left(got_rows, got_removed, t, palette, geo)
+                colors_left(got_rows, t, palette, geo)
                 for t in range(m + 1, n + 1)]
-            results.append((got, left, len(probes)))
+            results.append((got, got_rows, left, len(probes)))
         assert results[0] == results[1], (k, r, n, m, cap)
         cases += 1
         wide += cap > n
@@ -563,6 +566,54 @@ def test_last_row_probe_matches_probe_on_a_copy():
     assert any(twice for twice, _ in seen)
     assert any(fallback for _, fallback in seen)
 
+
+def test_probe_removals_stay_in_the_last_row():
+    # frames from seeded random prefixes, some colors removed at the next
+    # position as a backtrack removes them, closed with probes.  Below
+    # the last row the table must be the frame's table with only the
+    # newly forced targets added, each with the one color it has left, so
+    # a removal in a row that feeds another row fails here.  The last row
+    # is the last row of that table plus the colors removed by probes:
+    # bits in the palette's blocks at the targets of the level
+    rng = random.Random(17)
+    frames = removals = 0
+    for _ in range(300):
+        k = rng.randint(3, 8)
+        r = rng.randint(3, 6)
+        n = rng.randint(k + 2, min(k * r, 40))
+        palette = tuple(range(r))
+        m = rng.randint(1, n // 2)
+        state = extend_all([rng.randrange(r) for _ in range(m)], n, k, r,
+                           palette)
+        if state is None:
+            continue
+        rows, forced = state
+        geo = _kernel_py.Geometry(r, n)
+        offsets = _kernel_py.forbid_offsets(palette, geo)
+        for c in rng.sample(palette, rng.randint(0, r - 1)):
+            remove(rows, m + 1, c, geo)
+        closed = rows[:]
+        got = _kernel_py.close(closed, forced, m, n, palette, offsets, geo,
+                               lambda: None)
+        if got is None:
+            continue
+        want = rows[:]
+        for t in range(m + 1, n + 1):
+            if (got & ~forced) >> t & 1:
+                left = colors_left(closed, t, palette, geo)
+                assert len(left) == 1, (k, r, n, m, t)
+                _kernel_py.add_value(want, t, left[0], geo, m + 1)
+        assert closed[:-1] == want[:-1], (k, r, n, m)
+        extra = closed[-1] & ~want[-1]
+        assert closed[-1] == want[-1] | extra, (k, r, n, m)
+        targets = (1 << (n + 1)) - (1 << (m + 1))
+        blocks = 0
+        for c in palette:
+            blocks |= targets << ((r - c) % r * geo.width)
+        assert not extra & ~blocks, (k, r, n, m)
+        frames += 1
+        removals += bin(extra).count("1")
+    assert frames >= 100 and removals >= 50
 
 @pytest.mark.parametrize("r", (2, 3, 5))
 @pytest.mark.parametrize("sum_cap", (1, 2, 63, 64, 65, 130))

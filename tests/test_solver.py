@@ -34,6 +34,15 @@ CERTIFIED_TREES = [
 ]
 
 
+#: S_z(k, r) with the full and the binary palette, for 3 <= k <= 12 and
+#: 2 <= r <= 6 with r | k.
+SWEEP_VALUES = {
+    (3, 3): (10, 5), (4, 2): (5, 5), (4, 4): (13, 11), (5, 5): (38, 19),
+    (6, 2): (9, 9), (6, 3): (15, 13), (6, 6): (32, 29), (8, 2): (13, 13),
+    (8, 4): (27, 25), (9, 3): (24, 22), (10, 2): (17, 17), (10, 5): (45, 41),
+    (12, 2): (21, 21), (12, 3): (33, 31), (12, 4): (43, 41), (12, 6): (68, 61),
+}
+
 def conflicts(prefix, color, k, r, n):
     """Does coloring position len(prefix)+1 with color complete a zero-sum
     solution?  The kernel's conflict bit, read off the prefix's table
@@ -299,6 +308,28 @@ class TestSolveExact:
         stats = result.stats
         assert (stats.nodes, stats.prunes, stats.max_depth,
                 stats.probes) == (nodes, prunes, depth, probes)
+
+    def test_sweep_values_and_total_counts(self):
+        # the 64 solves of SWEEP_VALUES, both palettes, deterministic and
+        # not: each value is pinned, and the summed counts pin the trees
+        # of every scan, so a change that alters pruning anywhere in them
+        # shows here, not only in the kernel benchmark
+        totals = [0, 0, 0]
+        for (k, r), values in SWEEP_VALUES.items():
+            for palette, value in zip((Palette.FULL, Palette.BINARY), values):
+                spec = ProblemSpec(k=k, r=r, palette=palette)
+                for deterministic in (False, True):
+                    result = solve_exact(spec, SearchConfig(
+                        deterministic=deterministic))
+                    assert result.status is SolveStatus.EXACT
+                    assert result.value == value, (k, r, palette)
+                    assert result.certificate.n == value - 1
+                    assert is_solution_free(result.certificate, spec)
+                    stats = result.stats
+                    totals[0] += stats.nodes
+                    totals[1] += stats.prunes
+                    totals[2] += stats.probes
+        assert totals == [16_291, 9_029, 155_507]
 
     def test_budget_cut_before_lex_least_keeps_construction(self):
         # the deterministic scan first searches n=44, the construction's
