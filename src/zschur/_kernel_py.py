@@ -26,11 +26,26 @@ so that v may be reused any number of times:
     rows[j] |= rotate(y, cv) << v  # block c moves to block (c + cv) % r
 
 Masking before the shift keeps every bit inside its block, so the
-rotation and the shift together are two shifts of the whole row: the
-blocks that stay below block r move up by cv*W + v, the cv blocks that
-wrap around move down by (r - cv)*W - v.  The keep mask is computed from
-the layout for each added value, as ``(ones << (W - v)) - ones`` where
-``ones`` has bit 0 of every block: per block, the W - v low bits.
+rotation and the shift together are two shifts: the r - cv blocks that
+stay below block r move up by cv*W + v, the cv blocks that wrap around
+move down by (r - cv)*W - v.  Each shift takes only the blocks that
+move its way, split off by two masks computed once per added value:
+``stay``, the keep mask cut to the low r - cv blocks, and ``wrap``, the
+rest of it, so the step is
+
+    rows[j] | ((rows[j-1] & stay) << up) | ((rows[j-1] & wrap) >> down)
+
+and no shift makes bits past the row that an AND must clear.  A shift of
+a wide Python int costs several times an AND or an OR of it, so the
+shifts are kept to the bits that move.  With cv = 0 no block wraps and
+the step is one shift by v, with no stay or wrap mask to compute: the
+search's rows are a few words wide, so the mask set-up is a large part
+of its steps, and about 3 in 10 of them add color 0 in the solver's
+small exact solves.  The keep mask is computed from the layout for each
+added value, as ``(ones << (W - v)) - ones`` where ``ones`` has bit 0
+of every block: per block, the W - v low bits.  The stay and wrap masks
+are not kept in :class:`Geometry`: one pair per color would take r*r*W
+bits.
 
 Only the rows that can still reach the last row are updated.  Each
 caller names ``low``, the least value that may still join the table; an
@@ -108,15 +123,17 @@ scan.  Its tables span the sums up to n_max, and each closure reads the
 targets up to the current level n only.  When the search colors position
 n below n_max, that coloring is the lex-least free one of [1..n]: it is
 kept, and the search goes on at level n + 1 with its ordinary extension
-step from there.  A free coloring of [1..n+1] restricts to one of
-[1..n], so no free coloring of the new level is smaller, and every fact
-a frame holds (a forced target, a removed color) holds for it too; the
-frames and their probed flags stay.  The cap is the window's last level
-because the dead-row cut of :func:`add_value` is relative to the cap: a
-row dead at cap n may be live at n + 1, so a table built at cap n is not
-exact one level up.  A wider cap makes every row step dearer, so the
-solver's windows grow from one level, and ``resume`` replays the level
-below only at the start of a window.
+step from there; when position n was forced, its table already holds
+it, and the search closes a copy over the new target n + 1.  A free
+coloring of [1..n+1] restricts to one of [1..n], so no free coloring of
+the new level is smaller, and every fact a frame holds (a forced target,
+a removed color) holds for it too; the frames and their probed flags
+stay.  The cap is the window's last level because the dead-row cut of
+:func:`add_value` is relative to the cap: a row dead at cap n may be
+live at n + 1, so a table built at cap n is not exact one level up.  A
+wider cap makes every row step dearer, so the solver's windows grow
+from one level, and ``resume`` replays the level below only at the
+start of a window.
 """
 
 from __future__ import annotations
@@ -186,15 +203,22 @@ def add_value(rows: list[int], v: int, cv: int, geo: Geometry,
     last = len(rows) - 1
     j0 = _first_live_row(last, low, geo.sum_cap)
     keep = (geo.ones << (geo.width - v)) - geo.ones
-    up = cv * geo.width + v
-    down = geo.size - up  # no block wraps around when cv == 0
-    full = geo.full
     prev = rows[j0]
+    if cv == 0:  # no block wraps around: one shift
+        for j in range(j0 + 1, last + 1):
+            if not prev:
+                return
+            prev = rows[j] | ((prev & keep) << v)
+            rows[j] = prev
+        return
+    stay = keep & (geo.full >> (cv * geo.width))  # blocks below r - cv
+    wrap = keep ^ stay
+    up = cv * geo.width + v
+    down = geo.size - up
     for j in range(j0 + 1, last + 1):
         if not prev:
             return
-        y = prev & keep
-        prev = rows[j] | ((y << up) & full) | (y >> down)
+        prev = rows[j] | ((prev & stay) << up) | ((prev & wrap) >> down)
         rows[j] = prev
 
 
@@ -381,13 +405,15 @@ def first_zero_sum_target(values, n: int, k: int, r: int,
     if n < k - 1:
         return 0
     geo = Geometry(r, n)
+    width = geo.width
     rows = new_table(k)
     for target in range(k - 1, n + 1):
         if deadline is not None and monotonic() > deadline:
             return None
         v = target - k + 2
         add_value(rows, v, values[v - 1], geo, v)
-        if cell(rows, k - 1, target, (r - values[target - 1]) % r, geo):
+        c = (r - values[target - 1]) % r  # cell(rows, k-1, target, c, geo)
+        if (rows[-1] >> (c * width + target)) & 1:
             return target
     return 0
 
@@ -517,6 +543,16 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
                         return (FOUND, found, nodes, prunes, max_depth,
                                 probes)
                     n += 1  # go on one level up from this coloring
+                    if (forced >> pos) & 1:
+                        # the table holds pos but is closed up to n - 1
+                        # only: close a copy over n.  Every other color
+                        # is gone at pos, so a wipe-out ends this frame.
+                        rows = rows[:]
+                        forced = close(rows, forced, pos, n, palette,
+                                       offsets, geo)
+                        if forced is None:
+                            prunes += 1
+                            continue
                 child = extend_state(rows, forced, pos, n, c, palette,
                                      offsets, geo)
                 if child is None:

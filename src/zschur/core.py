@@ -115,9 +115,10 @@ class Coloring:
         if len(self.values) != self.n:
             raise ValueError(
                 f"expected {self.n} values, got {len(self.values)}")
-        for v in self.values:
-            if not 0 <= v < self.r:
-                raise ValueError(f"color {v} outside [0, {self.r - 1}]")
+        values = self.values
+        if values and not 0 <= min(values) <= max(values) < self.r:
+            bad = next(v for v in values if not 0 <= v < self.r)
+            raise ValueError(f"color {bad} outside [0, {self.r - 1}]")
 
     @classmethod
     def of(cls, values, r: int) -> Coloring:
@@ -311,7 +312,7 @@ def parse_coloring(text: str) -> tuple[Coloring, int]:
     try:
         n, k, r = (int(tok) for tok in header)
         check_parameters(k, r)
-        values = tuple(int(tok) for ln in lines[1:] for tok in ln.split())
+        values = tuple(map(int, " ".join(lines[1:]).split()))
         chi = Coloring(n=n, r=r, values=values)
     except ValueError as exc:
         raise ColoringFormatError(str(exc)) from exc

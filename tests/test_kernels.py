@@ -630,6 +630,33 @@ def test_add_value_matches_definition(r, sum_cap):
             assert rows == expected, (v, c)
 
 
+def reference_step(rows, v, cv, geo):
+    """add_value with low = 1, block by block: in each row j >= 1, every
+    sum s <= sum_cap - v of block c of row j-1 (the row as this step left
+    it) sets sum s + v of block (c + cv) % r."""
+    w, r = geo.width, geo.r
+    keep = (1 << (w - v)) - 1
+    out = rows[:]
+    for j in range(1, len(out)):
+        for c in range(r):
+            block = (out[j - 1] >> (c * w)) & keep
+            out[j] |= block << ((c + cv) % r * w + v)
+    return out
+
+
+def test_add_value_matches_reference_step_wide_rows():
+    # r = 20 blocks of 1,031 sums: rows of about 20,600 bits, every cv,
+    # random rows, values at both ends of the range
+    rng = random.Random(20)
+    geo = _kernel_py.Geometry(20, 1030)
+    for cv in range(20):
+        for v in (1, 2, 64, rng.randint(3, 1029), 1029, 1030):
+            rows = [rng.getrandbits(geo.size) for _ in range(4)]
+            want = reference_step(rows, v, cv, geo)
+            _kernel_py.add_value(rows, v, cv, geo, 1)
+            assert rows == want, (cv, v)
+
+
 def test_short_search_stays_small():
     # the search's memory follows the frames it pushes, not the whole
     # layout or n: ten nodes need little at n=3000 with 30 colors, and

@@ -28,7 +28,7 @@ CERTIFIED_TREES = [
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
      456, 248, 37, 405),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
-     138, 32, 40, 0),
+     136, 31, 40, 0),
     (12, 4, Palette.FULL, "012301230120022002200220022002203210321032",
      280, 146, 42, 1046),
 ]
@@ -298,8 +298,9 @@ class TestSolveExact:
         # The node, prune, depth and probe counts pin the trees of the
         # scan, with forward checking, singleton propagation, probing
         # and the levels searched in windows of 1, 2, 4, ... levels, one
-        # search each, resumed from the window below: a change of table
-        # layout must leave them as they are.
+        # search each, resumed from the window below, with a forced
+        # position that ends a level closed over the new target: a change
+        # of table layout must leave them as they are.
         spec = ProblemSpec(k=k, r=r, palette=palette)
         result = solve_exact(spec, SearchConfig(deterministic=True))
         assert result.status is SolveStatus.EXACT
@@ -329,7 +330,7 @@ class TestSolveExact:
                     totals[0] += stats.nodes
                     totals[1] += stats.prunes
                     totals[2] += stats.probes
-        assert totals == [16_291, 9_029, 155_507]
+        assert totals == [16_210, 8_997, 155_507]
 
     def test_budget_cut_before_lex_least_keeps_construction(self):
         # the deterministic scan first searches n=44, the construction's
