@@ -116,15 +116,15 @@ def extract_args(reach):
 #: Search workloads: arguments of search_free_coloring and the
 #: (status, nodes, prunes, max_depth, probes) it must end with.
 WORKLOADS = {
-    "search-8-4": ((27, 8, 4, (0, 1, 2, 3), 0, 0b110, None, None),
+    "search-8-4": ((27, 8, 4, (0, 1, 2, 3), 0b110, None, None),
                    (_kernel_py.EXHAUSTED, 78, 44, 13, 268)),
-    "search-6-3": ((15, 6, 3, (0, 1, 2), 0, 0b010, None, None),
+    "search-6-3": ((15, 6, 3, (0, 1, 2), 0b010, None, None),
                    (_kernel_py.EXHAUSTED, 16, 8, 6, 12)),
-    "solve-12-4": ((43, 12, 4, (0, 1, 2, 3), 0, 0b110, 2_000_000, None),
+    "solve-12-4": ((43, 12, 4, (0, 1, 2, 3), 0b110, 2_000_000, None),
                    (_kernel_py.EXHAUSTED, 110, 56, 21, 578)),
-    "exhaust-12-6": ((68, 12, 6, tuple(range(6)), 0, 0b1110, None, None),
+    "exhaust-12-6": ((68, 12, 6, tuple(range(6)), 0b1110, None, None),
                      (_kernel_py.EXHAUSTED, 3_463, 2_158, 32, 67_955)),
-    "exhaust-18-6": ((104, 18, 6, tuple(range(6)), 0, 0b1110, None, None),
+    "exhaust-18-6": ((104, 18, 6, tuple(range(6)), 0b1110, None, None),
                      (_kernel_py.EXHAUSTED, 7_868, 4_637, 50, 312_652)),
 }
 

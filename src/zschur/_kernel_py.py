@@ -107,13 +107,14 @@ frame's table is closed with probes: each target that has lost a color
 but kept two or more is colored in turn with each color it has left, on
 a copy closed by singleton propagation, and a color whose copy wipes out
 is removed (see :func:`close`).  Every removal is set in the last row of
-a copy of the frame's table, which the frame then keeps.  A probe first
-computes only the last row that its color would give, from the few rows
-that feed it (a sum up to n holds at most n // t copies of target t),
-and tests that row alone: most probes wipe out there or force nothing,
-and only a probe whose row forces a target copies the table and closes
-the copy.  A child frame gets singleton propagation only and inherits
-the removals with the table it copies.  A target forced by a removal
+the frame's own table: every extension step copies its parent's table,
+so no two frames share one.  A probe first computes only the last row
+that its color would give, from the few rows that feed it (a sum up to
+n holds at most n // t copies of target t), and tests that row alone:
+most probes wipe out there or force nothing, and only a probe whose row
+forces a target copies the table and closes the copy.  A child frame
+gets singleton propagation only and inherits the removals with the
+table it copies.  A target forced by a removal
 keeps no other color, since the removal stays in the last row: the
 search gives it its forced color alone.  The cuts again remove only
 subtrees without a free coloring, and the branch order is unchanged.
@@ -123,8 +124,8 @@ scan.  Its tables span the sums up to n_max, and each closure reads the
 targets up to the current level n only.  When the search colors position
 n below n_max, that coloring is the lex-least free one of [1..n]: it is
 kept, and the search goes on at level n + 1 with its ordinary extension
-step from there; when position n was forced, its table already holds
-it, and the search closes a copy over the new target n + 1.  A free
+step from there, which closes the child's table over the new target
+n + 1 as over every other, also when position n was forced.  A free
 coloring of [1..n+1] restricts to one of [1..n], so no free coloring of
 the new level is smaller, and every fact a frame holds (a forced target,
 a removed color) holds for it too; the frames and their probed flags
@@ -380,15 +381,14 @@ def extend_state(rows: list[int], forced: int, pos: int, n: int, c: int,
 
     The caller has checked that c is left at pos.  Returns the closed
     ``(rows, forced)`` of the child (singleton propagation only), or None
-    on a wipe-out.  The child's table is a copy, so it inherits the
-    colors removed in the last row of ``rows``.  When pos was forced, c
-    is its color and the table already holds it: the child shares
-    ``rows``.
+    on a wipe-out.  The child's table is always a new copy, so it
+    inherits the colors removed in the last row of ``rows`` and leaves
+    ``rows`` as it is.  When ``forced`` marks pos, c is its color and the
+    table already holds it, so only the closure runs.
     """
-    if (forced >> pos) & 1:
-        return rows, forced
     child = rows[:]
-    add_value(child, pos, c, geo, pos)
+    if not (forced >> pos) & 1:
+        add_value(child, pos, c, geo, pos)
     forced = close(child, forced, pos, n, palette, offsets, geo)
     return None if forced is None else (child, forced)
 
@@ -418,17 +418,17 @@ def first_zero_sum_target(values, n: int, k: int, r: int,
     return 0
 
 
-def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
-                         max_nodes, deadline, resume=None, n_max=None):
+def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
+                         deadline, resume=None, n_max=None):
     """Forward-checking depth-first search for solution-free colorings of
     [1..n], [1..n+1], ..., [1..n_max] in one pass.
 
     Arguments
     ---------
     palette: residues to branch over, ascending (all of 0..r-1, or (0, 1)).
-    fix_first: residue forced at position 1, or -1 for no restriction.
     canonical_mask: bitmask of residues allowed as the first nonzero
-        color, or 0 for no restriction (unit-orbit symmetry breaking).
+        color (unit-orbit symmetry breaking); when nonzero, position 1
+        also takes color 0 alone.  0 searches the unreduced space.
     max_nodes: budget of extension checks plus probes, or None.
     deadline: absolute time.monotonic() deadline, or None; when set it is
         checked before every extension check and every probe.
@@ -472,8 +472,8 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
     forced targets that ``forced`` marks, with the colors removed at
     later targets in its last row; whether a color below p is nonzero;
     the palette index after p's color (so a coloring is read off the
-    frames); and whether the frame was probed.  Probing a frame replaces
-    its table with a closed copy.
+    frames); and whether the frame was probed.  Every frame owns its
+    table, so probing a frame closes that table in place.
     """
     if n_max is None:
         n_max = n
@@ -524,10 +524,8 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
             while i < choices:
                 c = palette[i]
                 i += 1
-                if pos == 1 and fix_first >= 0 and c != fix_first:
-                    continue
-                if (canonical_mask and c != 0 and not seen
-                        and not (canonical_mask >> c) & 1):
+                if canonical_mask and c and (
+                        pos == 1 or not (seen or (canonical_mask >> c) & 1)):
                     continue
                 spend()
                 nodes += 1
@@ -543,16 +541,6 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
                         return (FOUND, found, nodes, prunes, max_depth,
                                 probes)
                     n += 1  # go on one level up from this coloring
-                    if (forced >> pos) & 1:
-                        # the table holds pos but is closed up to n - 1
-                        # only: close a copy over n.  Every other color
-                        # is gone at pos, so a wipe-out ends this frame.
-                        rows = rows[:]
-                        forced = close(rows, forced, pos, n, palette,
-                                       offsets, geo)
-                        if forced is None:
-                            prunes += 1
-                            continue
                 child = extend_state(rows, forced, pos, n, c, palette,
                                      offsets, geo)
                 if child is None:
@@ -568,12 +556,10 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
                     continue
                 # first backtrack into the frame of pos - 1: the colors below
                 # its next index are refuted or skipped there; remove them
-                # in the last row and probe.  The table is copied since a
-                # forced position shares it with the frame below.
+                # in the last row and probe, in the frame's own table
                 frame = frames[-1]
                 frame[4] = True
                 rows, forced, _, i, _ = frame
-                rows = rows[:]
                 for off in offsets[:i]:
                     rows[-1] |= 1 << (off + pos - 1)
                 forced = close(rows, forced, pos - 2, n, palette, offsets,
@@ -581,7 +567,7 @@ def search_free_coloring(n, k, r, palette, fix_first, canonical_mask,
                 if forced is None:
                     frame[3] = choices  # a wipe-out: pop the frame next
                 else:
-                    frame[:2] = rows, forced
+                    frame[1] = forced
     except _OutOfBudget:
         return (BUDGET, found, nodes, prunes, max_depth, probes)
     return (EXHAUSTED, found, nodes, prunes, max_depth, probes)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import verification
 from .bounds import theoretical_bounds
@@ -81,6 +82,13 @@ def run_solve(args) -> int:
     spec = ProblemSpec(k=args.k, r=args.r, palette=Palette(args.variant))
     cfg = SearchConfig(max_nodes=args.max_nodes, timeout=args.timeout,
                        deterministic=args.deterministic)
+    # refuse an unwritable certificate path before the search, not after;
+    # the file itself is made only once there is a certificate to write
+    if args.cert_out:
+        cert = Path(args.cert_out)
+        if cert.is_dir() or not cert.parent.is_dir():
+            raise OSError(f"cannot write {cert}: it is a directory or its "
+                          f"directory does not exist")
     result = solve_exact(spec, cfg)
     stats = result.stats
     print(f"status={result.status.value} value={format_value(result.value)} "

@@ -26,9 +26,10 @@ Symmetry reduction (applied only when r | k, where it is sound):
 position 1 is pinned to color 0 (zero-sum solutions are preserved by
 global translation), and the first nonzero color is required to be the
 minimum of its orbit under multiplication by the units of Z/rZ (always
-solution-preserving; the orbit minimum of c is gcd(c, r)).  The
-two-color variant only pins position 1, since swapping the two colors is
-negation followed by translation.
+solution-preserving; the orbit minimum of c is gcd(c, r)).  In the
+two-color variant only the pin acts: its one nonzero color, 1, is an
+orbit minimum (swapping the two colors is negation followed by
+translation).
 
 :func:`solve_exact` scans n upward: a free coloring of [1..n] restricts
 to a free coloring of [1..n-1], so the answer is the first n whose
@@ -134,18 +135,21 @@ class FreeSearchOutcome:
         return self.status == EXHAUSTED
 
 
-def _symmetry_filters(spec: ProblemSpec) -> tuple[tuple[int, ...], int, int]:
-    """(palette, fix_first, canonical_mask) for the reduced search."""
+def _symmetry_filters(spec: ProblemSpec) -> tuple[tuple[int, ...], int]:
+    """(palette, canonical_mask) for the reduced search.
+
+    The mask is 0 (no reduction) unless r | k; then it has the bit of
+    every unit-orbit minimum, so it holds 1 and is nonzero.  The binary
+    palette's only nonzero color is 1, which the mask never filters.
+    """
     palette = spec.palette_residues()
     if not spec.r_divides_k:
-        return palette, -1, 0
-    if spec.palette is Palette.BINARY:
-        return palette, 0, 0
+        return palette, 0
     mask = 0
     for c in range(1, spec.r):
         if math.gcd(c, spec.r) == c:  # c is the minimum of its unit orbit
             mask |= 1 << c
-    return palette, 0, mask
+    return palette, mask
 
 
 def find_free_coloring(n: int, spec: ProblemSpec,
@@ -179,10 +183,10 @@ def _search_window(n: int, n_max: int, spec: ProblemSpec,
     status, or None; the window stopped one level above it, or at n.
     """
     start = monotonic()
-    palette, fix_first, canonical_mask = _symmetry_filters(spec)
+    palette, canonical_mask = _symmetry_filters(spec)
     status, colors, nodes, prunes, max_depth, probes = search_free_coloring(
-        n, spec.k, spec.r, palette, fix_first, canonical_mask, max_nodes,
-        deadline, resume.values if resume is not None else None, n_max)
+        n, spec.k, spec.r, palette, canonical_mask, max_nodes, deadline,
+        resume.values if resume is not None else None, n_max)
     stats = SearchStats(nodes=nodes, prunes=prunes, max_depth=max_depth,
                         probes=probes, elapsed=monotonic() - start)
     chi = Coloring.of(colors, spec.r) if colors is not None else None

@@ -174,6 +174,26 @@ class TestSolve:
         chi, k = parse_coloring(cert.read_text())
         assert chi.n == 14 and k == 6
 
+    def test_cert_out_into_a_missing_directory_exits_before_the_search(
+            self, capsys, tmp_path):
+        # a path in a missing directory, and a path that is a directory
+        for cert in (tmp_path / "missing" / "cert.txt", tmp_path):
+            code, out, err = run_cli(capsys, "solve", "--k", "6", "--r", "3",
+                                     "--cert-out", str(cert))
+            assert code == 2, cert
+            assert out == "", cert  # no status line: the search never ran
+            assert "cannot write" in err, cert
+        assert not (tmp_path / "missing").exists()
+
+    def test_budget_without_certificate_writes_no_file(self, capsys,
+                                                        tmp_path):
+        cert = tmp_path / "cert.txt"
+        code, out, _ = run_cli(capsys, "solve", "--k", "12", "--r", "6",
+                               "--timeout", "0", "--cert-out", str(cert))
+        assert code == 3
+        assert "certificate=" not in out
+        assert not cert.exists()
+
     def test_infinite(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--k", "5", "--r", "3")
         assert code == 0

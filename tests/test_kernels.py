@@ -138,23 +138,25 @@ def test_first_target_wide_sums():
 
 
 def test_search_identical_results():
+    # a nonzero mask pins position 1 to color 0 in the kernel; the mask
+    # of every nonzero color pins it and filters nothing else
     cases = []
     for r, palette in ((2, (0, 1)), (3, (0, 1, 2)), (4, (0, 1, 2, 3))):
         k = 2 * r if r > 2 else 4
         for n in range(0, 9):
-            cases.append((n, k, r, palette, 0, 0))
-            cases.append((n, k, r, palette, -1, 0))
+            cases.append((n, k, r, palette, (1 << r) - 2))
+            cases.append((n, k, r, palette, 0))
     # canonical-orbit mask for r=4: residues 1 and 2
-    cases.append((8, 8, 4, (0, 1, 2, 3), 0, 0b110))
-    cases.append((10, 4, 4, (0, 1), 0, 0))  # binary palette inside Z/4Z
+    cases.append((8, 8, 4, (0, 1, 2, 3), 0b110))
+    cases.append((10, 4, 4, (0, 1), 0b1110))  # binary palette inside Z/4Z
     # canonical-orbit mask for r=3: residue 1; n=15 is S_z(6,3), exhausted
     for n in (8, 10, 15):
-        cases.append((n, 6, 3, (0, 1, 2), 0, 0b10))
-    for n, k, r, palette, fix_first, mask in cases:
-        got = _kernel_py.search_free_coloring(n, k, r, palette, fix_first,
-                                              mask, None, None)
-        want = brute_force_search(n, k, r, palette, fix_first, mask)
-        assert got[:2] == want, (n, k, r, palette, fix_first, mask)
+        cases.append((n, 6, 3, (0, 1, 2), 0b10))
+    for n, k, r, palette, mask in cases:
+        got = _kernel_py.search_free_coloring(n, k, r, palette, mask, None,
+                                              None)
+        want = brute_force_search(n, k, r, palette, 0 if mask else -1, mask)
+        assert got[:2] == want, (n, k, r, palette, mask)
 
 
 def naive_lex_least_search(n, k, r, palette, fix_first, canonical_mask):
@@ -202,23 +204,22 @@ def test_search_matches_naive_lex_least_search():
         k = rng.randint(3, 8)
         r = rng.randint(2, 5)
         palette = rng.choice((Palette.FULL, Palette.BINARY))
-        residues, fix_first, mask = _symmetry_filters(
-            ProblemSpec(k, r, palette))
+        residues, mask = _symmetry_filters(ProblemSpec(k, r, palette))
         if rng.random() < 0.25:
-            fix_first, mask = -1, 0
+            mask = 0
         n = rng.randint(k - 2, min(k * r, 24))
-        got = _kernel_py.search_free_coloring(n, k, r, residues, fix_first,
-                                              mask, None, None)
-        want = naive_lex_least_search(n, k, r, residues, fix_first, mask)
+        got = _kernel_py.search_free_coloring(n, k, r, residues, mask, None,
+                                              None)
+        want = naive_lex_least_search(n, k, r, residues,
+                                      0 if mask else -1, mask)
         status = _kernel_py.EXHAUSTED if want is None else _kernel_py.FOUND
-        assert got[:2] == (status, want), (n, k, r, residues, fix_first,
-                                           mask)
+        assert got[:2] == (status, want), (n, k, r, residues, mask)
         probed += got[5] > 0
     assert probed >= 10  # enough of the searches probe
 
 
 def test_search_budget_agreement():
-    args = (15, 6, 3, (0, 1, 2), 0, 0b10)
+    args = (15, 6, 3, (0, 1, 2), 0b10)
     unbudgeted = _kernel_py.search_free_coloring(*args, None, None)
     assert unbudgeted[5] > 0  # the search probes
     for budget in (0, 1, 7, 20, 50, 1000):
@@ -245,8 +246,8 @@ def test_resumed_search_matches_scratch(k, r, palette):
     # level takes no more nodes than the search from scratch.  A budgeted
     # window may stop anywhere, but what it returns is a lex-least
     # coloring of a level of the window
-    residues, fix_first, mask = _symmetry_filters(ProblemSpec(k, r, palette))
-    args = (k, r, residues, fix_first, mask)
+    residues, mask = _symmetry_filters(ProblemSpec(k, r, palette))
+    args = (k, r, residues, mask)
     scratch = [_kernel_py.search_free_coloring(0, *args, None, None)]
     while scratch[-1][0] == _kernel_py.FOUND:
         scratch.append(_kernel_py.search_free_coloring(len(scratch), *args,
@@ -278,7 +279,7 @@ def test_resumed_search_matches_scratch(k, r, palette):
 
 def test_search_expired_deadline():
     status, coloring, nodes, _, _, probes = _kernel_py.search_free_coloring(
-        15, 6, 3, (0, 1, 2), 0, 0b10, None, monotonic() - 10.0)
+        15, 6, 3, (0, 1, 2), 0b10, None, monotonic() - 10.0)
     assert status == _kernel_py.BUDGET
     assert coloring is None
     assert nodes == probes == 0  # the deadline is tested before every node
@@ -291,7 +292,7 @@ def test_deadline_is_tested_before_every_node_and_probe(monkeypatch):
         ticks = count()
         monkeypatch.setattr(_kernel_py, "monotonic", lambda: next(ticks))
         status, _, nodes, _, _, probes = _kernel_py.search_free_coloring(
-            68, 12, 6, tuple(range(6)), 0, 0b1110, None, m - 0.5)
+            68, 12, 6, tuple(range(6)), 0b1110, None, m - 0.5)
         assert status == _kernel_py.BUDGET
         assert nodes + probes == m, m
     assert probes > 0
@@ -401,6 +402,29 @@ def test_extend_state_propagation_refutes_prefix():
     # indeed no coloring of [1..5] starting 0, 0 is free
     assert all(naive_first_target((0, 0, a, b, c), 5, 4, 2)
                for a in (0, 1) for b in (0, 1) for c in (0, 1))
+
+
+def test_extend_state_copies_and_closes_at_a_forced_position():
+    # k=4, r=2: 1 and 2 colored 0 forbid color 0 at 3 = 1+1+1, so the
+    # table of [1..2] at level 3 (sum cap 4) forces 3 to color 1.  The
+    # step that colors 3 still returns a new table, the input closed
+    # over (3, n], and leaves the input as it is; one level up it closes
+    # the new target 4, where 1+1+2 forbids color 0
+    palette = (0, 1)
+    geo = _kernel_py.Geometry(2, 4)
+    offsets = _kernel_py.forbid_offsets(palette, geo)
+    rows, forced = extend_all((0, 0), 3, 4, 2, palette, cap=4)
+    assert forced == 1 << 3
+    before = rows[:]
+    for n in (3, 4):
+        child, child_forced = _kernel_py.extend_state(
+            rows, forced, 3, n, 1, palette, offsets, geo)
+        assert child is not rows and rows == before, n
+        want = rows[:]
+        assert _kernel_py.close(want, forced, 3, n, palette, offsets,
+                                geo) == child_forced, n
+        assert child == want, n
+    assert child_forced == forced | 1 << 4
 
 
 def test_probing_refutes_prefix():

@@ -91,22 +91,24 @@ class TestExtendCheck:
 
 class TestSymmetryFilters:
     def test_full_palette_with_divisibility(self):
-        palette, fix_first, mask = _symmetry_filters(ProblemSpec(k=8, r=4))
+        palette, mask = _symmetry_filters(ProblemSpec(k=8, r=4))
         assert palette == (0, 1, 2, 3)
-        assert fix_first == 0
-        # canonical first nonzero colors are the divisors: 1 and 2
+        # a nonzero mask also pins position 1 to color 0; the canonical
+        # first nonzero colors are the divisors: 1 and 2
         assert mask == (1 << 1) | (1 << 2)
 
     def test_no_reduction_without_divisibility(self):
-        palette, fix_first, mask = _symmetry_filters(ProblemSpec(k=5, r=3))
+        palette, mask = _symmetry_filters(ProblemSpec(k=5, r=3))
         assert palette == (0, 1, 2)
-        assert fix_first == -1 and mask == 0
+        assert mask == 0
 
     def test_binary_pins_first_color_only(self):
         spec = ProblemSpec(k=8, r=4, palette=Palette.BINARY)
-        palette, fix_first, mask = _symmetry_filters(spec)
+        palette, mask = _symmetry_filters(spec)
         assert palette == (0, 1)
-        assert fix_first == 0 and mask == 0
+        # nonzero, so position 1 is pinned; it holds 1, the only nonzero
+        # color, so the orbit filter never acts
+        assert mask == (1 << 1) | (1 << 2)
 
 
 class TestFindFreeColoring:
@@ -210,10 +212,10 @@ def test_pruning_never_changes_outcome():
              (8, 4, Palette.BINARY))
     for (k, r, palette), n in product(cases, range(0, 9)):
         spec = ProblemSpec(k=k, r=r, palette=palette)
-        residues, fix_first, mask = _symmetry_filters(spec)
+        residues, mask = _symmetry_filters(spec)
         first = None
         for values in product(residues, repeat=n):
-            if n and fix_first >= 0 and values[0] != fix_first:
+            if n and mask and values[0] != 0:
                 continue
             if mask:
                 nonzero = next((v for v in values if v), 0)
