@@ -13,9 +13,17 @@ Workloads:
                   the k=150 construction plus zeros, first target 1489:
                   the colorings of length about kr that certify the bounds
   extract         lex-least witness extraction on the reach-pass coloring
-                  and target: 47 x 1, 2, 440
-  extract-150-10  lex-least witness extraction on the reach-150-10
-                  coloring and target: 147 x 1, 2, 1340
+                  and target: 47 x 1, 2, 440, the greedy alone, reading
+                  the table the checker's decision built
+  extract-150-10  the same on the reach-150-10 coloring and target:
+                  147 x 1, 2, 1340
+  find-150-10     find_zero_sum_solution on the reach-150-10 coloring:
+                  the checker end to end on a late witness (a narrow
+                  pass to 2k that misses, the exact table, the greedy)
+  find-early-100-20
+                  find_zero_sum_solution on a seeded random coloring
+                  (n=2000, k=100, r=20; random.Random(1)) whose least
+                  target, 105, the narrow pass finds: 96 x 1, 2, 2, 5
   search-8-4      exhaust the reduced four-color search at n=27 (the
                   S_z(8,4) decision step: 78 extension checks, 268
                   probes)
@@ -39,7 +47,8 @@ Workloads:
                   probes in all): the cost of the ascending scan
 
 Each run is checked: the reach passes must return the targets in
-REACH, each extraction the lex-least parts in EXTRACT, each search must
+REACH, each extraction the lex-least parts in EXTRACT, each find the
+witness in FIND, each search must
 end with the status, nodes, prunes, max depth and probes in WORKLOADS,
 and the scan must give the value, certificate, nodes and probes in SCAN.
 Exit 1 on a failed check.  ``--json PATH`` also writes the machine
@@ -62,7 +71,14 @@ exhaust-18-6 in 300 s.  With the scan in windows of levels, best of 3
 in three runs alternating with the scan that searched each level on its
 own and resumed it from the level below (same VM, a busier host):
 scan-5-5 4.8-7.9 ms against 10.1-10.7 ms (818 nodes and 371 probes),
-scan-12-4 10.6-11.5 ms against 11.5-11.8 ms (the same counts).
+scan-12-4 10.6-11.5 ms against 11.5-11.8 ms (the same counts).  With
+the checker's decision in two phases (a narrow pass to 2k, else one
+exact table that the witness is read from), best of 3 in four runs
+alternating with the decision by a full reach pass and a second table
+for extraction (same VM): find-150-10 16-29 ms against 33-59 ms,
+find-early-100-20 0.4-0.8 ms against 3.6-4.1 ms.  extract and
+extract-150-10 now time the greedy alone (0.0-0.2 ms), not the table
+that it reads.
 """
 
 from __future__ import annotations
@@ -71,6 +87,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import subprocess
 from pathlib import Path
 from time import perf_counter
@@ -80,6 +97,7 @@ from zschur import (
     ProblemSpec,
     SearchConfig,
     _kernel_py,
+    find_zero_sum_solution,
     solve_exact,
 )
 from zschur.checker import _lex_least_parts
@@ -108,9 +126,32 @@ EXTRACT = {
 
 
 def extract_args(reach):
-    (n, k, r), target = REACH[reach]
+    """The greedy's arguments, with the table the checker's decision
+    builds for the reach workload's coloring."""
+    (n, k, r), _ = REACH[reach]
     values = reach_args(n, k, r)[0]
-    return (Coloring.of(values, r), k, r, target)
+    target, rows, geo = _kernel_py.zero_sum_table(values, n, k, r)
+    return (Coloring.of(values, r), k, target, rows, geo)
+
+
+def random_values(seed, n, r):
+    rng = random.Random(seed)
+    return tuple(rng.randrange(r) for _ in range(n))
+
+
+#: Find workloads: the coloring's values, its (k, r), and the least
+#: witness (target, parts) find_zero_sum_solution must return.
+FIND = {
+    "find-150-10": (reach_args(1500, 150, 10)[0], (150, 10),
+                    (1489, (1,) * 147 + (2, 1340))),
+    "find-early-100-20": (random_values(1, 2000, 20), (100, 20),
+                          (105, (1,) * 96 + (2, 2, 5))),
+}
+
+
+def find_args(values, kr):
+    k, r = kr
+    return (Coloring.of(values, r), ProblemSpec(k, r))
 
 
 #: Search workloads: arguments of search_free_coloring and the
@@ -205,6 +246,16 @@ def main() -> int:
             return 1
         rows.append((wname, took, {"parts": list(parts)},
                      f"{len(parts)} parts, last {parts[-1]}"))
+
+    for wname, (values, kr, want) in FIND.items():
+        took, w = best_time(find_zero_sum_solution, find_args(values, kr),
+                            args.repeats)
+        got = None if w is None else (w.target, w.parts)
+        if got != want:
+            print(f"{wname}: witness {got}, expected {want}")
+            return 1
+        rows.append((wname, took, {"target": w.target, "parts": list(w.parts)},
+                     f"target {w.target}, last part {w.parts[-1]}"))
 
     for wname, (sargs, want) in WORKLOADS.items():
         took, (status, _, *counts) = best_time(

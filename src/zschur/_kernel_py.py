@@ -1,10 +1,16 @@
 """The reachability and search kernel, in pure Python.
 
-The package's only kernel, with two hot entry points:
+The package's only kernel, with three hot entry points:
 
+* :func:`zero_sum_table` - the checker's decision over a fixed coloring:
+  the least target that completes a zero-sum solution, and one exact
+  table to read its witness from.  A narrow reach pass tests the
+  targets up to 2k; when it misses, one exact table of sums up to n
+  decides all the later targets at once and serves extraction too.
 * :func:`first_zero_sum_target` - one bottom-up pass of the reachability
-  table over a fixed coloring, returning the least target that completes
-  a zero-sum solution (the checker's decision pass).
+  table, returning the least target that completes a zero-sum solution
+  (the narrow phase above, and the solver's check of its certified
+  start, under a deadline).
 * :func:`search_free_coloring` - forward-checking depth-first search for
   a solution-free coloring of [1..n], with singleton propagation and
   failed-literal probing (the solver's search).
@@ -71,7 +77,15 @@ k-1 parts that are each at least 1, so no part exceeds T-k+2; target T
 can therefore be tested as soon as values up to T-k+2 are in the table,
 and one shared table serves all targets.  Value v updates about
 min(k-1, n/v) live rows, so the pass makes about n(1 + ln k) row updates
-of r(n+1) bits.
+of r(n+1) bits.  The same bound lets one exact table decide every
+target at once: with c the color of T, the last row of the values
+1..n-k+2 at sum cap n holds bit ((r - c) % r)*W + T exactly when T
+completes a solution, whatever the values above T-k+2, since none of
+them fits in a sum of T.  The descending build of :func:`exact_table`
+makes about as many row updates as the ascending pass, so the checker's
+exact phase costs what a pass to n would and leaves behind the table its
+witness is read from; only its narrow phase, for targets up to 2k, runs
+the ascending pass.
 
 The search keeps a stack of frames, one per colored depth; each frame's
 table holds *every* colored value below its position, so the last row
@@ -416,6 +430,68 @@ def first_zero_sum_target(values, n: int, k: int, r: int,
         if (rows[-1] >> (c * width + target)) & 1:
             return target
     return 0
+
+
+def _least_target(row: int, values, lo: int, hi: int, geo: Geometry) -> int:
+    """Least target T in (lo, hi] whose last-row bit ((r - c) % r)*W + T
+    is set, c = values[T - 1], else 0.  ``row`` is an exact last row with
+    sum_cap >= hi.
+
+    The row is read as bytes once, so each target costs a byte lookup
+    instead of a shift of the whole row.
+    """
+    r, width = geo.r, geo.width
+    bits = row.to_bytes((geo.size + 7) // 8, "little")
+    for t in range(lo + 1, hi + 1):
+        i = ((r - values[t - 1]) % r) * width + t
+        if (bits[i >> 3] >> (i & 7)) & 1:
+            return t
+    return 0
+
+
+def zero_sum_table(values, n: int, k: int, r: int):
+    """The checker's decision: ``(T, rows, geo)`` for the least target T in
+    [k-1, n] completing a zero-sum solution, with a table whose every row
+    is exact up to sum T, or ``(0, None, None)`` when there is none.
+
+    ``values`` is 0-based, as for :func:`first_zero_sum_target`.  Two
+    phases, of which at most one builds a table of sums up to n:
+
+    1. Narrow: :func:`first_zero_sum_target` over the targets up to
+       early = min(n, 2k) only, in a table of sums up to early.  On a hit
+       at T, ``rows`` is :func:`exact_table` of the values 1..T-k+2 at sum
+       cap T.
+    2. Exact: when that misses and n > early, one :func:`exact_table` of
+       the values 1..n-k+2 at sum cap n.  A sum-T solution has k-1 parts
+       of at least 1 each, so every part is at most T-k+2, and a value
+       above it fits in no such sum: the exact last row decides every
+       target in (early, n] at once (:func:`_least_target`), and every
+       row answers the :func:`cell` queries of the witness greedy, which
+       ask for part of a sum-T solution, as the table of 1..T-k+2 would.
+
+    The cap 2k is a fixed rule.  Without structure in the coloring, the
+    multisets of k-1 parts summing to a little above k-1 already give
+    every color sum, so the least target lies just above k-1 (105 for a
+    seeded random coloring with n = 2000, k = 100, r = 20); the narrow
+    phase settles it in rows of r(2k+1) bits, not r(n+1).  The colorings
+    that certify the bounds have n near kr and no target up to 2k, and
+    for them the narrow pass is wasted.  It feeds k + 2 values into rows
+    2k/n as wide as the exact phase's, and takes a tenth of that phase's
+    time or less at r >= 10, and from about half to two thirds of it at
+    r = 3 (0.2-0.7 ms at k = 51..150).  A cap nearer k would waste less
+    there but send more colorings without structure to the exact phase.
+    """
+    early = min(n, 2 * k)
+    target = first_zero_sum_target(values, early, k, r)
+    if target:
+        geo = Geometry(r, target)
+        return target, exact_table(values, k, target - k + 2, geo), geo
+    if n <= early:
+        return 0, None, None
+    geo = Geometry(r, n)
+    rows = exact_table(values, k, n - k + 2, geo)
+    target = _least_target(rows[-1], values, early, n, geo)
+    return (target, rows, geo) if target else (0, None, None)
 
 
 def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,

@@ -1,12 +1,21 @@
 """Deciding whether a coloring admits a zero-sum solution.
 
-:func:`find_zero_sum_solution` is the production path: a reachability
-pass over sums and color residues
-(:func:`zschur._kernel_py.first_zero_sum_target`), plus lexicographic
-witness extraction, a greedy that reads one exact table of the values
-1..target-k+2 built by the same kernel in one backward pass
-(:func:`zschur._kernel_py.exact_table`).  The returned witness is the
-least one by (target, sorted parts).
+:func:`find_zero_sum_solution` is the production path, and
+:func:`is_solution_free` makes the same decision without the witness.
+The decision (:func:`zschur._kernel_py.zero_sum_table`) has two phases:
+
+1. a narrow reachability pass over sums and color residues
+   (:func:`zschur._kernel_py.first_zero_sum_target`) tests the targets up
+   to min(n, 2k), where a coloring without structure has its least
+   target; on a hit at T it builds one exact table of the values
+   1..T-k+2 at sum cap T in one backward pass
+   (:func:`zschur._kernel_py.exact_table`);
+2. otherwise, when n > 2k, one exact table of the values 1..n-k+2 at
+   sum cap n, whose last row decides every later target at once.
+
+Either way the lexicographic witness is read by a greedy off the one
+table the decision built; no second table is built.  The returned
+witness is the least one by (target, sorted parts).
 
 :func:`brute_force_oracle` answers the same question by enumerating every
 nondecreasing (k-1)-tuple directly.  It shares no code with the table
@@ -41,32 +50,36 @@ def _residues(chi: Coloring, k: int, r: int) -> int:
     return min(r, k * max(chi.values, default=0) + 1)
 
 
-def _first_target(chi: Coloring, spec: ProblemSpec) -> int:
-    """Least solvable target in [k-1, chi.n], or 0 when the coloring is free."""
+def _zero_sum_table(chi: Coloring, spec: ProblemSpec):
+    """The one decision of both checks: :func:`_kernel_py.zero_sum_table`
+    over :func:`_residues` color blocks, ``(target, rows, geo)``."""
     require_same_modulus(chi, spec)
-    return _kernel_py.first_zero_sum_target(
+    return _kernel_py.zero_sum_table(
         chi.values, chi.n, spec.k, _residues(chi, spec.k, spec.r))
 
 
-def _lex_least_parts(chi: Coloring, k: int, r: int, target: int) -> tuple[int, ...]:
+def _lex_least_parts(chi: Coloring, k: int, target: int, rows: list[int],
+                     geo: _kernel_py.Geometry) -> tuple[int, ...]:
     """Lexicographically least nondecreasing parts realizing the target.
 
     Greedy smallest-first choice, with feasibility of each remainder read
-    off one table of all values 1..v_max (:func:`_kernel_py.exact_table`).
-    After the lex-least prefix p_1..p_{t-1}, the first v >= p_{t-1} whose
-    remainder some completion M reaches is p_t, and M holds no value
-    u < v: were u < p_{t-1}, the sorted solution would be lex-less than
-    one extending the prefix, which is the least solution's; were u in
-    [p_{t-1}, v), the least of M and v would have passed first.  So the
-    table of all values answers as a table of [v..v_max] would.  The last
-    part is the remaining sum itself.  The table has
-    :func:`_residues` color blocks, which may be fewer than r.
+    off the table that decided the target (:func:`_zero_sum_table`):
+    every row exact, of the values 1..V for some V >= v_max =
+    target-k+2, at a sum cap of at least target.  A value above v_max
+    fits in no sum of k-1 parts up to target, so the table answers as
+    that of 1..v_max would.  After the lex-least prefix p_1..p_{t-1},
+    the first v >= p_{t-1} whose remainder some completion M reaches is
+    p_t, and M holds no value u < v: were u < p_{t-1}, the sorted
+    solution would be lex-less than one extending the prefix, which is
+    the least solution's; were u in [p_{t-1}, v), the least of M and v
+    would have passed first.  So the table of all values answers as a
+    table of [v..v_max] would.  The last part is the remaining sum
+    itself.  The table has ``geo.r`` color blocks, :func:`_residues` of
+    them, which may be fewer than r.
     """
-    r = _residues(chi, k, r)
+    r = geo.r
     v_max = target - k + 2
-    geo = _kernel_py.Geometry(r, target)
     colors = chi.values
-    rows = _kernel_py.exact_table(colors, k, v_max, geo)
 
     failed = f"reachability table promised target {target} but extraction failed"
     parts = []
@@ -94,15 +107,16 @@ def find_zero_sum_solution(chi: Coloring, spec: ProblemSpec) -> Witness | None:
     """Least zero-sum witness of chi by (target, sorted parts), or None.
 
     A witness is k-1 values in [1..n] (repetition allowed) summing to a
-    target in [1..n], with the k colors summing to 0 mod r.  Existence is
-    decided by one table pass; the witness itself is then recovered with
-    the smallest possible target and, for that target, the
-    lexicographically least nondecreasing parts tuple.
+    target in [1..n], with the k colors summing to 0 mod r.  Existence and
+    the smallest target are decided by :func:`_zero_sum_table`, the
+    decision :func:`is_solution_free` makes too; the lexicographically
+    least nondecreasing parts tuple for that target is then read off the
+    table that decision built.
     """
-    target = _first_target(chi, spec)
+    target, rows, geo = _zero_sum_table(chi, spec)
     if target == 0:
         return None
-    parts = _lex_least_parts(chi, spec.k, spec.r, target)
+    parts = _lex_least_parts(chi, spec.k, target, rows, geo)
     witness = Witness(parts=parts, target=target)
     if not validate_witness(witness, chi, spec):
         raise RuntimeError(
@@ -113,9 +127,10 @@ def find_zero_sum_solution(chi: Coloring, spec: ProblemSpec) -> Witness | None:
 def is_solution_free(chi: Coloring, spec: ProblemSpec) -> bool:
     """True iff no zero-sum solution exists over [1..chi.n].
 
-    Existence-only: skips witness extraction.
+    The decision of :func:`find_zero_sum_solution`, without the greedy
+    that reads the witness's parts.
     """
-    return _first_target(chi, spec) == 0
+    return _zero_sum_table(chi, spec)[0] == 0
 
 
 def brute_force_oracle(chi: Coloring, spec: ProblemSpec) -> Witness | None:

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -262,6 +263,89 @@ def test_witness_matches_reference_greedy():
         witnesses, spread, oracle_checked)
 
 
+def phase_case(target, n, k):
+    """Where the least target of a coloring lies against the phases."""
+    if n < k - 1:
+        return "n < k-1"
+    if target == 0:
+        return "free, exact phase" if n > 2 * k else "free, n <= 2k"
+    if target == 2 * k or target == 2 * k + 1:
+        return f"target 2k+{target - 2 * k}"
+    if target < 2 * k:
+        return "target below 2k"
+    return "target at n" if target == n else "target in (2k+1, n)"
+
+
+def test_both_phases_match_the_reference():
+    # the narrow phase decides the targets up to 2k, the exact phase the
+    # later ones; both must give the reference witness, 2k and 2k+1 being
+    # the last target of one and the first of the other.  Each coloring
+    # whose witness is at 2k or later is also cut at its target, which is
+    # then n
+    rng = random.Random(2020)
+    cases = Counter()
+    for _ in range(2500):
+        k = rng.randint(3, 6)
+        r = rng.randint(2, 6)
+        n = rng.randint(0, 40)
+        base = rng.randrange(r)
+        p = rng.choice((0.02, 0.05, 0.1, 0.3))
+        values = tuple(base if rng.random() > p else rng.randrange(r)
+                       for _ in range(n))
+        spec = ProblemSpec(k=k, r=r)
+        colorings = [Coloring.of(values, r)]
+        while colorings:
+            chi = colorings.pop()
+            want = reference_witness(chi.values, k, r)
+            target, rows, geo = checker._zero_sum_table(chi, spec)
+            fast = find_zero_sum_solution(chi, spec)
+            assert (None if fast is None else (fast.target, fast.parts)) == want, (
+                chi.values, k, r)
+            assert target == (0 if want is None else want[0])
+            assert is_solution_free(chi, spec) == (want is None)
+            if chi.n <= 22 and k <= 5:
+                assert fast == brute_force_oracle(chi, spec), (chi.values, k, r)
+            if target:
+                # a hit up to 2k reads the narrow phase's table at cap
+                # target, a later one the exact phase's at cap n
+                assert geo.sum_cap == (target if target <= 2 * k else chi.n)
+                if 2 * k <= target < chi.n:
+                    colorings.append(chi.restricted(target))
+            else:
+                assert rows is None and geo is None
+            cases[phase_case(target, chi.n, k)] += 1
+    assert len(cases) == 8 and min(cases.values()) >= 20, cases
+
+
+def test_exact_phase_over_reduced_residues():
+    # colors 0 and 1 under r = 100: k colors sum to 0 mod r only when all
+    # are 0, so the tables have k + 1 residues, not 100.  Zeros at a and
+    # (k-1)a among ones put a solution at (k-1)a, past 2k for a >= 4
+    rng = random.Random(8)
+    late = free = 0
+    for _ in range(200):
+        k = rng.randint(3, 5)
+        n = rng.randint(2 * k + 1, 26)
+        zeros = set(rng.sample(range(1, n + 1), rng.randint(0, 3)))
+        a = rng.randint(4, 8)
+        if rng.random() < 0.5 and (k - 1) * a <= n:
+            zeros |= {a, (k - 1) * a}
+        values = tuple(0 if v in zeros else 1 for v in range(1, n + 1))
+        chi = Coloring.of(values, 100)
+        spec = ProblemSpec(k=k, r=100)
+        assert checker._residues(chi, k, 100) == k + 1
+        fast = find_zero_sum_solution(chi, spec)
+        want = reference_witness(values, k, 100)
+        assert (None if fast is None else (fast.target, fast.parts)) == want, (
+            values, k)
+        if k == 3:
+            assert fast == brute_force_oracle(chi, spec), values
+        assert is_solution_free(chi, spec) == (fast is None)
+        late += fast is not None and fast.target > 2 * k
+        free += fast is None
+    assert late >= 30 and free >= 30, (late, free)
+
+
 def test_witness_past_a_large_construction():
     # the k=100, r=20 construction is free on [1..1978]; one more value
     # colored 0 puts the least witness at 1979, the full table size
@@ -272,14 +356,17 @@ def test_witness_past_a_large_construction():
     witness = find_zero_sum_solution(padded, spec)
     assert witness.target == chi.n + 1
     assert validate_witness(witness, padded, spec)
-    # extraction keeps one table of k rows, not one table per value
+    # the decision builds one table of k rows, which extraction reads:
+    # not one table per value, nor a second table for the witness
     tracemalloc.start()
     try:
-        parts = checker._lex_least_parts(padded, 100, 20, witness.target)
+        target, rows, geo = checker._zero_sum_table(padded, spec)
+        parts = checker._lex_least_parts(padded, 100, target, rows, geo)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert parts == witness.parts
+    assert (target, parts) == (witness.target, witness.parts)
+    assert geo.sum_cap == padded.n  # the exact phase's table
     assert peak < 4 * 2**20, peak
 
 

@@ -137,6 +137,36 @@ def test_first_target_wide_sums():
         assert naive_first_target(late, n, 10, 3) == n, n
 
 
+def test_exact_table_least_target_matches_reach_pass():
+    # the exact phase reads every target off the last row of one table of
+    # 1..n-k+2 at sum cap n, by bytes; read from the first target, k-1,
+    # it must give the ascending pass's least target, and zero_sum_table
+    # (narrow pass to 2k, then that read) the same.  Near-constant
+    # colorings put many least targets past 2k; n up to 200 gives rows
+    # of many bytes
+    rng = random.Random(404)
+    late = 0
+    for _ in range(400):
+        k = rng.randint(3, 12)
+        r = rng.randint(2, 7)
+        n = rng.choice((rng.randint(0, 40), rng.randint(60, 200)))
+        base = rng.randrange(r)
+        values = [base] * n
+        for i in rng.sample(range(n), min(n, rng.randint(0, 4))):
+            values[i] = rng.randrange(r)
+        want = _kernel_py.first_zero_sum_target(values, n, k, r)
+        geo = _kernel_py.Geometry(r, n)
+        rows = _kernel_py.exact_table(values, k, n - k + 2, geo)
+        got = _kernel_py._least_target(rows[-1], values, k - 2, n, geo)
+        assert got == want, (values, k, r)
+        target, rows, geo = _kernel_py.zero_sum_table(values, n, k, r)
+        assert target == want, (values, k, r)
+        if n <= 40:
+            assert want == naive_first_target(values, n, k, r), (values, k, r)
+        late += want > 2 * k
+    assert late >= 40, late
+
+
 def test_search_identical_results():
     # a nonzero mask pins position 1 to color 0 in the kernel; the mask
     # of every nonzero color pins it and filters nothing else
