@@ -6,12 +6,14 @@ Run from a checkout:
     python3 benchmarks/bench_kernel.py [--repeats N] [--json PATH]
 
 Workloads:
-  reach-pass      one full reachability pass (n=500, k=50, r=10) over a
+  reach-pass      first_zero_sum_target (n=500, k=50, r=10) over a
                   coloring whose first zero-sum target is near the end
-                  (489), i.e. the pass cannot stop early
-  reach-150-10    one full reachability pass (n=1500, k=150, r=10) over
-                  the k=150 construction plus zeros, first target 1489:
-                  the colorings of length about kr that certify the bounds
+                  (489), so the pass runs almost to n.  The checker's
+                  narrow pass stops at 2k; only the solver's check of
+                  its certified start runs the pass to n
+  reach-150-10    the same pass (n=1500, k=150, r=10) over the k=150
+                  construction plus zeros, first target 1489: the
+                  colorings of length about kr that certify the bounds
   extract         lex-least witness extraction on the reach-pass coloring
                   and target: 47 x 1, 2, 440, the greedy alone, reading
                   the table the checker's decision built
@@ -48,37 +50,14 @@ Workloads:
 
 Each run is checked: the reach passes must return the targets in
 REACH, each extraction the lex-least parts in EXTRACT, each find the
-witness in FIND, each search must
-end with the status, nodes, prunes, max depth and probes in WORKLOADS,
-and the scan must give the value, certificate, nodes and probes in SCAN.
+witness in FIND, each search must end with the status, nodes, prunes,
+max depth and probes in WORKLOADS, and the scan must give the value,
+certificate, nodes and probes in SCAN.
 Exit 1 on a failed check.  ``--json PATH`` also writes the machine
 (nproc, CPU model, Python), the commit, and per workload its best time,
 repeat count and the checked results to PATH.
 
-Best of 3 on a 2-vCPU Xeon VM, three runs on a busy host: reach-pass
-2.2-3.2 ms, reach-150-10 16-25 ms, extract 1.9-3.2 ms, extract-150-10
-16-26 ms.  Extraction from one table per value (v_max + 1 tables) took
-2.9-3.5 ms on extract and 28-38 ms on the extract-150-10 input, with
-17 MB of tracemalloc peak there against 0.3 MB now.  With probes that
-test the last row before they copy the table, best of 3 in three runs
-on the same VM: search-8-4 1.9-3.0 ms, search-6-3 0.2 ms, solve-12-4
-3.7-6.8 ms, exhaust-12-6 0.42-0.51 s, exhaust-18-6 1.9-2.2 s, scan-12-4
-9.1-12 ms.  Probes that copy and close the table every time took
-2.9-3.9 ms, 0.2-0.3 ms, 6.0-8.9 ms, 0.67-0.68 s, 3.1 s and 11-16 ms in
-runs alternating with those.  The search without probing took 36-57 ms
-on solve-12-4, about 20 s on exhaust-12-6, and did not finish
-exhaust-18-6 in 300 s.  With the scan in windows of levels, best of 3
-in three runs alternating with the scan that searched each level on its
-own and resumed it from the level below (same VM, a busier host):
-scan-5-5 4.8-7.9 ms against 10.1-10.7 ms (818 nodes and 371 probes),
-scan-12-4 10.6-11.5 ms against 11.5-11.8 ms (the same counts).  With
-the checker's decision in two phases (a narrow pass to 2k, else one
-exact table that the witness is read from), best of 3 in four runs
-alternating with the decision by a full reach pass and a second table
-for extraction (same VM): find-150-10 16-29 ms against 33-59 ms,
-find-early-100-20 0.4-0.8 ms against 3.6-4.1 ms.  extract and
-extract-150-10 now time the greedy alone (0.0-0.2 ms), not the table
-that it reads.
+The timings of each change are in the committed BENCH_*.json reports.
 """
 
 from __future__ import annotations

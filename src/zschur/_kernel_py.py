@@ -43,11 +43,8 @@ rest of it, so the step is
 
 and no shift makes bits past the row that an AND must clear.  A shift of
 a wide Python int costs several times an AND or an OR of it, so the
-shifts are kept to the bits that move.  With cv = 0 no block wraps and
-the step is one shift by v, with no stay or wrap mask to compute: the
-search's rows are a few words wide, so the mask set-up is a large part
-of its steps, and about 3 in 10 of them add color 0 in the solver's
-small exact solves.  The keep mask is computed from the layout for each
+shifts are kept to the bits that move; with cv = 0 no block wraps, and
+``wrap`` is empty.  The keep mask is computed from the layout for each
 added value, as ``(ones << (W - v)) - ones`` where ``ones`` has bit 0
 of every block: per block, the W - v low bits.  The stay and wrap masks
 are not kept in :class:`Geometry`: one pair per color would take r*r*W
@@ -105,9 +102,10 @@ coloring below the node, so it joins the table at once as a value of
 that color (:func:`close`); its sums can leave further targets with one
 color or none, so this repeats until nothing changes, and a target left
 with none prunes the child.  Each frame keeps the mask of targets
-already forced, so a child adds only the newly forced ones, and when the
-search reaches a forced position its color is the only one left and the
-table already holds it.  A forced value t feeds only sums above t, so
+already forced, so a child adds only the newly forced ones.  When the
+search reaches a forced position, its color is the only one left there,
+and the step adds it again, which changes no row (see
+:func:`add_value`).  A forced value t feeds only sums above t, so
 when the search reaches position p, the sums that set bit p of the last
 row use values below p alone, all colored by then: the conflict test
 stays exact, and a bit there that no sum sets is a removal.
@@ -214,18 +212,15 @@ def add_value(rows: list[int], v: int, cv: int, geo: Geometry,
     j + (k-1-j)*low <= sum_cap, leaving the dead rows below it as they
     are, and stops at the first zero row (see the module docstring).
     The last row is exact; with low == 1 every row is.
+
+    Adding a value the table already holds changes no row: after each
+    call, every live row holds the step of each value added so far from
+    the row below it, since the steps of two values commute.
     """
     last = len(rows) - 1
     j0 = _first_live_row(last, low, geo.sum_cap)
     keep = (geo.ones << (geo.width - v)) - geo.ones
     prev = rows[j0]
-    if cv == 0:  # no block wraps around: one shift
-        for j in range(j0 + 1, last + 1):
-            if not prev:
-                return
-            prev = rows[j] | ((prev & keep) << v)
-            rows[j] = prev
-        return
     stay = keep & (geo.full >> (cv * geo.width))  # blocks below r - cv
     wrap = keep ^ stay
     up = cv * geo.width + v
@@ -397,12 +392,10 @@ def extend_state(rows: list[int], forced: int, pos: int, n: int, c: int,
     ``(rows, forced)`` of the child (singleton propagation only), or None
     on a wipe-out.  The child's table is always a new copy, so it
     inherits the colors removed in the last row of ``rows`` and leaves
-    ``rows`` as it is.  When ``forced`` marks pos, c is its color and the
-    table already holds it, so only the closure runs.
+    ``rows`` as it is.
     """
     child = rows[:]
-    if not (forced >> pos) & 1:
-        add_value(child, pos, c, geo, pos)
+    add_value(child, pos, c, geo, pos)
     forced = close(child, forced, pos, n, palette, offsets, geo)
     return None if forced is None else (child, forced)
 
@@ -416,7 +409,7 @@ def first_zero_sum_target(values, n: int, k: int, r: int,
     absolute time.monotonic() deadline, or None; when set it is checked
     before every value, and the pass returns None once it has passed.
     """
-    if n < k - 1:
+    if n < k - 1:  # no target: build no table of k rows (k may be huge)
         return 0
     geo = Geometry(r, n)
     width = geo.width

@@ -384,6 +384,20 @@ def test_huge_header_modulus_with_small_colors_stays_small():
     assert peak < 2**20, peak
 
 
+def test_huge_header_k_with_a_short_coloring_stays_small():
+    # no target fits in [1..n] when n < k-1, so the reach pass returns
+    # before it builds a table of k rows: 10**6 rows would take 8 MB
+    chi, k = parse_coloring("3 1000000 2\n0 1 0\n")
+    tracemalloc.start()
+    try:
+        witness = find_zero_sum_solution(chi, ProblemSpec(k, chi.r))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    assert peak < 2**20, peak
+
+
 def test_small_colors_under_a_large_modulus_match_the_oracle():
     # r around k*c_max, where the residues the tables need change from r
     # to k*c_max + 1, and r far above it, where only colors summing to

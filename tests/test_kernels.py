@@ -457,6 +457,71 @@ def test_extend_state_copies_and_closes_at_a_forced_position():
     assert child_forced == forced | 1 << 4
 
 
+def test_adding_a_held_value_again_changes_no_row():
+    # extend_state adds a forced position again like any other; the
+    # table already holds it, so no row may change.  Every value a table
+    # holds at or above its last low is added again with its color and
+    # every low from there up to the value: in the search's tables, whose
+    # last low is pos, or pos + 1 once the step forces a target, and in
+    # exact tables, whose last low is 1
+    def unchanged(rows, held, low0, geo):
+        for v, cv in held:
+            for low in range(low0, v + 1):
+                again = rows[:]
+                _kernel_py.add_value(again, v, cv, geo, low)
+                assert again == rows, (v, cv, low)
+        return len(held)
+
+    readded = forced_readded = 0
+    for k, r, n, cap in ((4, 4, 17, 17), (6, 3, 16, 19), (5, 5, 24, 24),
+                         (8, 4, 28, 31), (4, 2, 11, 11)):
+        palette = tuple(range(r))
+        geo = _kernel_py.Geometry(r, cap)
+        offsets = _kernel_py.forbid_offsets(palette, geo)
+        colors_seen = set()
+        states = [(_kernel_py.new_table(k), 0, 0)]
+        for _ in range(300):
+            if not states:
+                break
+            rows, forced, pos = states.pop()
+            if pos == n:
+                continue
+            for c, off in zip(palette, offsets):
+                if (rows[-1] >> (off + pos + 1)) & 1:
+                    continue
+                state = _kernel_py.extend_state(rows, forced, pos + 1, n, c,
+                                                palette, offsets, geo)
+                if state is None:
+                    continue
+                child, child_forced = state
+                held = [(t, next(d for d, o in zip(palette, offsets)
+                                 if not (child[-1] >> (o + t)) & 1))
+                        for t in range(pos + 2, n + 1)
+                        if (child_forced >> t) & 1]
+                if child_forced == forced:
+                    held.append((pos + 1, c))
+                    low0 = pos + 1
+                else:
+                    low0 = pos + 2
+                readded += unchanged(child, held, low0, geo)
+                forced_readded += len(held) - (child_forced == forced)
+                colors_seen.update(cv for _, cv in held)
+                states.append((child, child_forced, pos + 1))
+        assert colors_seen == set(palette), (k, r)
+
+    rng = random.Random(21)
+    for _ in range(60):
+        k, r = rng.randint(3, 8), rng.randint(2, 6)
+        n = rng.randint(k, 40)
+        geo = _kernel_py.Geometry(r, n)
+        values = [rng.randrange(r) for _ in range(n)]
+        v_max = rng.randint(1, n)
+        rows = _kernel_py.exact_table(values, k, v_max, geo)
+        readded += unchanged(rows, [(v, values[v - 1])
+                                    for v in range(1, v_max + 1)], 1, geo)
+    assert readded > 1000 and forced_readded > 100, (readded, forced_readded)
+
+
 def test_probing_refutes_prefix():
     # S_z(4,4) = 13, so [1..12] has free colorings, but none starts
     # 0, 0, 2.  Singleton propagation does not see it; probing does, and
