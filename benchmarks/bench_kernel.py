@@ -40,18 +40,24 @@ Workloads:
   exhaust-18-6    exhaust the reduced six-color search at n=104, the
                   S_z(18,6) decision step (7,868 nodes and 312,652
                   probes): the probe-heavy search
-  scan-12-4       deterministic solve_exact of S_z(12,4)=43: the lex-least
-                  search at n=42, then the n=43 exhaustion resumed from it
-                  (280 nodes and 1,046 probes in all)
+  scan-12-4       deterministic solve_exact of S_z(12,4)=43: one window
+                  from the construction's n=42 to the proven upper bound
+                  43, the lex-least search at 42 going on to the
+                  exhaustion at 43 (243 nodes and 1,059 probes in all)
+  scan-12-6       deterministic solve_exact of S_z(12,6)=68: one window
+                  of five levels, from the construction's n=64 to the
+                  proven upper bound 68, where it exhausts (3,745 nodes
+                  and 68,273 probes in all): the long k > r scan
   scan-5-5        deterministic solve_exact of S_z(5,5)=38: 20 levels, from
-                  the construction's n=19 to the n=38 exhaustion, in
-                  windows of 1, 2, 4, 8 and 16 levels (456 nodes and 405
-                  probes in all): the cost of the ascending scan
+                  the construction's n=19 to the n=38 exhaustion; k = r
+                  has no finite proven upper bound, so the windows are 1,
+                  2, 4, 8 and 16 levels (456 nodes and 405 probes in all):
+                  the cost of the ascending scan
 
 Each run is checked: the reach passes must return the targets in
 REACH, each extraction the lex-least parts in EXTRACT, each find the
 witness in FIND, each search must end with the status, nodes, prunes,
-max depth and probes in WORKLOADS, and the scan must give the value,
+max depth and probes in WORKLOADS, and each scan must give the value,
 certificate, nodes and probes in SCAN.
 Exit 1 on a failed check.  ``--json PATH`` also writes the machine
 (nproc, CPU model, Python), the commit, and per workload its best time,
@@ -149,12 +155,15 @@ WORKLOADS = {
 }
 
 
-#: Scan workload: (k, r) of the deterministic solve, and the value,
+#: Scan workloads: (k, r) of the deterministic solve, and the value,
 #: lex-least certificate, nodes and probes it must give.
 SCAN = {
     "scan-12-4": ((12, 4),
-                  (43, "012301230120022002200220022002203210321032", 280,
-                   1_046)),
+                  (43, "012301230120022002200220022002203210321032", 243,
+                   1_059)),
+    "scan-12-6": ((12, 6),
+                  (68, "01234501234201501201501101401101401104101104102105"
+                       "10210510543210543", 3_745, 68_273)),
     "scan-5-5": ((5, 5),
                  (38, "0101010404040404040404040404040101010", 456, 405)),
 }

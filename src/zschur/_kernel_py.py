@@ -110,26 +110,26 @@ when the search reaches position p, the sums that set bit p of the last
 row use values below p alone, all colored by then: the conflict test
 stays exact, and a bit there that no sum sets is a removal.
 
-Failed-literal probing strengthens it again, once per frame: the first
-time the search backtracks into the frame of p.  Every color p tried
-before is then refuted at p (at the current level or a lower one, which
-refutes it at every higher level too), or was skipped there by the
-symmetry filters or by ``resume``, so each is removed at p, and the
-frame's table is closed with probes: each target that has lost a color
-but kept two or more is colored in turn with each color it has left, on
-a copy closed by singleton propagation, and a color whose copy wipes out
-is removed (see :func:`close`).  Every removal is set in the last row of
-the frame's own table: every extension step copies its parent's table,
-so no two frames share one.  A probe first computes only the last row
-that its color would give, from the few rows that feed it (a sum up to
-n holds at most n // t copies of target t), and tests that row alone:
-most probes wipe out there or force nothing, and only a probe whose row
-forces a target copies the table and closes the copy.  A child frame
-gets singleton propagation only and inherits the removals with the
-table it copies.  A target forced by a removal
-keeps no other color, since the removal stays in the last row: the
-search gives it its forced color alone.  The cuts again remove only
-subtrees without a free coloring, and the branch order is unchanged.
+Failed-literal probing strengthens it again, once per frame and level:
+the first time the search backtracks into the frame of p at a level.
+Every color p tried before is then refuted at p (at the current level or
+a lower one, which refutes it at every higher level too), or was skipped
+there by the symmetry filters or by ``resume``, so each is removed at p,
+and the frame's table is closed with probes: each target that has lost
+a color but kept two or more is colored in turn with each color it has
+left, on a copy closed by singleton propagation, and a color whose copy
+wipes out is removed (see :func:`close`).  Every removal is set in the
+last row of the frame's own table: every extension step copies its
+parent's table, so no two frames share one.  A probe first computes only
+the last row that its color would give, from the few rows that feed it
+(a sum up to n holds at most n // t copies of target t), and tests that
+row alone: most probes wipe out there or force nothing, and only a probe
+whose row forces a target copies the table and closes the copy.  A child
+frame gets singleton propagation only and inherits the removals with the
+table it copies.  A target forced by a removal keeps no other color,
+since the removal stays in the last row: the search gives it its forced
+color alone.  The cuts again remove only subtrees without a free
+coloring, and the branch order is unchanged.
 
 One search covers a window of levels n..n_max, the solver's ascending
 scan.  Its tables span the sums up to n_max, and each closure reads the
@@ -140,13 +140,16 @@ step from there, which closes the child's table over the new target
 n + 1 as over every other, also when position n was forced.  A free
 coloring of [1..n+1] restricts to one of [1..n], so no free coloring of
 the new level is smaller, and every fact a frame holds (a forced target,
-a removed color) holds for it too; the frames and their probed flags
-stay.  The cap is the window's last level because the dead-row cut of
-:func:`add_value` is relative to the cap: a row dead at cap n may be
-live at n + 1, so a table built at cap n is not exact one level up.  A
-wider cap makes every row step dearer, so the solver's windows grow
-from one level, and ``resume`` replays the level below only at the
-start of a window.
+a removed color) holds for it too; the frames stay.  Each frame records
+the level it was probed at, so a frame probed below the current level is
+probed again at its next backtrack, over the new targets too, as the
+fresh frames of a resumed search are.  The cap is the window's last
+level because the dead-row cut of :func:`add_value` is relative to the
+cap: a row dead at cap n may be live at n + 1, so a table built at cap n
+is not exact one level up.  A wider cap makes every row step dearer, so
+the solver caps its first window at the proven upper bound when it has
+a checked start near it, and otherwise grows its windows from one level;
+``resume`` replays the level below only at the start of a window.
 """
 
 from __future__ import annotations
@@ -517,11 +520,10 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
     The search runs at level n until it colors position n: that is the
     lex-least free coloring of [1..n].  Below n_max it keeps it and goes
     on at level n + 1 with its ordinary extension step, keeping its
-    frames and their probed flags, so ``resume`` replays a coloring only
-    at the start of a window (see the module docstring).  Every table
-    spans the sums up to n_max, since the dead-row cut of
-    :func:`add_value` is relative to the sum cap: a table built at cap n
-    is not exact at n + 1.
+    frames, so ``resume`` replays a coloring only at the start of a
+    window (see the module docstring).  Every table spans the sums up to
+    n_max, since the dead-row cut of :func:`add_value` is relative to the
+    sum cap: a table built at cap n is not exact at n + 1.
 
     Returns ``(status, coloring, nodes, prunes, max_depth, probes)``.
     status is FOUND (a free coloring of [1..n_max] exists), EXHAUSTED
@@ -541,8 +543,10 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
     forced targets that ``forced`` marks, with the colors removed at
     later targets in its last row; whether a color below p is nonzero;
     the palette index after p's color (so a coloring is read off the
-    frames); and whether the frame was probed.  Every frame owns its
-    table, so probing a frame closes that table in place.
+    frames); and the level the frame was last probed at, 0 for none.  A
+    backtrack into a frame probes it unless it was probed at the current
+    level.  Every frame owns its table, so probing a frame closes that
+    table in place.
     """
     if n_max is None:
         n_max = n
@@ -582,7 +586,7 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
     # not, every later node of the search lies above the resume path.
     start = [0] + [palette.index(c) for c in resume or ()]
     on_path = len(start) > 1
-    frames = [[new_table(k), 0, False, start[1] if on_path else 0, False]]
+    frames = [[new_table(k), 0, False, start[1] if on_path else 0, 0]]
 
     try:
         while frames:
@@ -617,17 +621,18 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
                     continue
                 on_path = on_path and pos + 1 < len(start) and c == resume[pos - 1]
                 frames.append([*child, seen or c != 0,
-                               start[pos + 1] if on_path else 0, False])
+                               start[pos + 1] if on_path else 0, 0])
                 break
             else:
                 frames.pop()
-                if not frames or frames[-1][4]:
+                if not frames or frames[-1][4] == n:
                     continue
-                # first backtrack into the frame of pos - 1: the colors below
-                # its next index are refuted or skipped there; remove them
-                # in the last row and probe, in the frame's own table
+                # first backtrack at this level into the frame of pos - 1:
+                # the colors below its next index are refuted or skipped
+                # there; remove them in the last row and probe, in the
+                # frame's own table
                 frame = frames[-1]
-                frame[4] = True
+                frame[4] = n
                 rows, forced, _, i, _ = frame
                 for off in offsets[:i]:
                     rows[-1] |= 1 << (off + pos - 1)

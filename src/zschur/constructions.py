@@ -30,6 +30,17 @@ succeeds for multiples, and freeness itself never uses divisibility.
 For other k the system may be infeasible (k = r+1 always is), in which
 case construction raises ConstructionContradictionError rather than
 picking a forbidden color.
+
+The two-color variant (colors 0 and 1 only) has a simpler certificate:
+color 0 on [1..k-2] and 1 on [k-1..rk-2r].  It is free, which proves
+the variant's S_z(k, r) >= rk - 2r + 1, its exact value for k > r.  The
+color sum of a solution is the number of its entries colored 1, so a
+zero-sum solution has none or at least r.  None is impossible: the
+target, a sum of k-1 parts, is at least k-1, so it is colored 1.  r or
+more needs k >= r, and at most one of those entries is the target, so
+at least r-1 parts are at least k-1 and the other k-r parts at least 1;
+the target is then at least (r-1)(k-1) + k-r = rk - 2r + 1, outside the
+domain.
 """
 
 from __future__ import annotations
@@ -124,6 +135,17 @@ def construction_colors(k: int, r: int) -> Iterator[int]:
     allowed = allowed_set_odd if r % 2 else allowed_set_even
     n = k * r - r - 2 + r % 2
     return (allowed(m, k, r).chosen for m in range(1, n + 1))
+
+
+def binary_construction_colors(k: int, r: int) -> Iterator[int]:
+    """The two-color coloring of 1..rk-2r, one color at a time: 0 on
+    [1..k-2], 1 on [k-1..rk-2r].
+
+    It is free (see the module docstring), so it certifies the two-color
+    lower bound rk - 2r + 1.
+    """
+    check_parameters(k, r)
+    return (0 if m <= k - 2 else 1 for m in range(1, r * k - 2 * r + 1))
 
 
 def construct_odd(k: int, r: int) -> Coloring:

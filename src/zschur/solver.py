@@ -34,17 +34,24 @@ translation).
 :func:`solve_exact` scans n upward: a free coloring of [1..n] restricts
 to a free coloring of [1..n-1], so the answer is the first n whose
 reduced search space is exhausted with no free coloring.  The scan
-starts just above the construction certificate when the checker has
-verified it (at it, in deterministic mode); proven upper bounds are
-never assumed, so exactness is independently re-derived.  The levels
-are searched in windows of 1, 2, 4, ... levels, one kernel search per
-window: within a window the search goes on from each level's lex-least
-coloring L to the next level, and each window after the first resumes
-from the last L of the window below.  Restricting a free coloring keeps
-it free and inside the reduced space, so no free coloring of a higher
-level starts below L.  A window's tables span the sums up to its last
-level, which makes each step dearer the wider it is; hence windows that
-double from one level rather than one window for the whole scan.  Every
+starts just above the construction certificate of the palette when the
+checker has verified it (at it, in deterministic mode).  The levels are
+searched in windows, one kernel search per window: within a window the
+search goes on from each level's lex-least coloring L to the next
+level, and each window after the first resumes from the last L of the
+window below.  Restricting a free coloring keeps it free and inside the
+reduced space, so no free coloring of a higher level starts below L.
+
+A window's tables span the sums up to its last level, which makes each
+step dearer the wider it is.  With a checked certificate and a finite
+proven upper bound (every k > r, both palettes), the first window runs
+from the start to that bound: the certificate lies a few levels below
+it, and its check has already built tables of about that size.  The
+bound only caps the window and is never assumed: the answer is still
+the level the search exhausts, and a free coloring found at the bound
+would only start the next window, so exactness is independently
+re-derived.  Otherwise (k = r, or the floor start after a deadline
+passed) the windows double from one level: 1, 2, 4, ... levels.  Every
 window gets the solve's one absolute deadline and the node budget the
 windows before it left.
 """
@@ -62,6 +69,7 @@ from ._kernel_py import (
     first_zero_sum_target,
     search_free_coloring,
 )
+from .bounds import theoretical_bounds
 from .core import (
     INF,
     Coloring,
@@ -88,10 +96,11 @@ class SearchConfig:
     least free coloring of the reduced space.  ``deterministic`` makes
     every EXACT result of :func:`solve_exact` carry such a certificate
     too: the scan starts at the construction certificate's n, not above
-    it, so its first level finds the lex-least coloring there.  A budget
-    that runs out before that reports BUDGET_EXHAUSTED at
-    certificate.n + 1 with the construction certificate, which is free
-    but neither lex-least nor inside the reduced space.
+    it, so the first level of its first window finds the lex-least
+    coloring there.  A budget that runs out before that reports
+    BUDGET_EXHAUSTED at certificate.n + 1 with the construction
+    certificate, which is free but neither lex-least nor inside the
+    reduced space.
     ``threads`` (at least 1) has no effect on the search: the kernel is
     pure Python and holds the GIL, so it runs on one thread whatever the
     count, and values, certificates and node counts never depend on it.
@@ -197,22 +206,26 @@ def _certified_start(spec: ProblemSpec,
                      deadline: float | None) -> tuple[int, Coloring | None]:
     """Lowest n to examine, with the checker-verified certificate below it.
 
-    Only checker-verified facts seed the scan: the construction coloring
-    when it verifies as solution-free, else the trivial floor k-1 (every
-    coloring of [1..k-2] is free since no target fits).  The two-color
-    variant has no construction, so it always starts at the floor, and so
-    does a scan whose deadline passes while the construction's colors are
-    produced or checked; the search that follows then stops at once.
+    Only checker-verified facts seed the scan: the palette's construction
+    coloring (:func:`~zschur.constructions.construction_colors`, or
+    :func:`~zschur.constructions.binary_construction_colors` for the
+    two-color variant) when it verifies as solution-free, else the
+    trivial floor k-1 (every coloring of [1..k-2] is free since no target
+    fits).  A scan whose deadline passes while the construction's colors
+    are produced or checked starts at the floor too; the search that
+    follows then stops at once.
     """
-    if spec.palette is Palette.FULL:
-        values = []
-        for c in constructions.construction_colors(spec.k, spec.r):
-            if deadline is not None and monotonic() > deadline:
-                return spec.k - 1, None
-            values.append(c)
-        if first_zero_sum_target(values, len(values), spec.k, spec.r,
-                                 deadline) == 0:
-            return len(values) + 1, Coloring.of(values, spec.r)
+    colors = (constructions.construction_colors
+              if spec.palette is Palette.FULL
+              else constructions.binary_construction_colors)
+    values = []
+    for c in colors(spec.k, spec.r):
+        if deadline is not None and monotonic() > deadline:
+            return spec.k - 1, None
+        values.append(c)
+    if first_zero_sum_target(values, len(values), spec.k, spec.r,
+                             deadline) == 0:
+        return len(values) + 1, Coloring.of(values, spec.r)
     return spec.k - 1, None
 
 
@@ -222,10 +235,12 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     Infinite immediately when r does not divide k.  Otherwise each n is
     searched for a free coloring: found means the answer exceeds n,
     exhausted means the answer is exactly n (with the previous free
-    coloring as certificate).  The levels are searched in windows of 1,
-    2, 4, ... levels, each one search resumed from the lex-least coloring
-    the window below ended with.  Budget exhaustion reports the certified
-    bracket [value, inf): value = certificate.n + 1, where the
+    coloring as certificate).  The levels are searched in windows, each
+    one search resumed from the lex-least coloring the window below ended
+    with: from a checked certificate with a finite proven upper bound,
+    one window from the start to that bound, else windows of 1, 2, 4, ...
+    levels (see the module docstring).  Budget exhaustion reports the
+    certified bracket [value, inf): value = certificate.n + 1, where the
     certificate is the last lex-least coloring found, also inside the
     window the budget ran out in.
     """
@@ -242,8 +257,13 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     n, certificate = _certified_start(spec, deadline)
     if cfg.deterministic and certificate is not None:
         n = certificate.n  # re-derive the lex-least certificate first
+    # only a checked start gets the capped window: its tables are then
+    # about the size the certificate's check built.  The cap is not
+    # assumed, so even a start above it gets a window
+    upper = (theoretical_bounds(spec.k, spec.r, spec.palette).upper
+             if certificate is not None else INF)
+    size = 1 if upper == INF else max(upper - n + 1, 1)
     resume = None
-    size = 1
     while True:
         left = (None if cfg.max_nodes is None
                 else cfg.max_nodes - total.nodes - total.probes)

@@ -27,6 +27,10 @@ from .solver import SolveStatus, solve_exact
 
 ODD_GRID = tuple((k, r) for r in (3, 5, 7, 9) for k in (2 * r, 3 * r))
 EVEN_GRID = tuple((k, r) for r in (2, 4, 6, 8) for k in (2 * r, 3 * r))
+#: The two-color construction is free for every k and r: k = r (3 for
+#: r = 2), a k that r need not divide, and k = 3r.
+BINARY_GRID = tuple((k, r) for r in (2, 3, 5, 8)
+                    for k in (max(r, 3), r + 3, 3 * r))
 #: Wall-clock limit of every exact solve row, in seconds.
 SOLVE_LIMIT_S = 1.0
 
@@ -109,6 +113,14 @@ def check_constructions_odd() -> str:
 def check_constructions_even() -> str:
     return _check_construction_grid(
         EVEN_GRID, constructions.construct_even, lambda k, r: k * r - r - 2)
+
+
+def check_constructions_binary() -> str:
+    return _check_construction_grid(
+        BINARY_GRID,
+        lambda k, r: Coloring.of(
+            constructions.binary_construction_colors(k, r), r),
+        lambda k, r: k * r - 2 * r)
 
 
 # --- criterion 3: property conformance -------------------------------------
@@ -327,6 +339,7 @@ CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     # criterion 2: construction certificates, each case < 2 s
     ("constructions-odd", check_constructions_odd),
     ("constructions-even", check_constructions_even),
+    ("constructions-binary", check_constructions_binary),
     # criterion 3: permitted/forbidden property conformance
     ("construction-properties", check_construction_properties),
     # criterion 4: oracle equivalence on 1000 random colorings

@@ -2,6 +2,7 @@ import pytest
 
 from zschur import (
     AllowedSet,
+    Coloring,
     ConstructionContradictionError,
     ProblemSpec,
     allowed_set_even,
@@ -12,7 +13,9 @@ from zschur import (
     construct_odd,
     is_solution_free,
 )
+from zschur.constructions import binary_construction_colors
 from zschur.verification import (
+    BINARY_GRID,
     EVEN_GRID,
     ODD_GRID,
     even_property_violations,
@@ -218,3 +221,39 @@ def test_every_position_respects_its_allowed_set():
             allowed = allowed_set_even(m, k, r)
             assert chi.color(m) == allowed.chosen
             assert chi.color(m) in allowed.permitted - allowed.forbidden
+
+
+def binary_construction(k, r):
+    return Coloring.of(binary_construction_colors(k, r), r)
+
+
+def test_binary_construction_layout():
+    # 0 on [1..k-2], 1 on [k-1..rk-2r]: rk - 2r positions
+    for k, r in BINARY_GRID:
+        chi = binary_construction(k, r)
+        assert chi.n == r * k - 2 * r
+        assert chi.values == (0,) * (k - 2) + (1,) * (chi.n - k + 2)
+
+
+#: Every (k, r) with k <= 8 and rk - 2r <= 16; for k < r a solution has
+#: fewer than r entries, so none is zero-sum.
+BINARY_SMALL = tuple((k, r) for r in range(2, 17) for k in range(3, 9)
+                     if r * k - 2 * r <= 16)
+
+
+@pytest.mark.parametrize("k,r", BINARY_SMALL)
+def test_binary_construction_free_by_oracle(k, r):
+    chi = binary_construction(k, r)
+    assert brute_force_oracle(chi, ProblemSpec(k=k, r=r)) is None
+
+
+@pytest.mark.parametrize("k,r", BINARY_GRID + ((40, 10), (30, 30), (31, 30)))
+def test_binary_grid_free(k, r):
+    assert is_solution_free(binary_construction(k, r), ProblemSpec(k=k, r=r))
+
+
+def test_binary_construction_checks_parameters():
+    with pytest.raises(ValueError, match="k must be >= 3, got 2"):
+        binary_construction_colors(2, 2)
+    with pytest.raises(ValueError, match="r must be >= 2, got 1"):
+        binary_construction_colors(6, 1)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from time import monotonic
 
@@ -14,23 +15,27 @@ from zschur import (
     find_free_coloring,
     is_solution_free,
     solve_exact,
+    theoretical_bounds,
 )
-from zschur import _kernel_py
-from zschur.solver import _symmetry_filters
+from zschur import _kernel_py, solver
+from zschur.solver import _certified_start, _symmetry_filters
 
 
 #: (k, r, palette, lex-least certificate, nodes, prunes, max_depth,
 #: probes) of deterministic solves.
 CERTIFIED_TREES = [
-    (8, 4, Palette.FULL, "01230120022002200220321032", 151, 81, 26, 350),
-    (12, 3, Palette.FULL, "01201201201101101101102102102102", 83, 31, 32,
+    (8, 4, Palette.FULL, "01230120022002200220321032", 128, 72, 26, 359),
+    (12, 3, Palette.FULL, "01201201201101101101102102102102", 70, 30, 32,
      52),
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
      456, 248, 37, 405),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
-     136, 31, 40, 0),
+     70, 31, 40, 0),
     (12, 4, Palette.FULL, "012301230120022002200220022002203210321032",
-     280, 146, 42, 1046),
+     243, 131, 42, 1059),
+    (12, 6, Palette.FULL,
+     "0123450123420150120150110140110140110410110410210510210510543210543",
+     3745, 2333, 67, 68273),
 ]
 
 
@@ -229,6 +234,20 @@ def test_pruning_never_changes_outcome():
         assert got == first, (k, r, palette, n)
 
 
+@pytest.fixture
+def windows(monkeypatch):
+    """The (n, n_max) of every window solve_exact searches, in order."""
+    calls = []
+    search = solver._search_window
+
+    def spy(n, n_max, *args):
+        calls.append((n, n_max))
+        return search(n, n_max, *args)
+
+    monkeypatch.setattr(solver, "_search_window", spy)
+    return calls
+
+
 class TestSolveExact:
     def test_two_color_values(self):
         result = solve_exact(ProblemSpec(k=4, r=2))
@@ -299,10 +318,13 @@ class TestSolveExact:
         # forward checking; pruning dead subtrees must not change them.
         # The node, prune, depth and probe counts pin the trees of the
         # scan, with forward checking, singleton propagation, probing
-        # and the levels searched in windows of 1, 2, 4, ... levels, one
-        # search each, resumed from the window below, with a forced
-        # position that ends a level closed over the new target: a change
-        # of table layout must leave them as they are.
+        # and the levels searched in windows: one from the construction
+        # up to the proven upper bound for k > r (S_z(12,6) is the long
+        # one, 64..68), and 1, 2, 4, ... levels for k = r, each resumed
+        # from the window below, with a forced position that ends a level
+        # closed over the new target and every frame probed again at a
+        # higher level: a change of table layout must leave them as they
+        # are.
         spec = ProblemSpec(k=k, r=r, palette=palette)
         result = solve_exact(spec, SearchConfig(deterministic=True))
         assert result.status is SolveStatus.EXACT
@@ -332,7 +354,34 @@ class TestSolveExact:
                     totals[0] += stats.nodes
                     totals[1] += stats.prunes
                     totals[2] += stats.probes
-        assert totals == [16_210, 8_997, 155_507]
+        assert totals == [14_382, 8_763, 154_948]
+
+    def test_k_above_r_scans_in_one_window(self, windows):
+        # k > r has a finite proven upper bound, so the scan is one window
+        # from its checked start (the construction's n, or one above it)
+        # up to the bound, where it exhausts
+        for (k, r), values in SWEEP_VALUES.items():
+            if k == r:
+                continue
+            for palette, value in zip((Palette.FULL, Palette.BINARY),
+                                      values):
+                spec = ProblemSpec(k=k, r=r, palette=palette)
+                start, _ = _certified_start(spec, None)
+                upper = theoretical_bounds(k, r, palette).upper
+                for deterministic, first in ((False, start),
+                                             (True, start - 1)):
+                    windows.clear()
+                    result = solve_exact(spec, SearchConfig(
+                        deterministic=deterministic))
+                    assert result.value == value
+                    assert windows == [(first, upper)], (
+                        k, r, palette, deterministic)
+
+    def test_k_equal_r_keeps_doubling_windows(self, windows):
+        # k = r has no finite proven upper bound: the deterministic
+        # S_z(5,5) scan starts at the construction's n = 19 and doubles
+        solve_exact(ProblemSpec(k=5, r=5), SearchConfig(deterministic=True))
+        assert windows == [(19, 19), (20, 21), (22, 25), (26, 33), (34, 49)]
 
     def test_budget_cut_before_lex_least_keeps_construction(self):
         # the deterministic scan first searches n=44, the construction's
@@ -439,19 +488,32 @@ class TestSolveExact:
         # the construction still certifies the bracket low end
         assert result.value == 15
 
-    def test_timeout_covers_the_certified_start(self):
+    def test_timeout_covers_the_certified_start(self, windows):
         # checking the k=130, r=65 construction takes seconds, and building
         # the k=600, r=300 one takes longer; an expired timeout stops both
-        # and the search, at the floor k-1
-        for k, r in ((130, 65), (600, 300)):
+        # and the search, at the floor k-1.  Without a checked start the
+        # scan keeps one level there rather than a window up to the proven
+        # bound: capped at about kr = 180,000, one table row of r(n+1) bits
+        # would take about 6.7 MB (computed) before the first deadline test
+        for k, r, palette in ((130, 65, Palette.FULL),
+                              (600, 300, Palette.FULL),
+                              (600, 300, Palette.BINARY)):
+            windows.clear()
+            tracemalloc.start()
             start = monotonic()
-            result = solve_exact(ProblemSpec(k=k, r=r),
-                                 SearchConfig(timeout=0))
+            try:
+                result = solve_exact(ProblemSpec(k=k, r=r, palette=palette),
+                                     SearchConfig(timeout=0))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
             assert monotonic() - start < 1.0
             assert result.status is SolveStatus.BUDGET_EXHAUSTED
             assert result.value == k - 1
             assert result.certificate is None
             assert result.stats.nodes == 0
+            assert windows == [(k - 1, k - 1)]
+            assert peak < 2 * 2**20, (k, r, palette)
 
     def test_stats_accumulate(self):
         # the deterministic scan's first level, at the construction's
