@@ -50,9 +50,10 @@ Workloads:
                   and 68,273 probes in all): the long k > r scan
   scan-5-5        deterministic solve_exact of S_z(5,5)=38: 20 levels, from
                   the construction's n=19 to the n=38 exhaustion; k = r
-                  has no finite proven upper bound, so the windows are 1,
-                  2, 4, 8 and 16 levels (456 nodes and 405 probes in all):
-                  the cost of the ascending scan
+                  has no finite proven upper bound, so the scan is one
+                  window 19..38, up to twice the construction's n (393
+                  nodes and 437 probes in all): the cost of the ascending
+                  scan
 
 Each run is checked: the reach passes must return the targets in
 REACH, each extraction the lex-least parts in EXTRACT, each find the
@@ -165,7 +166,7 @@ SCAN = {
                   (68, "01234501234201501201501101401101401104101104102105"
                        "10210510543210543", 3_745, 68_273)),
     "scan-5-5": ((5, 5),
-                 (38, "0101010404040404040404040404040101010", 456, 405)),
+                 (38, "0101010404040404040404040404040101010", 393, 437)),
 }
 
 

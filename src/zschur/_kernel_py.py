@@ -114,7 +114,7 @@ Failed-literal probing strengthens it again, once per frame and level:
 the first time the search backtracks into the frame of p at a level.
 Every color p tried before is then refuted at p (at the current level or
 a lower one, which refutes it at every higher level too), or was skipped
-there by the symmetry filters or by ``resume``, so each is removed at p,
+there by the symmetry filters, so each is removed at p,
 and the frame's table is closed with probes: each target that has lost
 a color but kept two or more is colored in turn with each color it has
 left, on a copy closed by singleton propagation, and a color whose copy
@@ -132,24 +132,24 @@ color alone.  The cuts again remove only subtrees without a free
 coloring, and the branch order is unchanged.
 
 One search covers a window of levels n..n_max, the solver's ascending
-scan.  Its tables span the sums up to n_max, and each closure reads the
-targets up to the current level n only.  When the search colors position
-n below n_max, that coloring is the lex-least free one of [1..n]: it is
-kept, and the search goes on at level n + 1 with its ordinary extension
-step from there, which closes the child's table over the new target
-n + 1 as over every other, also when position n was forced.  A free
-coloring of [1..n+1] restricts to one of [1..n], so no free coloring of
-the new level is smaller, and every fact a frame holds (a forced target,
-a removed color) holds for it too; the frames stay.  Each frame records
-the level it was probed at, so a frame probed below the current level is
-probed again at its next backtrack, over the new targets too, as the
-fresh frames of a resumed search are.  The cap is the window's last
-level because the dead-row cut of :func:`add_value` is relative to the
-cap: a row dead at cap n may be live at n + 1, so a table built at cap n
-is not exact one level up.  A wider cap makes every row step dearer, so
-the solver caps its first window at the proven upper bound when it has
-a checked start near it, and otherwise grows its windows from one level;
-``resume`` replays the level below only at the start of a window.
+scan, and starts from the empty coloring like every search.  Its tables
+span the sums up to n_max, and each closure reads the targets up to the
+current level n only.  When the search colors position n below n_max,
+that coloring is the lex-least free one of [1..n]: it is kept, and the
+search goes on at level n + 1 with its ordinary extension step from
+there, which closes the child's table over the new target n + 1 as over
+every other, also when position n was forced.  A free coloring of
+[1..n+1] restricts to one of [1..n], so no free coloring of the new
+level is smaller, and every fact a frame holds (a forced target, a
+removed color) holds for it too; the frames stay.  Each frame records
+the level it was probed at, so a frame probed below the current level
+is probed again at its next backtrack, over the new targets too.  The
+cap is the window's last level because the dead-row cut of
+:func:`add_value` is relative to the cap: a row dead at cap n may be
+live at n + 1, so a table built at cap n is not exact one level up.  A
+wider cap makes every row step dearer, so the solver ends each window
+at twice its first level, or at the proven upper bound when that is
+lower.
 """
 
 from __future__ import annotations
@@ -491,7 +491,7 @@ def zero_sum_table(values, n: int, k: int, r: int):
 
 
 def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
-                         deadline, resume=None, n_max=None):
+                         deadline, n_max=None):
     """Forward-checking depth-first search for solution-free colorings of
     [1..n], [1..n+1], ..., [1..n_max] in one pass.
 
@@ -504,26 +504,15 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
     max_nodes: budget of extension checks plus probes, or None.
     deadline: absolute time.monotonic() deadline, or None; when set it is
         checked before every extension check and every probe.
-    resume: the lexicographically least free coloring of the reduced
-        space of [1..m], m <= n, as a list of residues, or None.  The
-        first m positions of every free coloring of [1..n] form a free
-        coloring of [1..m] in the reduced space, so none is smaller than
-        ``resume``: each depth starts at its color until the first branch
-        that leaves it.  Those steps are ordinary extension checks, so
-        every count and budget stays exact; status and coloring equal
-        those of the search without ``resume``.  The frames it skips are
-        never probed, so it is not bound to take fewer nodes, but it took
-        no more at any of the 776 scan levels of k <= 12, r <= 6 compared
-        (both palettes).  Any other coloring may make EXHAUSTED unsound.
     n_max: the last level of the window, at least n; None for n alone.
 
-    The search runs at level n until it colors position n: that is the
-    lex-least free coloring of [1..n].  Below n_max it keeps it and goes
-    on at level n + 1 with its ordinary extension step, keeping its
-    frames, so ``resume`` replays a coloring only at the start of a
-    window (see the module docstring).  Every table spans the sums up to
-    n_max, since the dead-row cut of :func:`add_value` is relative to the
-    sum cap: a table built at cap n is not exact at n + 1.
+    The search starts from the empty coloring and runs at level n until
+    it colors position n: that is the lex-least free coloring of [1..n].
+    Below n_max it keeps it and goes on at level n + 1 with its ordinary
+    extension step, keeping its frames (see the module docstring).  Every
+    table spans the sums up to n_max, since the dead-row cut of
+    :func:`add_value` is relative to the sum cap: a table built at cap n
+    is not exact at n + 1.
 
     Returns ``(status, coloring, nodes, prunes, max_depth, probes)``.
     status is FOUND (a free coloring of [1..n_max] exists), EXHAUSTED
@@ -552,8 +541,6 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
         n_max = n
     if n_max < n:
         raise ValueError(f"n_max={n_max} is below n={n}")
-    if resume is not None and len(resume) > n:
-        raise ValueError(f"resume has {len(resume)} positions, n={n}")
     if n_max == 0:
         return (FOUND, [], 0, 0, 0, 0)
     found = None  # the lex-least coloring of the last level that has one
@@ -581,12 +568,7 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
         spend()
         probes += 1
 
-    # start[p]: palette index of the resume color at p.  on_path: every
-    # step so far took its resume color; after the first step that did
-    # not, every later node of the search lies above the resume path.
-    start = [0] + [palette.index(c) for c in resume or ()]
-    on_path = len(start) > 1
-    frames = [[new_table(k), 0, False, start[1] if on_path else 0, 0]]
+    frames = [[new_table(k), 0, False, 0, 0]]
 
     try:
         while frames:
@@ -619,9 +601,7 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
                 if child is None:
                     prunes += 1
                     continue
-                on_path = on_path and pos + 1 < len(start) and c == resume[pos - 1]
-                frames.append([*child, seen or c != 0,
-                               start[pos + 1] if on_path else 0, 0])
+                frames.append([*child, seen or c != 0, 0, 0])
                 break
             else:
                 frames.pop()

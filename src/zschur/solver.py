@@ -36,24 +36,23 @@ to a free coloring of [1..n-1], so the answer is the first n whose
 reduced search space is exhausted with no free coloring.  The scan
 starts just above the construction certificate of the palette when the
 checker has verified it (at it, in deterministic mode).  The levels are
-searched in windows, one kernel search per window: within a window the
-search goes on from each level's lex-least coloring L to the next
-level, and each window after the first resumes from the last L of the
-window below.  Restricting a free coloring keeps it free and inside the
-reduced space, so no free coloring of a higher level starts below L.
+searched in windows, each one fresh kernel search from the empty
+coloring: within a window the search goes on from each level's
+lex-least coloring to the next level, since restricting a free coloring
+keeps it free and inside the reduced space, so no free coloring of a
+higher level starts below it.
 
 A window's tables span the sums up to its last level, which makes each
-step dearer the wider it is.  With a checked certificate and a finite
-proven upper bound (every k > r, both palettes), the first window runs
-from the start to that bound: the certificate lies a few levels below
-it, and its check has already built tables of about that size.  The
-bound only caps the window and is never assumed: the answer is still
-the level the search exhausts, and a free coloring found at the bound
-would only start the next window, so exactness is independently
-re-derived.  Otherwise (k = r, or the floor start after a deadline
-passed) the windows double from one level: 1, 2, 4, ... levels.  Every
-window gets the solve's one absolute deadline and the node budget the
-windows before it left.
+step dearer the wider it is.  So every window from level n ends at
+min(upper, 2n), where upper is the proven upper bound (infinite for
+k = r, and taken as infinite without a checked start), or at n when the
+start lies above the bound.  For k > r, 2n exceeds the bound, so the scan is one window from
+the certificate to the bound; for k = r it is one window from the
+certificate to twice its length.  The bound only ends the window and is
+never assumed: the answer is still the level the search exhausts, and a
+free coloring found at the window's end starts the next window, so
+exactness is independently re-derived.  Every window gets the solve's
+one absolute deadline and the node budget the windows before it left.
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ class SearchConfig:
     """Search limits and certificate mode.
 
     ``max_nodes`` caps the number of extension checks plus probes over
-    the whole solve, exactly; it counts search nodes and probes only, so
-    the checker pass that verifies the construction certificate is not
-    charged to it.  ``timeout`` (seconds, at least 0; ``inf`` allowed)
+    the whole solve, exactly, across all its windows (each a fresh
+    search); it counts search nodes and probes only, so the checker pass
+    that verifies the construction certificate is not charged to it.  ``timeout`` (seconds, at least 0; ``inf`` allowed)
     caps the time of the whole solve: one absolute deadline, tested
     before every construction color, every value of that checker pass,
     every search node and every probe.  The search is sequential, so
@@ -175,27 +174,24 @@ def find_free_coloring(n: int, spec: ProblemSpec,
         raise ValueError(f"n must be >= 0, got {n}")
     cfg = cfg or SearchConfig()
     deadline = monotonic() + cfg.timeout if cfg.timeout is not None else None
-    return _search_window(n, n, spec, cfg.max_nodes, deadline, None)
+    return _search_window(n, n, spec, cfg.max_nodes, deadline)
 
 
 def _search_window(n: int, n_max: int, spec: ProblemSpec,
-                   max_nodes: int | None, deadline: float | None,
-                   resume: Coloring | None) -> FreeSearchOutcome:
-    """The levels n..n_max in one search, under a node budget and an
-    absolute deadline, resumed from ``resume``.
+                   max_nodes: int | None,
+                   deadline: float | None) -> FreeSearchOutcome:
+    """The levels n..n_max in one search from scratch, under a node
+    budget and an absolute deadline.
 
-    ``resume`` is None or the lex-least free coloring of the reduced
-    space of [1..m], m <= n, as this search returned it; any other
-    coloring could make EXHAUSTED unsound, which is why the public
-    function does not take it.  The outcome's coloring is the lex-least
-    one of the last level that has one in this window, whatever the
-    status, or None; the window stopped one level above it, or at n.
+    The outcome's coloring is the lex-least one of the last level that
+    has one in this window, whatever the status, or None; the window
+    stopped one level above it, or at n.
     """
     start = monotonic()
     palette, canonical_mask = _symmetry_filters(spec)
     status, colors, nodes, prunes, max_depth, probes = search_free_coloring(
         n, spec.k, spec.r, palette, canonical_mask, max_nodes, deadline,
-        resume.values if resume is not None else None, n_max)
+        n_max)
     stats = SearchStats(nodes=nodes, prunes=prunes, max_depth=max_depth,
                         probes=probes, elapsed=monotonic() - start)
     chi = Coloring.of(colors, spec.r) if colors is not None else None
@@ -236,10 +232,9 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     searched for a free coloring: found means the answer exceeds n,
     exhausted means the answer is exactly n (with the previous free
     coloring as certificate).  The levels are searched in windows, each
-    one search resumed from the lex-least coloring the window below ended
-    with: from a checked certificate with a finite proven upper bound,
-    one window from the start to that bound, else windows of 1, 2, 4, ...
-    levels (see the module docstring).  Budget exhaustion reports the
+    one search from scratch, by one rule: a window from n ends at
+    min(upper, 2n) for the proven upper bound upper, or at n when n is
+    above it (see the module docstring).  Budget exhaustion reports the
     certified bracket [value, inf): value = certificate.n + 1, where the
     certificate is the last lex-least coloring found, also inside the
     window the budget ran out in.
@@ -257,25 +252,21 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     n, certificate = _certified_start(spec, deadline)
     if cfg.deterministic and certificate is not None:
         n = certificate.n  # re-derive the lex-least certificate first
-    # only a checked start gets the capped window: its tables are then
-    # about the size the certificate's check built.  The cap is not
-    # assumed, so even a start above it gets a window
+    # a finite bound only from a checked start: theoretical_bounds
+    # factorizes r and refuses huge ones
     upper = (theoretical_bounds(spec.k, spec.r, spec.palette).upper
              if certificate is not None else INF)
-    size = 1 if upper == INF else max(upper - n + 1, 1)
-    resume = None
     while True:
         left = (None if cfg.max_nodes is None
                 else cfg.max_nodes - total.nodes - total.probes)
-        outcome = _search_window(n, n + size - 1, spec, left, deadline,
-                                 resume)
+        outcome = _search_window(n, max(min(upper, 2 * n), n), spec, left,
+                                 deadline)
         total.merge(outcome.stats)
         if outcome.coloring is not None:
-            certificate = resume = outcome.coloring
+            certificate = outcome.coloring
             n = certificate.n + 1
         if not outcome.found:
             break
-        size *= 2
     total.elapsed = monotonic() - start
     if outcome.exhausted:
         return ExactResult(status=SolveStatus.EXACT, value=n,

@@ -268,14 +268,17 @@ SCAN_CASES = [(k, r, palette) for k in range(3, 9) for r in range(2, 6)
 @pytest.mark.parametrize("k,r,palette", SCAN_CASES,
                          ids=lambda case: str(getattr(case, "value", case)))
 def test_resumed_search_matches_scratch(k, r, palette):
-    # one search over the levels n0..n1, a window of 1, 2, 4 or 8 levels,
-    # resumed from the lex-least free coloring of n0 - 1, against the
-    # search from scratch at each level: FOUND with the coloring of n1,
-    # or EXHAUSTED at the first exhausted level with the coloring of the
-    # level below (None when that is the resumed one).  A resumed single
-    # level takes no more nodes than the search from scratch.  A budgeted
-    # window may stop anywhere, but what it returns is a lex-least
-    # coloring of a level of the window
+    # one search over the levels n0..n1 (a window of 1, 2, 4 or 8 levels,
+    # or up to 2 * n0 as the solver's scan has it), which starts from the
+    # empty coloring and resumes each level above n0 from the lex-least
+    # coloring of the level below, against the search from scratch at
+    # each level: FOUND with the coloring of n1, or EXHAUSTED at the
+    # first exhausted level with the coloring of the level below (None
+    # when that is below n0).  A one-level window is the search of its
+    # level.  A budget is spent exactly: one that covers the window's
+    # steps gives its result, and a smaller one stops after exactly that
+    # many steps with the lex-least coloring of a level of the window,
+    # or None
     residues, mask = _symmetry_filters(ProblemSpec(k, r, palette))
     args = (k, r, residues, mask)
     scratch = [_kernel_py.search_free_coloring(0, *args, None, None)]
@@ -284,27 +287,28 @@ def test_resumed_search_matches_scratch(k, r, palette):
                                                        None, None))
     exhausted = len(scratch) - 1
     for n0 in range(1, exhausted + 1):
-        for length in (1, 2, 4, 8):
-            n1 = n0 + length - 1
+        for n1 in sorted({n0, n0 + 1, n0 + 3, n0 + 7, 2 * n0}):
             if n1 < exhausted:
                 want = (_kernel_py.FOUND, scratch[n1][1])
             else:
                 want = (_kernel_py.EXHAUSTED, scratch[exhausted - 1][1]
                         if exhausted > n0 else None)
-            window = (*args, None, None, scratch[n0 - 1][1], n1)
-            got = _kernel_py.search_free_coloring(n0, *window)
+            got = _kernel_py.search_free_coloring(n0, *args, None, None, n1)
             assert got[:2] == want, (n0, n1)
-            if length == 1:
-                assert got[2] <= scratch[n0][2], n0
-            for budget in (0, 1, 7, 50):
-                window = (*args, budget, None, scratch[n0 - 1][1], n1)
-                got = _kernel_py.search_free_coloring(n0, *window)
-                assert got[2] + got[5] <= budget, (n0, n1, budget)
-                if got[0] != _kernel_py.BUDGET:
-                    assert got[:2] == want, (n0, n1, budget)
-                elif got[1] is not None:
-                    assert n0 <= len(got[1]) < n1, (n0, n1, budget)
-                    assert got[1] == scratch[len(got[1])][1]
+            if n1 == n0:
+                assert got == scratch[n0], n0
+            steps = got[2] + got[5]
+            for budget in (0, 1, 7, 50, steps - 1, steps):
+                cut = _kernel_py.search_free_coloring(n0, *args, budget,
+                                                      None, n1)
+                if budget >= steps:
+                    assert cut == got, (n0, n1, budget)
+                    continue
+                assert cut[0] == _kernel_py.BUDGET, (n0, n1, budget)
+                assert cut[2] + cut[5] == budget, (n0, n1, budget)
+                if cut[1] is not None:
+                    assert n0 <= len(cut[1]) < n1, (n0, n1, budget)
+                    assert cut[1] == scratch[len(cut[1])][1]
 
 
 def test_search_expired_deadline():

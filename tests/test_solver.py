@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 from time import monotonic
 
@@ -28,7 +29,7 @@ CERTIFIED_TREES = [
     (12, 3, Palette.FULL, "01201201201101101101102102102102", 70, 30, 32,
      52),
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
-     456, 248, 37, 405),
+     393, 260, 37, 437),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
      70, 31, 40, 0),
     (12, 4, Palette.FULL, "012301230120022002200220022002203210321032",
@@ -318,13 +319,13 @@ class TestSolveExact:
         # forward checking; pruning dead subtrees must not change them.
         # The node, prune, depth and probe counts pin the trees of the
         # scan, with forward checking, singleton propagation, probing
-        # and the levels searched in windows: one from the construction
-        # up to the proven upper bound for k > r (S_z(12,6) is the long
-        # one, 64..68), and 1, 2, 4, ... levels for k = r, each resumed
-        # from the window below, with a forced position that ends a level
-        # closed over the new target and every frame probed again at a
-        # higher level: a change of table layout must leave them as they
-        # are.
+        # and the levels searched in one window from the construction,
+        # each window a search from scratch: up to the proven upper bound
+        # for k > r (S_z(12,6) is the long one, 64..68), and up to twice
+        # the construction's n for k = r (S_z(5,5): 19..38), with a forced
+        # position that ends a level closed over the new target and every
+        # frame probed again at a higher level: a change of table layout
+        # must leave them as they are.
         spec = ProblemSpec(k=k, r=r, palette=palette)
         result = solve_exact(spec, SearchConfig(deterministic=True))
         assert result.status is SolveStatus.EXACT
@@ -354,7 +355,7 @@ class TestSolveExact:
                     totals[0] += stats.nodes
                     totals[1] += stats.prunes
                     totals[2] += stats.probes
-        assert totals == [14_382, 8_763, 154_948]
+        assert totals == [13_925, 8_774, 154_837]
 
     def test_k_above_r_scans_in_one_window(self, windows):
         # k > r has a finite proven upper bound, so the scan is one window
@@ -377,11 +378,60 @@ class TestSolveExact:
                     assert windows == [(first, upper)], (
                         k, r, palette, deterministic)
 
-    def test_k_equal_r_keeps_doubling_windows(self, windows):
-        # k = r has no finite proven upper bound: the deterministic
-        # S_z(5,5) scan starts at the construction's n = 19 and doubles
-        solve_exact(ProblemSpec(k=5, r=5), SearchConfig(deterministic=True))
-        assert windows == [(19, 19), (20, 21), (22, 25), (26, 33), (34, 49)]
+    def test_k_equal_r_scans_in_one_window(self, windows):
+        # k = r has no finite proven upper bound, so the window from the
+        # scan's start n ends at 2n, and every value of SWEEP_VALUES lies
+        # within it: one search, both palettes, deterministic or not
+        for (k, r), values in SWEEP_VALUES.items():
+            if k != r:
+                continue
+            for palette, value in zip((Palette.FULL, Palette.BINARY),
+                                      values):
+                spec = ProblemSpec(k=k, r=r, palette=palette)
+                start, _ = _certified_start(spec, None)
+                for deterministic, first in ((False, start),
+                                             (True, start - 1)):
+                    windows.clear()
+                    result = solve_exact(spec, SearchConfig(
+                        deterministic=deterministic))
+                    assert result.value == value
+                    assert windows == [(first, 2 * first)], (
+                        k, r, palette, deterministic)
+
+    @pytest.mark.parametrize("k,value", ((8, 27), (12, 43)))
+    def test_second_window_above_a_low_bound(self, monkeypatch, windows,
+                                             k, value):
+        # with a proven bound taken 3 below the value, the deterministic
+        # scan's first window is the construction's n = value - 1 alone
+        # (a start above the bound still gets a window); it finds the
+        # lex-least coloring there, so a second window searches the
+        # value's level from scratch and exhausts it.  Value and
+        # certificate equal those of the solve with the true bound, and a
+        # budget that runs out in the second window is spent exactly and
+        # keeps the first window's certificate
+        spec = ProblemSpec(k=k, r=4)
+        cfg = SearchConfig(deterministic=True)
+        want = solve_exact(spec, cfg)
+        bounds = solver.theoretical_bounds
+
+        def low(*args):
+            return replace(bounds(*args), upper=value - 3)
+
+        monkeypatch.setattr(solver, "theoretical_bounds", low)
+        windows.clear()
+        result = solve_exact(spec, cfg)
+        assert windows == [(value - 1, value - 1), (value, value)]
+        assert result.status is SolveStatus.EXACT
+        assert (result.value, result.certificate) == (want.value,
+                                                      want.certificate)
+        first = find_free_coloring(value - 1, spec).stats
+        budget = first.nodes + first.probes + 100
+        result = solve_exact(spec, SearchConfig(max_nodes=budget,
+                                                deterministic=True))
+        assert result.status is SolveStatus.BUDGET_EXHAUSTED
+        assert result.stats.nodes + result.stats.probes == budget
+        assert (result.value, result.certificate) == (value,
+                                                      want.certificate)
 
     def test_budget_cut_before_lex_least_keeps_construction(self):
         # the deterministic scan first searches n=44, the construction's
@@ -400,14 +450,13 @@ class TestSolveExact:
         assert outcome.exhausted
         assert (outcome.stats.nodes, outcome.stats.probes) == (38, 47)
 
-    @pytest.mark.parametrize("budget,found", ((400, 25), (600, 37)))
+    @pytest.mark.parametrize("budget,found", ((400, 23), (600, 37)))
     def test_budget_runs_out_in_a_later_window(self, budget, found):
-        # the deterministic S_z(5,5) scan searches the windows 19, 20-21,
-        # 22-25, 26-33 and 34-49 (the construction's n is 19) in 861
-        # steps.  A budget of 400 runs out in the fourth window, after
-        # the third found the lex-least coloring of 25, and one of 600 in
-        # the fifth, after it found that of 37: the certificate is the
-        # last level found, and the budget holds exactly across windows
+        # the deterministic S_z(5,5) scan searches one window, 19-38 (the
+        # construction's n is 19), in 830 steps.  A budget of 400 runs out
+        # after it found the lex-least coloring of 23, and one of 600
+        # after it found that of 37: the certificate is the last level
+        # found inside the window, and the budget is spent exactly
         spec = ProblemSpec(k=5, r=5)
         result = solve_exact(spec, SearchConfig(max_nodes=budget,
                                                 deterministic=True))
@@ -492,9 +541,9 @@ class TestSolveExact:
         # checking the k=130, r=65 construction takes seconds, and building
         # the k=600, r=300 one takes longer; an expired timeout stops both
         # and the search, at the floor k-1.  Without a checked start the
-        # scan keeps one level there rather than a window up to the proven
-        # bound: capped at about kr = 180,000, one table row of r(n+1) bits
-        # would take about 6.7 MB (computed) before the first deadline test
+        # window from the floor ends at twice it, not at the proven bound:
+        # capped at about kr = 180,000, one table row of r(n+1) bits would
+        # take about 6.7 MB (computed) before the first deadline test
         for k, r, palette in ((130, 65, Palette.FULL),
                               (600, 300, Palette.FULL),
                               (600, 300, Palette.BINARY)):
@@ -512,7 +561,7 @@ class TestSolveExact:
             assert result.value == k - 1
             assert result.certificate is None
             assert result.stats.nodes == 0
-            assert windows == [(k - 1, k - 1)]
+            assert windows == [(k - 1, 2 * k - 2)]
             assert peak < 2 * 2**20, (k, r, palette)
 
     def test_stats_accumulate(self):
