@@ -214,8 +214,9 @@ class ExactResult:
       ``certificate`` is a solution-free coloring of [1..value-1].
     * INFINITE: ``value`` is INF; happens exactly when r does not divide k.
     * BUDGET_EXHAUSTED: the true value lies in [value, INF); ``value`` is
-      the best certified lower end (``certificate.n + 1`` when a free
-      coloring was found).
+      ``certificate.n + 1`` for the last free coloring the solve holds,
+      or k - 1 with no certificate when the time ran out before the
+      construction was checked.
     """
 
     status: SolveStatus

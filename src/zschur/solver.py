@@ -34,8 +34,9 @@ translation).
 :func:`solve_exact` scans n upward: a free coloring of [1..n] restricts
 to a free coloring of [1..n-1], so the answer is the first n whose
 reduced search space is exhausted with no free coloring.  The scan
-starts just above the construction certificate of the palette when the
-checker has verified it (at it, in deterministic mode).  The levels are
+starts just above the construction certificate of the palette, once the
+checker has found it free (at it, in deterministic mode); a scan whose
+deadline passes before that searches nothing.  The levels are
 searched in windows, each one fresh kernel search from the empty
 coloring: within a window the search goes on from each level's
 lex-least coloring to the next level, since restricting a free coloring
@@ -45,14 +46,14 @@ higher level starts below it.
 A window's tables span the sums up to its last level, which makes each
 step dearer the wider it is.  So every window from level n ends at
 min(upper, 2n), where upper is the proven upper bound (infinite for
-k = r, and taken as infinite without a checked start), or at n when the
-start lies above the bound.  For k > r, 2n exceeds the bound, so the scan is one window from
-the certificate to the bound; for k = r it is one window from the
-certificate to twice its length.  The bound only ends the window and is
-never assumed: the answer is still the level the search exhausts, and a
-free coloring found at the window's end starts the next window, so
-exactness is independently re-derived.  Every window gets the solve's
-one absolute deadline and the node budget the windows before it left.
+k = r), or at n when the start lies above the bound.  For k > r, 2n
+exceeds the bound, so the scan is one window from the certificate to
+the bound; for k = r it is one window from the certificate to twice
+its length.  The bound only ends the window and is never assumed: the
+answer is still the level the search exhausts, and a free coloring
+found at the window's end starts the next window, so exactness is
+independently re-derived.  Every window gets the solve's one absolute
+deadline and the node budget the windows before it left.
 """
 
 from __future__ import annotations
@@ -87,19 +88,22 @@ class SearchConfig:
     ``max_nodes`` caps the number of extension checks plus probes over
     the whole solve, exactly, across all its windows (each a fresh
     search); it counts search nodes and probes only, so the checker pass
-    that verifies the construction certificate is not charged to it.  ``timeout`` (seconds, at least 0; ``inf`` allowed)
-    caps the time of the whole solve: one absolute deadline, tested
-    before every construction color, every value of that checker pass,
-    every search node and every probe.  The search is sequential, so
-    :func:`find_free_coloring` always returns the lexicographically
-    least free coloring of the reduced space.  ``deterministic`` makes
-    every EXACT result of :func:`solve_exact` carry such a certificate
-    too: the scan starts at the construction certificate's n, not above
-    it, so the first level of its first window finds the lex-least
-    coloring there.  A budget that runs out before that reports
-    BUDGET_EXHAUSTED at certificate.n + 1 with the construction
-    certificate, which is free but neither lex-least nor inside the
-    reduced space.
+    that verifies the construction certificate is not charged to it.
+    ``timeout`` (seconds, at least 0; ``inf`` allowed) caps the time of
+    the whole solve: one absolute deadline, tested before every
+    construction color, every value of that checker pass, every search
+    node and every probe.  A deadline that passes before the checker
+    has found the construction free ends the solve there, with no
+    search: BUDGET_EXHAUSTED at k-1 and no certificate.  The search is
+    sequential, so :func:`find_free_coloring` always returns the
+    lexicographically least free coloring of the reduced space.
+    ``deterministic`` makes every EXACT result of :func:`solve_exact`
+    carry such a certificate too: the scan starts at the construction
+    certificate's n, not above it, so the first level of its first
+    window finds the lex-least coloring there.  A budget that runs out
+    before that reports BUDGET_EXHAUSTED at certificate.n + 1 with the
+    construction certificate, which is free but neither lex-least nor
+    inside the reduced space.
     ``threads`` (at least 1) has no effect on the search: the kernel is
     pure Python and holds the GIL, so it runs on one thread whatever the
     count, and values, certificates and node counts never depend on it.
@@ -199,17 +203,14 @@ def _search_window(n: int, n_max: int, spec: ProblemSpec,
 
 
 def _certified_start(spec: ProblemSpec,
-                     deadline: float | None) -> tuple[int, Coloring | None]:
-    """Lowest n to examine, with the checker-verified certificate below it.
+                     deadline: float | None) -> Coloring | None:
+    """The palette's construction coloring, once the checker finds it free.
 
-    Only checker-verified facts seed the scan: the palette's construction
-    coloring (:func:`~zschur.constructions.construction_colors`, or
-    :func:`~zschur.constructions.binary_construction_colors` for the
-    two-color variant) when it verifies as solution-free, else the
-    trivial floor k-1 (every coloring of [1..k-2] is free since no target
-    fits).  A scan whose deadline passes while the construction's colors
-    are produced or checked starts at the floor too; the search that
-    follows then stops at once.
+    The coloring is :func:`~zschur.constructions.construction_colors`,
+    or :func:`~zschur.constructions.binary_construction_colors` for the
+    two-color variant.  None means the deadline passed while its colors
+    were produced or checked.  A construction the checker finds a target
+    in is a bug of this package, so it raises RuntimeError.
     """
     colors = (constructions.construction_colors
               if spec.palette is Palette.FULL
@@ -217,12 +218,17 @@ def _certified_start(spec: ProblemSpec,
     values = []
     for c in colors(spec.k, spec.r):
         if deadline is not None and monotonic() > deadline:
-            return spec.k - 1, None
+            return None
         values.append(c)
-    if first_zero_sum_target(values, len(values), spec.k, spec.r,
-                             deadline) == 0:
-        return len(values) + 1, Coloring.of(values, spec.r)
-    return spec.k - 1, None
+    target = first_zero_sum_target(values, len(values), spec.k, spec.r,
+                                   deadline)
+    if target is None:
+        return None
+    if target:
+        raise RuntimeError(
+            f"{spec.palette.value} construction for k={spec.k}, r={spec.r} "
+            f"has a zero-sum solution with target {target}")
+    return Coloring.of(values, spec.r)
 
 
 def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResult:
@@ -237,7 +243,10 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     above it (see the module docstring).  Budget exhaustion reports the
     certified bracket [value, inf): value = certificate.n + 1, where the
     certificate is the last lex-least coloring found, also inside the
-    window the budget ran out in.
+    window the budget ran out in, or else the checked construction.  A
+    deadline that passes before the construction is checked reports
+    [k-1, inf) with no certificate and no search.  A construction the
+    checker rejects raises RuntimeError.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -249,13 +258,14 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
 
     total = SearchStats()
     deadline = start + cfg.timeout if cfg.timeout is not None else None
-    n, certificate = _certified_start(spec, deadline)
-    if cfg.deterministic and certificate is not None:
-        n = certificate.n  # re-derive the lex-least certificate first
-    # a finite bound only from a checked start: theoretical_bounds
-    # factorizes r and refuses huge ones
-    upper = (theoretical_bounds(spec.k, spec.r, spec.palette).upper
-             if certificate is not None else INF)
+    certificate = _certified_start(spec, deadline)
+    if certificate is None:  # out of time; [1..k-2] has no target
+        total.elapsed = monotonic() - start
+        return ExactResult(status=SolveStatus.BUDGET_EXHAUSTED,
+                           value=spec.k - 1, certificate=None, stats=total)
+    # deterministic: re-derive the lex-least certificate first
+    n = certificate.n if cfg.deterministic else certificate.n + 1
+    upper = theoretical_bounds(spec.k, spec.r, spec.palette).upper
     while True:
         left = (None if cfg.max_nodes is None
                 else cfg.max_nodes - total.nodes - total.probes)
@@ -271,6 +281,6 @@ def solve_exact(spec: ProblemSpec, cfg: SearchConfig | None = None) -> ExactResu
     if outcome.exhausted:
         return ExactResult(status=SolveStatus.EXACT, value=n,
                            certificate=certificate, stats=total)
-    floor = certificate.n + 1 if certificate is not None else spec.k - 1
-    return ExactResult(status=SolveStatus.BUDGET_EXHAUSTED, value=floor,
-                       certificate=certificate, stats=total)
+    return ExactResult(status=SolveStatus.BUDGET_EXHAUSTED,
+                       value=certificate.n + 1, certificate=certificate,
+                       stats=total)

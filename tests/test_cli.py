@@ -208,11 +208,15 @@ class TestSolve:
         assert int(fields["nodes"]) + int(fields["probes"]) <= 1000
 
     def test_timeout_covers_the_certified_start(self, capsys):
-        for k, r in ((130, 65), (600, 300)):
+        # an expired timeout ends the solve at the floor k-1 before the
+        # construction is checked, so no search allocates its tables
+        for k, r in ((130, 65), (600, 300),
+                     (20_000_000_000_000, 10_000_000_000_000)):
             code, out, _ = run_cli(capsys, "solve", "--k", str(k),
                                    "--r", str(r), "--timeout", "0")
             assert code == 3
-            assert f"status=budget-exhausted value={k - 1}" in out
+            assert (f"status=budget-exhausted value={k - 1} nodes=0 "
+                    in out)
 
     def test_binary_variant(self, capsys):
         code, out, _ = run_cli(capsys, "solve", "--k", "8", "--r", "4",

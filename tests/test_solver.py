@@ -367,7 +367,7 @@ class TestSolveExact:
             for palette, value in zip((Palette.FULL, Palette.BINARY),
                                       values):
                 spec = ProblemSpec(k=k, r=r, palette=palette)
-                start, _ = _certified_start(spec, None)
+                start = _certified_start(spec, None).n + 1
                 upper = theoretical_bounds(k, r, palette).upper
                 for deterministic, first in ((False, start),
                                              (True, start - 1)):
@@ -388,7 +388,7 @@ class TestSolveExact:
             for palette, value in zip((Palette.FULL, Palette.BINARY),
                                       values):
                 spec = ProblemSpec(k=k, r=r, palette=palette)
-                start, _ = _certified_start(spec, None)
+                start = _certified_start(spec, None).n + 1
                 for deterministic, first in ((False, start),
                                              (True, start - 1)):
                     windows.clear()
@@ -468,9 +468,9 @@ class TestSolveExact:
         assert is_solution_free(certificate, spec)
         assert find_free_coloring(certificate.n, spec).coloring == certificate
 
-    def test_expired_timeout_across_windows(self):
-        # an expired timeout stops the construction check, so the scan
-        # starts at the floor k-1 = 4 and its first window at once
+    def test_expired_timeout_across_windows(self, windows):
+        # an expired timeout stops the construction check, so the solve
+        # reports the floor k-1 = 4 and searches no window
         for deterministic in (False, True):
             result = solve_exact(ProblemSpec(k=5, r=5),
                                  SearchConfig(timeout=0,
@@ -478,6 +478,7 @@ class TestSolveExact:
             assert result.status is SolveStatus.BUDGET_EXHAUSTED
             assert (result.value, result.certificate) == (4, None)
             assert result.stats.nodes + result.stats.probes == 0
+        assert windows == []
 
     def test_budgeted_redo_finds_the_lex_least_certificate(self):
         # the lex-least search at n=44 takes 121 nodes and 32 probes, so
@@ -539,14 +540,16 @@ class TestSolveExact:
 
     def test_timeout_covers_the_certified_start(self, windows):
         # checking the k=130, r=65 construction takes seconds, and building
-        # the k=600, r=300 one takes longer; an expired timeout stops both
-        # and the search, at the floor k-1.  Without a checked start the
-        # window from the floor ends at twice it, not at the proven bound:
-        # capped at about kr = 180,000, one table row of r(n+1) bits would
-        # take about 6.7 MB (computed) before the first deadline test
+        # the k=600, r=300 and k=r=10,000 ones takes longer; an expired
+        # timeout stops each before its check, and the solve reports the
+        # floor k-1 without searching.  A window from the floor to 2k-2
+        # would build r(2k-1)-bit masks before its first deadline test:
+        # 130 MiB at k=r=10,000
         for k, r, palette in ((130, 65, Palette.FULL),
                               (600, 300, Palette.FULL),
-                              (600, 300, Palette.BINARY)):
+                              (600, 300, Palette.BINARY),
+                              (10_000, 10_000, Palette.FULL),
+                              (10_000, 10_000, Palette.BINARY)):
             windows.clear()
             tracemalloc.start()
             start = monotonic()
@@ -561,8 +564,40 @@ class TestSolveExact:
             assert result.value == k - 1
             assert result.certificate is None
             assert result.stats.nodes == 0
-            assert windows == [(k - 1, 2 * k - 2)]
+            assert windows == []
             assert peak < 2 * 2**20, (k, r, palette)
+
+    @pytest.mark.parametrize("palette", tuple(Palette))
+    def test_certified_start_has_the_construction_length(self, palette):
+        # the paper proves the constructions for k > r only, and no verify
+        # row checks a full-palette k = r one, so check that the checker
+        # finds each free: k = r up to 30, and k in {2r, 3r, 4r}
+        cases = [(k, k) for k in range(3, 31)]
+        cases += [(m * r, r) for r in range(2, 11) for m in (2, 3, 4)]
+        for k, r in cases:
+            if palette is Palette.BINARY:
+                length = r * k - 2 * r
+            else:
+                length = k * r - r - 2 + r % 2
+            start = _certified_start(ProblemSpec(k=k, r=r, palette=palette),
+                                     None)
+            assert start is not None and start.n == length, (k, r)
+
+    @pytest.mark.parametrize("palette", tuple(Palette))
+    def test_construction_with_a_solution_is_a_bug(self, monkeypatch,
+                                                   windows, palette):
+        # a construction the checker rejects raises, with no search: the
+        # all-0 coloring of [1..14] has the target k-1 = 5 (1+1+1+1+1)
+        def all_zero(k, r):
+            return iter([0] * 14)
+
+        monkeypatch.setattr(solver.constructions, "construction_colors",
+                            all_zero)
+        monkeypatch.setattr(solver.constructions,
+                            "binary_construction_colors", all_zero)
+        with pytest.raises(RuntimeError, match=r"k=6, r=3 .*target 5$"):
+            solve_exact(ProblemSpec(k=6, r=3, palette=palette))
+        assert windows == []
 
     def test_stats_accumulate(self):
         # the deterministic scan's first level, at the construction's
