@@ -27,32 +27,36 @@ Workloads:
                   (n=2000, k=100, r=20; random.Random(1)) whose least
                   target, 105, the narrow pass finds: 96 x 1, 2, 2, 5
   search-8-4      exhaust the reduced four-color search at n=27 (the
-                  S_z(8,4) decision step: 78 extension checks, 268
+                  S_z(8,4) decision step: 40 extension checks, 149
                   probes)
   search-6-3      exhaust the reduced three-color search at n=15 (16
-                  extension checks, 12 probes)
+                  extension checks, 38 probes)
   solve-12-4      2M-node budgeted slice of the k=12, r=4 search at n=43
-                  (exhausted in 110 nodes and 578 probes)
+                  (exhausted in 62 nodes and 379 probes)
   exhaust-12-6    exhaust the reduced six-color search at n=68, the
-                  S_z(12,6) decision step (3,463 nodes and 67,955
+                  S_z(12,6) decision step (3,463 nodes and 66,895
                   probes; about 4.5M nodes without probing): long
                   enough to show the cost per node and per probe
   exhaust-18-6    exhaust the reduced six-color search at n=104, the
-                  S_z(18,6) decision step (7,868 nodes and 312,652
+                  S_z(18,6) decision step (7,868 nodes and 309,012
                   probes): the probe-heavy search
+  exhaust-8-8     exhaust the reduced eight-color search at n=55, the
+                  S_z(8,8) decision step (28,291 nodes and 381,234
+                  probes): the long search whose node count the probes
+                  of each new node cut
   scan-12-4       deterministic solve_exact of S_z(12,4)=43: one window
                   from the construction's n=42 to the proven upper bound
                   43, the lex-least search at 42 going on to the
-                  exhaustion at 43 (243 nodes and 1,059 probes in all)
+                  exhaustion at 43 (127 nodes and 465 probes in all)
   scan-12-6       deterministic solve_exact of S_z(12,6)=68: one window
                   of five levels, from the construction's n=64 to the
-                  proven upper bound 68, where it exhausts (3,745 nodes
-                  and 68,273 probes in all): the long k > r scan
+                  proven upper bound 68, where it exhausts (3,721 nodes
+                  and 65,669 probes in all): the long k > r scan
   scan-5-5        deterministic solve_exact of S_z(5,5)=38: 20 levels, from
                   the construction's n=19 to the n=38 exhaustion; k = r
                   has no finite proven upper bound, so the scan is one
-                  window 19..38, up to twice the construction's n (393
-                  nodes and 437 probes in all): the cost of the ascending
+                  window 19..38, up to twice the construction's n (344
+                  nodes and 466 probes in all): the cost of the ascending
                   scan
 
 Each run is checked: the reach passes must return the targets in
@@ -144,15 +148,17 @@ def find_args(values, kr):
 #: (status, nodes, prunes, max_depth, probes) it must end with.
 WORKLOADS = {
     "search-8-4": ((27, 8, 4, (0, 1, 2, 3), 0b110, None, None),
-                   (_kernel_py.EXHAUSTED, 78, 44, 13, 268)),
+                   (_kernel_py.EXHAUSTED, 40, 23, 8, 149)),
     "search-6-3": ((15, 6, 3, (0, 1, 2), 0b010, None, None),
-                   (_kernel_py.EXHAUSTED, 16, 8, 6, 12)),
+                   (_kernel_py.EXHAUSTED, 16, 8, 6, 38)),
     "solve-12-4": ((43, 12, 4, (0, 1, 2, 3), 0b110, 2_000_000, None),
-                   (_kernel_py.EXHAUSTED, 110, 56, 21, 578)),
+                   (_kernel_py.EXHAUSTED, 62, 33, 12, 379)),
     "exhaust-12-6": ((68, 12, 6, tuple(range(6)), 0b1110, None, None),
-                     (_kernel_py.EXHAUSTED, 3_463, 2_158, 32, 67_955)),
+                     (_kernel_py.EXHAUSTED, 3_463, 2_158, 32, 66_895)),
     "exhaust-18-6": ((104, 18, 6, tuple(range(6)), 0b1110, None, None),
-                     (_kernel_py.EXHAUSTED, 7_868, 4_637, 50, 312_652)),
+                     (_kernel_py.EXHAUSTED, 7_868, 4_637, 50, 309_012)),
+    "exhaust-8-8": ((55, 8, 8, tuple(range(8)), 0b10110, None, None),
+                    (_kernel_py.EXHAUSTED, 28_291, 20_720, 43, 381_234)),
 }
 
 
@@ -160,13 +166,13 @@ WORKLOADS = {
 #: lex-least certificate, nodes and probes it must give.
 SCAN = {
     "scan-12-4": ((12, 4),
-                  (43, "012301230120022002200220022002203210321032", 243,
-                   1_059)),
+                  (43, "012301230120022002200220022002203210321032", 127,
+                   465)),
     "scan-12-6": ((12, 6),
                   (68, "01234501234201501201501101401101401104101104102105"
-                       "10210510543210543", 3_745, 68_273)),
+                       "10210510543210543", 3_721, 65_669)),
     "scan-5-5": ((5, 5),
-                 (38, "0101010404040404040404040404040101010", 393, 437)),
+                 (38, "0101010404040404040404040404040101010", 344, 466)),
 }
 
 

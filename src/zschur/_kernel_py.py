@@ -110,23 +110,34 @@ when the search reaches position p, the sums that set bit p of the last
 row use values below p alone, all colored by then: the conflict test
 stays exact, and a bit there that no sum sets is a removal.
 
-Failed-literal probing strengthens it again, once per frame and level:
-the first time the search backtracks into the frame of p at a level.
-Every color p tried before is then refuted at p (at the current level or
-a lower one, which refutes it at every higher level too), or was skipped
-there by the symmetry filters, so each is removed at p,
-and the frame's table is closed with probes: each target that has lost
-a color but kept two or more is colored in turn with each color it has
-left, on a copy closed by singleton propagation, and a color whose copy
-wipes out is removed (see :func:`close`).  Every removal is set in the
-last row of the frame's own table: every extension step copies its
-parent's table, so no two frames share one.  A probe first computes only
-the last row that its color would give, from the few rows that feed it
-(a sum up to n holds at most n // t copies of target t), and tests that
-row alone: most probes wipe out there or force nothing, and only a probe
-whose row forces a target copies the table and closes the copy.  A child
-frame gets singleton propagation only and inherits the removals with the
-table it copies.  A target forced by a removal keeps no other color,
+Failed-literal probing strengthens it again.  A probe colors a target
+that has lost a color but kept two or more with one color it has left,
+on a copy closed by singleton propagation, and a color whose copy wipes
+out is removed (see :func:`close`).  Only the targets up to n - k + 2
+are probed: a sum that uses target t has k - 2 other parts of at least 1
+each, so no sum up to n uses a larger target, and its probes always
+pass.  Probes run at two moments:
+
+* at every new node: the extension step closes the child's table with
+  probes of the targets whose colors the step changed, against the
+  parent's last row, and that it left exactly two colors.  Probing every
+  changed target, or every two-color one, cuts more nodes but costs more
+  probes than it saves;
+* once per frame and level, the first time the search backtracks into
+  the frame of p at a level.  Every color p tried before is then refuted
+  at p (at the current level or a lower one, which refutes it at every
+  higher level too), or was skipped there by the symmetry filters, so
+  each is removed at p, and the frame's table is closed with probes of
+  every target.
+
+Every removal is set in the last row of the frame's own table: every
+extension step copies its parent's table, so no two frames share one,
+and a child inherits the removals with the table it copies.  A probe
+first computes only the last row that its color would give, from the few
+rows that feed it (a sum up to n holds at most n // t copies of target
+t), and tests that row alone: most probes wipe out there or force
+nothing, and only a probe whose row forces a target copies the table and
+closes the copy.  A target forced by a removal keeps no other color,
 since the removal stays in the last row: the search gives it its forced
 color alone.  The cuts again remove only subtrees without a free
 coloring, and the branch order is unchanged.
@@ -276,7 +287,8 @@ def _singles(row: int, above: int, forced: int,
 
 
 def close(rows: list[int], forced: int, pos: int, n: int, palette,
-          offsets: list[int], geo: Geometry, charge=None) -> int | None:
+          offsets: list[int], geo: Geometry, charge=None,
+          since: int | None = None) -> int | None:
     """Close the table over the targets in (pos, n]: singleton
     propagation, and with ``charge`` failed-literal probing too.
 
@@ -293,16 +305,25 @@ def close(rows: list[int], forced: int, pos: int, n: int, palette,
 
     ``charge`` is None (no probes) or a function called before each
     probe, which counts it or ends the closure by raising.  A probe takes
-    a target t that is not forced and has lost at least one color but
-    kept two or more (so the binary palette never probes), and one color
-    c left at t: it adds t with color c to a copy of the table, sets the
-    bits of t's other colors in the copy's last row, and closes the copy
-    without probes.  A wipe-out there means no free coloring gives t
-    color c, so c is removed at t: its bit is set in the last row (in
-    place).  Targets are probed in ascending order, each with every color
-    it has left; once the probes of a target remove a color, propagation
-    runs again before the next probe, and the closure ends when the
-    probes of every such target remove nothing.
+    a target t <= n - k + 2 that is not forced and has lost at least one
+    color but kept two or more (so the binary palette never probes), and
+    one color c left at t: it adds t with color c to a copy of the table,
+    sets the bits of t's other colors in the copy's last row, and closes
+    the copy without probes.  A wipe-out there means no free coloring
+    gives t color c, so c is removed at t: its bit is set in the last row
+    (in place).  A target above n - k + 2 is in no sum up to n, so its
+    probes would pass.  Targets are probed in ascending order, each with
+    every color it has left; once the probes of a target remove a color,
+    propagation runs again before the next probe, and the closure ends
+    when the probes of every such target remove nothing.
+
+    ``since`` is None, or the last row of the table that ``rows`` was
+    copied from (the closure of a child).  With it, a round probes only
+    the targets whose bits differ from ``since`` in some palette block
+    and that keep exactly two colors, which takes one more level of the
+    recurrence of :func:`_singles`: after propagation every target not
+    forced keeps two or more colors, so all but at most two gone means
+    exactly two left.
 
     Most probes end at the first round of that closure, so a probe runs
     that round first on the last row alone: it computes only the last
@@ -342,8 +363,24 @@ def close(rows: list[int], forced: int, pos: int, n: int, palette,
             spread |= 1 << off
             some |= row >> off
         # nothing is left to force, so each target not forced keeps two
-        # or more colors
-        targets = above & some & ~forced
+        # or more colors.  A sum that uses target t has k - 2 other parts
+        # of at least 1 each, so no sum up to n uses a target above
+        # n - k + 2, and its probes would pass
+        targets = (above & some & ~forced
+                   & ((1 << max(n - len(rows) + 3, 0)) - 1))
+        if since is not None:
+            # only the targets whose colors differ from since's and that
+            # keep exactly two: most2 marks all but at most two gone
+            diff = row ^ since
+            changed = 0
+            every = most1 = most2 = targets
+            for off in offsets:
+                f = row >> off
+                most2 = (most2 & f) | most1
+                most1 = (most1 & f) | every
+                every &= f
+                changed |= diff >> off
+            targets = most2 & changed
         # a probe's first round runs on the last row alone, which the
         # rows from start up give as add_value would in the sums up to n,
         # the only ones it reads.  Adding t leaves bit t as it is, as a
@@ -387,19 +424,23 @@ def close(rows: list[int], forced: int, pos: int, n: int, palette,
 
 
 def extend_state(rows: list[int], forced: int, pos: int, n: int, c: int,
-                 palette, offsets: list[int], geo: Geometry):
+                 palette, offsets: list[int], geo: Geometry, charge=None):
     """One step of the search at level n: the table after coloring pos
     with c, closed over the targets in (pos, n].
 
     The caller has checked that c is left at pos.  Returns the closed
-    ``(rows, forced)`` of the child (singleton propagation only), or None
-    on a wipe-out.  The child's table is always a new copy, so it
-    inherits the colors removed in the last row of ``rows`` and leaves
-    ``rows`` as it is.
+    ``(rows, forced)`` of the child, or None on a wipe-out.  Without
+    ``charge`` the closure is singleton propagation only; with it, the
+    child's table is also closed with the probes of :func:`close` against
+    the last row of ``rows``: the targets the step changed that keep two
+    colors.  The child's table is always a new copy, so it inherits the
+    colors removed in the last row of ``rows`` and leaves ``rows`` as it
+    is.
     """
     child = rows[:]
     add_value(child, pos, c, geo, pos)
-    forced = close(child, forced, pos, n, palette, offsets, geo)
+    forced = close(child, forced, pos, n, palette, offsets, geo, charge,
+                   rows[-1])
     return None if forced is None else (child, forced)
 
 
@@ -533,9 +574,11 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
     later targets in its last row; whether a color below p is nonzero;
     the palette index after p's color (so a coloring is read off the
     frames); and the level the frame was last probed at, 0 for none.  A
-    backtrack into a frame probes it unless it was probed at the current
-    level.  Every frame owns its table, so probing a frame closes that
-    table in place.
+    frame's table is closed with the probes of a child when it is pushed
+    (:func:`extend_state` with ``charge``), and a backtrack into a frame
+    probes it again, over every target, unless it was probed so at the
+    current level.  Every frame owns its table, so probing a frame closes
+    that table in place.
     """
     if n_max is None:
         n_max = n
@@ -597,7 +640,7 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
                                 probes)
                     n += 1  # go on one level up from this coloring
                 child = extend_state(rows, forced, pos, n, c, palette,
-                                     offsets, geo)
+                                     offsets, geo, charge)
                 if child is None:
                     prunes += 1
                     continue

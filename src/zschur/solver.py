@@ -15,12 +15,15 @@ colored value, so after each assignment it sees which colors each later
 target may still take, and it cuts the subtree as soon as some later
 target has none left (a domain wipe-out).  A later target left with a
 single color is colored with it at once, and that is repeated until
-nothing changes (singleton propagation).  The first time the search
-backtracks into a depth, it also tries each color left at each later
-target that has lost one, and removes the colors whose trial wipes out
-under singleton propagation (failed-literal probing).  Such cuts remove
-only subtrees without a free coloring, so they change node counts only,
-never a status or a lex-least certificate.
+nothing changes (singleton propagation).  It also tries colors at
+later targets and removes those whose trial wipes out under singleton
+propagation (failed-literal probing): at every new node, each color of
+each target that the step has just cut down to two colors, and the
+first time the search backtracks into a depth, each color left at each
+later target that has lost one.  Targets that no sum up to the level
+uses are never tried.  Such cuts remove only subtrees without a free
+coloring, so they change node counts only, never a status or a
+lex-least certificate.
 
 Symmetry reduction (applied only when r | k, where it is sound):
 position 1 is pinned to color 0 (zero-sum solutions are preserved by

@@ -574,6 +574,51 @@ def test_probe_removals_are_sound():
     assert removals > 0
 
 
+def test_child_probe_removals_are_sound():
+    # each color the step with probes takes from a target of a free
+    # prefix, by propagation or by a probe's removal, is taken there by
+    # no free completion of the prefix, and a step it wipes out has none.
+    # The step without probes is the copy, add and close of propagation
+    n, k, r = 12, 4, 4
+    palette = (0, 1, 2, 3)
+    geo = _kernel_py.Geometry(r, n)
+    offsets = _kernel_py.forbid_offsets(palette, geo)
+    removals = wiped = 0
+    prefixes = (p for m in (3, 4, 5) for p in product(palette, repeat=m))
+    for prefix in prefixes:
+        state = extend_all(prefix[:-1], n, k, r, palette)
+        if state is None:
+            continue
+        rows, forced = state
+        pos, c = len(prefix), prefix[-1]
+        if c not in colors_left(rows, pos, palette, geo):
+            continue
+        plain = _kernel_py.extend_state(rows, forced, pos, n, c, palette,
+                                        offsets, geo)
+        want = rows[:]
+        _kernel_py.add_value(want, pos, c, geo, pos)
+        closed = _kernel_py.close(want, forced, pos, n, palette, offsets,
+                                  geo)
+        assert plain == (None if closed is None else (want, closed)), prefix
+        if plain is None:
+            continue
+        probed = _kernel_py.extend_state(rows, forced, pos, n, c, palette,
+                                         offsets, geo, lambda: None)
+        free = free_completions(prefix, n, k, r, palette)
+        if probed is None:
+            assert not free, prefix
+            wiped += 1
+            continue
+        taken = {(t, d) for found in free for t, d in enumerate(found, 1)}
+        for t in range(pos + 1, n + 1):
+            gone = (set(colors_left(plain[0], t, palette, geo))
+                    - set(colors_left(probed[0], t, palette, geo)))
+            for d in gone:
+                removals += 1
+                assert (t, d) not in taken, (prefix, t, d)
+    assert removals > 0 and wiped > 0, (removals, wiped)
+
+
 def free_completions(prefix, n, k, r, palette):
     """Every free coloring of [1..n] that starts with prefix."""
     def extend(colors):
@@ -603,23 +648,27 @@ def remove(rows, t, c, geo):
 
 
 def reference_close(rows, forced, pos, n, palette, offsets, geo, charge,
-                    seen):
+                    seen, top=None):
     """:func:`_kernel_py.close` with probes, every probe on a copy.
 
     Propagation is the kernel's closure without probes.  Each probe adds
     its target to a copy of the table, removes the target's other colors
     in the copy's last row and closes the copy; a probe that wipes out
-    removes its color in the last row of ``rows``.  ``seen`` collects
-    ``(twice, fallback)`` per probe: twice when two copies of the target
-    fit a sum up to n, fallback when the copy's last row leaves every
-    target a color and forces some target besides the probed one."""
+    removes its color in the last row of ``rows``.  The targets probed
+    are those up to ``top``, by default n - k + 2, the last that a sum
+    up to n can use.  ``seen`` collects ``(twice, fallback)`` per probe:
+    twice when two copies of the target fit a sum up to n, fallback when
+    the copy's last row leaves every target a color and forces some
+    target besides the probed one."""
+    if top is None:
+        top = n - len(rows) + 2
     while True:
         forced = _kernel_py.close(rows, forced, pos, n, palette, offsets,
                                   geo)
         if forced is None:
             return None
         failed = False
-        for t in range(pos + 1, n + 1):
+        for t in range(pos + 1, min(n, top) + 1):
             left = colors_left(rows, t, palette, geo)
             if (forced >> t) & 1 or not 2 <= len(left) < len(palette):
                 continue
@@ -645,17 +694,14 @@ def reference_close(rows, forced, pos, n, palette, offsets, geo, charge,
             return forced
 
 
-def test_last_row_probe_matches_probe_on_a_copy():
-    # frames from seeded random prefixes, some colors removed at the next
-    # position as a backtrack removes them: the closure with probes must
-    # end with the forced mask, the table, the colors left at every target
-    # and the probe count of the reference that closes a copy for every
-    # probe.  Half the tables are wider than the level, as in a window of
-    # levels
+def probe_frames():
+    """Frames from seeded random prefixes at level n, with some colors
+    removed at the next position as a backtrack removes them: yields
+    ``(rows, forced, m, n, palette, offsets, geo)`` with m the prefix's
+    length.  Half the tables are wider than the level, as in a window of
+    levels."""
     rng = random.Random(14)
     caps = random.Random(15)
-    seen = []
-    cases = wide = 0
     for _ in range(150):
         k = rng.randint(3, 8)
         r = rng.randint(3, 6)
@@ -672,22 +718,54 @@ def test_last_row_probe_matches_probe_on_a_copy():
         offsets = _kernel_py.forbid_offsets(palette, geo)
         for c in rng.sample(palette, rng.randint(0, r - 1)):
             remove(rows, m + 1, c, geo)
-        results = []
-        for close in (_kernel_py.close, reference_close):
-            got_rows, probes = rows[:], []
-            extra = (seen,) if close is reference_close else ()
-            got = close(got_rows, forced, m, n, palette, offsets, geo,
-                        lambda: probes.append(1), *extra)
-            left = None if got is None else [
-                colors_left(got_rows, t, palette, geo)
-                for t in range(m + 1, n + 1)]
-            results.append((got, got_rows, left, len(probes)))
-        assert results[0] == results[1], (k, r, n, m, cap)
+        yield rows, forced, m, n, palette, offsets, geo
+
+
+def closed_with_probes(close, rows, forced, m, n, palette, offsets, geo,
+                       *extra):
+    """``(forced, rows, colors left per target, probes)`` after closing a
+    copy of the frame's table with probes by ``close``."""
+    rows, probes = rows[:], []
+    got = close(rows, forced, m, n, palette, offsets, geo,
+                lambda: probes.append(1), *extra)
+    left = None if got is None else [colors_left(rows, t, palette, geo)
+                                     for t in range(m + 1, n + 1)]
+    return got, rows, left, len(probes)
+
+
+def test_last_row_probe_matches_probe_on_a_copy():
+    # the closure with probes must end with the forced mask, the table,
+    # the colors left at every target and the probe count of the
+    # reference that closes a copy for every probe
+    seen = []
+    cases = wide = 0
+    for frame in probe_frames():
+        got = closed_with_probes(_kernel_py.close, *frame)
+        want = closed_with_probes(reference_close, *frame, seen)
+        rows, _, m, n, _, _, geo = frame
+        assert got == want, (len(rows), geo.r, n, m, geo.sum_cap)
         cases += 1
-        wide += cap > n
+        wide += geo.sum_cap > n
     assert cases >= 50 and wide >= 20
     assert any(twice for twice, _ in seen)
     assert any(fallback for _, fallback in seen)
+
+
+def test_probes_above_the_last_summand_change_nothing():
+    # no sum up to n uses a target above n - k + 2, so the closure that
+    # probes only the targets up to there must end as the reference that
+    # probes every target: the same forced mask, table and colors left,
+    # with no more probes, and fewer on some frames
+    fewer = 0
+    for frame in probe_frames():
+        *got, got_probes = closed_with_probes(_kernel_py.close, *frame)
+        n = frame[3]
+        *want, want_probes = closed_with_probes(reference_close, *frame, [],
+                                                n)
+        assert got == want, frame[2:4]
+        assert got_probes <= want_probes, frame[2:4]
+        fewer += got_probes < want_probes
+    assert fewer >= 20
 
 
 def test_probe_removals_stay_in_the_last_row():

@@ -25,18 +25,18 @@ from zschur.solver import _certified_start, _symmetry_filters
 #: (k, r, palette, lex-least certificate, nodes, prunes, max_depth,
 #: probes) of deterministic solves.
 CERTIFIED_TREES = [
-    (8, 4, Palette.FULL, "01230120022002200220321032", 128, 72, 26, 359),
+    (8, 4, Palette.FULL, "01230120022002200220321032", 79, 44, 26, 197),
     (12, 3, Palette.FULL, "01201201201101101101102102102102", 70, 30, 32,
-     52),
+     98),
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
-     393, 260, 37, 437),
+     344, 225, 37, 466),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
      70, 31, 40, 0),
     (12, 4, Palette.FULL, "012301230120022002200220022002203210321032",
-     243, 131, 42, 1059),
+     127, 68, 42, 465),
     (12, 6, Palette.FULL,
      "0123450123420150120150110140110140110410110410210510210510543210543",
-     3745, 2333, 67, 68273),
+     3721, 2319, 67, 65669),
 ]
 
 
@@ -154,14 +154,14 @@ class TestFindFreeColoring:
         assert outcome.coloring.values == expected
 
     def test_budget_exhaustion(self):
-        # exhausting S_z(12,4) at n=43 takes 110 nodes and 578 probes
+        # exhausting S_z(12,4) at n=43 takes 62 nodes and 379 probes
         spec = ProblemSpec(k=12, r=4)
         outcome = find_free_coloring(43, spec, SearchConfig(max_nodes=50))
         assert outcome.status == 3
         assert outcome.stats.nodes + outcome.stats.probes <= 50
 
     def test_budget_covers_probes(self):
-        # exhausting S_z(12,6) at n=68 takes 3,463 nodes and 67,955
+        # exhausting S_z(12,6) at n=68 takes 3,463 nodes and 66,895
         # probes; the budget caps the two together
         spec = ProblemSpec(k=12, r=6)
         outcome = find_free_coloring(68, spec, SearchConfig(max_nodes=1000))
@@ -172,7 +172,7 @@ class TestFindFreeColoring:
     def test_exhausts_12_6_at_68(self):
         outcome = find_free_coloring(68, ProblemSpec(k=12, r=6))
         assert outcome.exhausted
-        assert (outcome.stats.nodes, outcome.stats.probes) == (3463, 67955)
+        assert (outcome.stats.nodes, outcome.stats.probes) == (3463, 66895)
 
     def test_timeout_already_expired(self):
         spec = ProblemSpec(k=6, r=3)
@@ -355,7 +355,7 @@ class TestSolveExact:
                     totals[0] += stats.nodes
                     totals[1] += stats.prunes
                     totals[2] += stats.probes
-        assert totals == [13_925, 8_774, 154_837]
+        assert totals == [13_093, 8_233, 146_685]
 
     def test_k_above_r_scans_in_one_window(self, windows):
         # k > r has a finite proven upper bound, so the scan is one window
@@ -435,7 +435,7 @@ class TestSolveExact:
 
     def test_budget_cut_before_lex_least_keeps_construction(self):
         # the deterministic scan first searches n=44, the construction's
-        # n, for the lex-least certificate; that takes 121 nodes and 32
+        # n, for the lex-least certificate; that takes 121 nodes and 62
         # probes, so a budget of 100 runs out there and the free
         # construction stays
         spec = ProblemSpec(k=10, r=5)
@@ -453,7 +453,7 @@ class TestSolveExact:
     @pytest.mark.parametrize("budget,found", ((400, 23), (600, 37)))
     def test_budget_runs_out_in_a_later_window(self, budget, found):
         # the deterministic S_z(5,5) scan searches one window, 19-38 (the
-        # construction's n is 19), in 830 steps.  A budget of 400 runs out
+        # construction's n is 19), in 810 steps.  A budget of 400 runs out
         # after it found the lex-least coloring of 23, and one of 600
         # after it found that of 37: the certificate is the last level
         # found inside the window, and the budget is spent exactly
