@@ -26,6 +26,10 @@ Workloads:
                   find_zero_sum_solution on a seeded random coloring
                   (n=2000, k=100, r=20; random.Random(1)) whose least
                   target, 105, the narrow pass finds: 96 x 1, 2, 2, 5
+  free-150-10     zero_sum_table on the free k=150, r=10 construction
+                  (n=1488): the checker's decision with no witness (a
+                  narrow pass to 2k that misses, then the exact table,
+                  whose last row has no target)
   search-8-4      exhaust the reduced four-color search at n=27 (the
                   S_z(8,4) decision step: 40 extension checks, 149
                   probes)
@@ -61,9 +65,10 @@ Workloads:
 
 Each run is checked: the reach passes must return the targets in
 REACH, each extraction the lex-least parts in EXTRACT, each find the
-witness in FIND, each search must end with the status, nodes, prunes,
-max depth and probes in WORKLOADS, and each scan must give the value,
-certificate, nodes and probes in SCAN.
+witness in FIND, each decision the target in DECIDE, each search must
+end with the status, nodes, prunes, max depth and probes in WORKLOADS,
+and each scan must give the value, certificate, nodes and probes in
+SCAN.
 Exit 1 on a failed check.  ``--json PATH`` also writes the machine
 (nproc, CPU model, Python), the commit, and per workload its best time,
 repeat count and the checked results to PATH.
@@ -142,6 +147,18 @@ FIND = {
 def find_args(values, kr):
     k, r = kr
     return (Coloring.of(values, r), ProblemSpec(k, r))
+
+
+#: Decision workloads: (k, r) of the construction zero_sum_table decides,
+#: and the least target it must return (0: free).
+DECIDE = {
+    "free-150-10": ((150, 10), 0),
+}
+
+
+def decide_args(k, r):
+    values = construct_even(k, r).values
+    return (values, len(values), k, r)
 
 
 #: Search workloads: arguments of search_free_coloring and the
@@ -251,6 +268,14 @@ def main() -> int:
             return 1
         rows.append((wname, took, {"target": w.target, "parts": list(w.parts)},
                      f"target {w.target}, last part {w.parts[-1]}"))
+
+    for wname, (kr, want) in DECIDE.items():
+        took, (target, _, _) = best_time(_kernel_py.zero_sum_table,
+                                         decide_args(*kr), args.repeats)
+        if target != want:
+            print(f"{wname}: target {target}, expected {want}")
+            return 1
+        rows.append((wname, took, {"target": target}, f"target {target}"))
 
     for wname, (sargs, want) in WORKLOADS.items():
         took, (status, _, *counts) = best_time(

@@ -15,18 +15,41 @@ The package's only kernel, with three hot entry points:
   a solution-free coloring of [1..n], with singleton propagation and
   failed-literal probing (the solver's search).
 
-Table layout
-------------
+Tables
+------
 A table for k rows, r colors and sums 0..sum_cap is a list of k Python
-integers, one per row j.  Row j packs the r color classes as bit blocks
-of width W = sum_cap + 1: bit c*W + s of ``rows[j]`` says that j values
-(repetition allowed, each at most the current value cap) can realize sum
-s with color-sum c mod r.  Only this module knows the layout; other
-modules build and read tables through :class:`Geometry`,
-:func:`exact_table` and :func:`cell`.
+integers, one per row j: row j says which sums s with color-sum c mod r
+j values (repetition allowed, each at most the current value cap) can
+realize.  Adding one value v with color cv takes one step per row, in
+increasing j so that v may be reused any number of times: every pair
+(s, c) of row j-1 with s + v <= sum_cap gives (s + v, (c + cv) % r) in
+row j.
 
-Adding one value v with color cv takes one step per row, in increasing j
-so that v may be reused any number of times:
+Only the rows that can still reach the last row are updated.  Each
+caller names ``low``, the least value that may still join the table; an
+entry of row j has sum at least j and needs k-1-j more parts, each at
+least ``low``, so row j is dead once j + (k-1-j)*low > sum_cap, and the
+dead rows are the low ones.  The update also stops at the first zero
+row: a row receives only from the row below it and rows only grow, so
+every row above a zero row is zero.  Both cuts are exact for the last
+row, which is all the reach pass and the search read; the checker's
+exact table (:func:`exact_table`) passes low = 1 and stays exact in
+every row.
+
+The search and the checker pack the pairs in two layouts, each for the
+way it reads and grows its tables.  Only this module knows them; other
+modules build and read the search's tables through :class:`Geometry`,
+:func:`add_value` and :func:`cell`, and the checker's through
+:class:`CheckerGeometry`, :func:`exact_table` and :func:`checker_cell`.
+
+Search tables
+-------------
+Row j packs the r color classes as bit blocks of width W = sum_cap + 1:
+bit c*W + s of ``rows[j]`` holds pair (s, c).  The search reads a color
+at every target at once: the block of the sums that forbid it, shifted
+down to the targets, is one AND per palette color (:func:`_singles`,
+:func:`close`), which a layout with the colors of one sum side by side
+could not do so cheaply.  :func:`add_value` adds a value as
 
     y = rows[j-1] & keep           # per block, the sums s <= sum_cap - v
     rows[j] |= rotate(y, cv) << v  # block c moves to block (c + cv) % r
@@ -50,16 +73,6 @@ of every block: per block, the W - v low bits.  The stay and wrap masks
 are not kept in :class:`Geometry`: one pair per color would take r*r*W
 bits.
 
-Only the rows that can still reach the last row are updated.  Each
-caller names ``low``, the least value that may still join the table; an
-entry of row j has sum at least j and needs k-1-j more parts, each at
-least ``low``, so row j is dead once j + (k-1-j)*low > sum_cap, and the
-dead rows are the low ones.  The update also stops at the first zero
-row: a row receives only from the row below it and rows only grow, so
-every row above a zero row is zero.  Both cuts are exact for the last
-row, which is all the reach pass and the search read; the extraction
-table (:func:`exact_table`) passes low = 1 and stays exact in every row.
-
 The last row feeds no other row: :func:`add_value` uses row j-1 only to
 update row j, for j up to k-1.  So a search table's last row also
 records the colors removed at its targets (see below), each as the bit
@@ -69,6 +82,30 @@ at a target, and those count a color as gone whether a sum forbids it
 or a removal takes it.  :func:`cell` reads a removal in a search table's
 last row as a reachable sum.
 
+Checker tables
+--------------
+Each sum has a group of r bits, one per color, with the high sums in the
+low bits: bit (sum_cap - s)*r + c of ``rows[j]`` holds pair (s, c).
+:func:`checker_add` adds a value as two right shifts of row j-1: by
+v*r - cv for the colors c < r - cv, which stay in their sum's group, and
+by v*r - cv + r for the rest, which wrap around to color c + cv - r.
+The stay mask of cv (:meth:`CheckerGeometry.stay`) splits them, and the
+wrap part is ``prev ^ (prev & stay)``.  A sum pushed past sum_cap falls
+off the low end of the int, so no keep mask is needed.  Row 1 takes
+each value as the one bit (sum_cap - v)*r + cv, so row 0, whose one
+bit is the highest of the row, is never shifted.  A geometry keeps the
+stay masks of at most k colors, so a check holds its k rows, at most k
+masks and the one row-wide int they are built from; a color past those
+has its mask built for each value, in two steps on that int.
+
+The layout pays in the checker's exact table, which takes its values in
+descending order: at value v, row j holds only sums of at least j*v.
+Those are the low bits of the int, and a Python int stores no leading
+zeros, so the rows grow shorter as j grows and the step works on
+shorter ints than a row of every block.  The ascending reach pass gains
+nothing from it, since its rows hold the small sums, but one checker
+layout serves both.
+
 The reach pass feeds values in increasing order.  A sum-T solution has
 k-1 parts that are each at least 1, so no part exceeds T-k+2; target T
 can therefore be tested as soon as values up to T-k+2 are in the table,
@@ -76,14 +113,16 @@ and one shared table serves all targets.  Value v updates about
 min(k-1, n/v) live rows, so the pass makes about n(1 + ln k) row updates
 of r(n+1) bits.  The same bound lets one exact table decide every
 target at once: with c the color of T, the last row of the values
-1..n-k+2 at sum cap n holds bit ((r - c) % r)*W + T exactly when T
+1..n-k+2 at sum cap n holds bit (n - T)*r + (r - c) % r exactly when T
 completes a solution, whatever the values above T-k+2, since none of
 them fits in a sum of T.  The descending build of :func:`exact_table`
-makes about as many row updates as the ascending pass, so the checker's
-exact phase costs what a pass to n would and leaves behind the table its
-witness is read from; only its narrow phase, for targets up to 2k, runs
-the ascending pass.
+makes about as many row updates as the ascending pass, on shorter rows,
+so the checker's exact phase costs less than a pass to n would and
+leaves behind the table its witness is read from; only its narrow
+phase, for targets up to 2k, runs the ascending pass.
 
+The search
+----------
 The search keeps a stack of frames, one per colored depth; each frame's
 table holds *every* colored value below its position, so the last row
 forbids colors at all future targets at once: target t cannot take color
@@ -178,7 +217,7 @@ class _OutOfBudget(Exception):
 
 
 class Geometry:
-    """Bit layout of the tables with r color blocks of sums 0..sum_cap.
+    """Bit layout of the search's tables: r color blocks of sums 0..sum_cap.
 
     ``width`` is the block width sum_cap + 1, ``size`` the row width
     r * width, ``full`` the row of all ones and ``ones`` bit 0 of every
@@ -202,7 +241,7 @@ class Geometry:
 
 
 def new_table(k: int) -> list[int]:
-    """Empty table: only the 0-values/0-sum/0-color cell is reachable."""
+    """Empty search table: only the 0-values/0-sum/0-color cell is set."""
     return [1] + [0] * (k - 1)
 
 
@@ -251,17 +290,102 @@ def cell(rows: list[int], j: int, s: int, c: int, geo: Geometry) -> bool:
     return bool((rows[j] >> (c * geo.width + s)) & 1)
 
 
-def exact_table(colors, k: int, v_max: int, geo: Geometry) -> list[int]:
-    """Table of the values 1..v_max with every row exact.
+class CheckerGeometry:
+    """Bit layout of the checker's tables: k rows, r colors, sums 0..sum_cap.
+
+    Bit (sum_cap - s)*r + c of row j says that j values can realize sum
+    s with color-sum c mod r; ``size`` is the row width r * (sum_cap + 1).
+    The stay mask of a color (:meth:`stay`) is built on first use and
+    kept for at most k colors, so the masks never hold more bits than the
+    table's k rows; they are built from one more row-wide int, bit 0 of
+    every sum's group, kept once the first mask needs it.
+    """
+
+    __slots__ = ("r", "sum_cap", "size", "_kept", "_stay", "_ones")
+
+    def __init__(self, r: int, sum_cap: int, k: int) -> None:
+        self.r = r
+        self.sum_cap = sum_cap
+        self.size = r * (sum_cap + 1)
+        self._kept = k
+        self._stay = {}
+        self._ones = 0
+
+    def stay(self, cv: int) -> int:
+        """The bits of colors c < r - cv in every sum's group: those that
+        a value of color cv moves without wrapping around."""
+        mask = self._stay.get(cv)
+        if mask is None:
+            ones = self._ones
+            if not ones:  # bit 0 of every group, built with the first mask
+                ones, span = 1, self.r
+                while span < self.size:
+                    ones |= ones << span
+                    span *= 2
+                ones &= (1 << self.size) - 1
+                self._ones = ones
+            mask = (ones << (self.r - cv)) - ones
+            if len(self._stay) < self._kept:
+                self._stay[cv] = mask
+        return mask
+
+
+def checker_table(k: int, geo: CheckerGeometry) -> list[int]:
+    """Empty checker table: only the 0-values/0-sum/0-color cell is set."""
+    return [1 << (geo.sum_cap * geo.r)] + [0] * (k - 1)
+
+
+def checker_add(rows: list[int], v: int, cv: int, geo: CheckerGeometry,
+                low: int) -> None:
+    """:func:`add_value` for a checker table: allow value v (color cv)
+    with unlimited multiplicity.
+
+    Requires 1 <= low <= v <= sum_cap, with ``low`` as for
+    :func:`add_value`; the update makes the same cuts, and its last row
+    is exact, every row with low == 1.  Row 1 takes v as one bit, so row
+    0 is never shifted.  A higher row takes row j-1 shifted right by
+    v*r - cv, the colors that stay (:meth:`CheckerGeometry.stay`), and by
+    v*r - cv + r, the colors that wrap; a sum past sum_cap falls off the
+    low end.
+    """
+    r, cap = geo.r, geo.sum_cap
+    last = len(rows) - 1
+    j0 = _first_live_row(last, low, cap)
+    if j0 == 0:
+        rows[1] |= 1 << ((cap - v) * r + cv)
+        j0 = 1
+    prev = rows[j0]
+    stay = geo.stay(cv)
+    shift = v * r - cv
+    wrap = shift + r
+    for j in range(j0 + 1, last + 1):
+        if not prev:
+            return
+        kept = prev & stay
+        prev = rows[j] | (kept >> shift) | ((prev ^ kept) >> wrap)
+        rows[j] = prev
+
+
+def checker_cell(rows: list[int], j: int, s: int, c: int,
+                 geo: CheckerGeometry) -> bool:
+    """:func:`cell` of a checker table."""
+    return bool((rows[j] >> ((geo.sum_cap - s) * geo.r + c)) & 1)
+
+
+def exact_table(colors, k: int, v_max: int,
+                geo: CheckerGeometry) -> list[int]:
+    """Checker table of the values 1..v_max with every row exact.
 
     Value v has color ``colors[v - 1]``.  Requires v_max <= sum_cap.  The
     values join in descending order: row j stays zero while j*v > sum_cap,
-    so the zero-row stop of :func:`add_value` skips the rows no sum fits
-    yet, where ascending order would update all k-1 rows for every value.
+    so the zero-row stop of :func:`checker_add` skips the rows no sum fits
+    yet, where ascending order would update all k-1 rows for every value;
+    and row j holds only sums of at least j*v, the low bits, so the rows
+    grow shorter as the build goes on.
     """
-    rows = new_table(k)
+    rows = checker_table(k, geo)
     for v in range(v_max, 0, -1):
-        add_value(rows, v, colors[v - 1], geo, 1)
+        checker_add(rows, v, colors[v - 1], geo, 1)
     return rows
 
 
@@ -455,32 +579,32 @@ def first_zero_sum_target(values, n: int, k: int, r: int,
     """
     if n < k - 1:  # no target: build no table of k rows (k may be huge)
         return 0
-    geo = Geometry(r, n)
-    width = geo.width
-    rows = new_table(k)
+    geo = CheckerGeometry(r, n, k)
+    rows = checker_table(k, geo)
     for target in range(k - 1, n + 1):
         if deadline is not None and monotonic() > deadline:
             return None
         v = target - k + 2
-        add_value(rows, v, values[v - 1], geo, v)
-        c = (r - values[target - 1]) % r  # cell(rows, k-1, target, c, geo)
-        if (rows[-1] >> (c * width + target)) & 1:
+        checker_add(rows, v, values[v - 1], geo, v)
+        c = (r - values[target - 1]) % r  # checker_cell(rows, k-1, target, c)
+        if (rows[-1] >> ((n - target) * r + c)) & 1:
             return target
     return 0
 
 
-def _least_target(row: int, values, lo: int, hi: int, geo: Geometry) -> int:
-    """Least target T in (lo, hi] whose last-row bit ((r - c) % r)*W + T
-    is set, c = values[T - 1], else 0.  ``row`` is an exact last row with
-    sum_cap >= hi.
+def _least_target(row: int, values, lo: int, hi: int,
+                  geo: CheckerGeometry) -> int:
+    """Least target T in (lo, hi] whose last-row bit
+    (sum_cap - T)*r + (r - c) % r is set, c = values[T - 1], else 0.
+    ``row`` is an exact last row of a checker table with sum_cap >= hi.
 
     The row is read as bytes once, so each target costs a byte lookup
     instead of a shift of the whole row.
     """
-    r, width = geo.r, geo.width
+    r, cap = geo.r, geo.sum_cap
     bits = row.to_bytes((geo.size + 7) // 8, "little")
     for t in range(lo + 1, hi + 1):
-        i = ((r - values[t - 1]) % r) * width + t
+        i = (cap - t) * r + (r - values[t - 1]) % r
         if (bits[i >> 3] >> (i & 7)) & 1:
             return t
     return 0
@@ -503,8 +627,9 @@ def zero_sum_table(values, n: int, k: int, r: int):
        of at least 1 each, so every part is at most T-k+2, and a value
        above it fits in no such sum: the exact last row decides every
        target in (early, n] at once (:func:`_least_target`), and every
-       row answers the :func:`cell` queries of the witness greedy, which
-       ask for part of a sum-T solution, as the table of 1..T-k+2 would.
+       row answers the :func:`checker_cell` queries of the witness
+       greedy, which ask for part of a sum-T solution, as the table of
+       1..T-k+2 would.
 
     The cap 2k is a fixed rule.  Without structure in the coloring, the
     multisets of k-1 parts summing to a little above k-1 already give
@@ -521,11 +646,11 @@ def zero_sum_table(values, n: int, k: int, r: int):
     early = min(n, 2 * k)
     target = first_zero_sum_target(values, early, k, r)
     if target:
-        geo = Geometry(r, target)
+        geo = CheckerGeometry(r, target, k)
         return target, exact_table(values, k, target - k + 2, geo), geo
     if n <= early:
         return 0, None, None
-    geo = Geometry(r, n)
+    geo = CheckerGeometry(r, n, k)
     rows = exact_table(values, k, n - k + 2, geo)
     target = _least_target(rows[-1], values, early, n, geo)
     return (target, rows, geo) if target else (0, None, None)

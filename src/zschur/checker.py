@@ -17,6 +17,14 @@ Either way the lexicographic witness is read by a greedy off the one
 table the decision built; no second table is built.  The returned
 witness is the least one by (target, sorted parts).
 
+The checker's tables have their own layout, apart from the search's
+(see the :mod:`zschur._kernel_py` docstring): each sum has a group of r
+bits, one per color, and the high sums sit in the low bits.  The exact
+table takes its values in descending order, so its rows hold only the
+high sums, the low bits, and grow shorter as the build goes on.  A
+check holds the k rows of its one table and the stay masks of at most
+k colors, each a row wide (:class:`zschur._kernel_py.CheckerGeometry`).
+
 :func:`brute_force_oracle` answers the same question by enumerating every
 nondecreasing (k-1)-tuple directly.  It shares no code with the table
 pass and exists so the two can be tested against each other; keep it
@@ -59,7 +67,7 @@ def _zero_sum_table(chi: Coloring, spec: ProblemSpec):
 
 
 def _lex_least_parts(chi: Coloring, k: int, target: int, rows: list[int],
-                     geo: _kernel_py.Geometry) -> tuple[int, ...]:
+                     geo: _kernel_py.CheckerGeometry) -> tuple[int, ...]:
     """Lexicographically least nondecreasing parts realizing the target.
 
     Greedy smallest-first choice, with feasibility of each remainder read
@@ -74,7 +82,7 @@ def _lex_least_parts(chi: Coloring, k: int, target: int, rows: list[int],
     the least solution's; were u in [p_{t-1}, v), the least of M and v
     would have passed first.  So the table of all values answers as a
     table of [v..v_max] would.  The last part is the remaining sum
-    itself.  The table has ``geo.r`` color blocks, :func:`_residues` of
+    itself.  The table has ``geo.r`` colors per sum, :func:`_residues` of
     them, which may be fewer than r.
     """
     r = geo.r
@@ -89,7 +97,7 @@ def _lex_least_parts(chi: Coloring, k: int, target: int, rows: list[int],
     for j in range(k - 1, 1, -1):  # j parts left: v, then j-1 more >= v
         for v in range(lo, s // j + 1):
             c_rest = (c - colors[v - 1]) % r
-            if _kernel_py.cell(rows, j - 1, s - v, c_rest, geo):
+            if _kernel_py.checker_cell(rows, j - 1, s - v, c_rest, geo):
                 break
         else:
             raise RuntimeError(failed)

@@ -187,7 +187,7 @@ def test_exact_table_matches_definition():
         v_max = rng.randint(1, 10)
         sum_cap = v_max + rng.randint(0, 12)
         colors = [rng.randrange(r) for _ in range(v_max)]
-        geo = _kernel_py.Geometry(r, sum_cap)
+        geo = _kernel_py.CheckerGeometry(r, sum_cap, k)
         rows = _kernel_py.exact_table(colors, k, v_max, geo)
         for j in range(k):
             want = set()
@@ -195,7 +195,7 @@ def test_exact_table_matches_definition():
                 if sum(parts) <= sum_cap:
                     want.add((sum(parts), sum(colors[p - 1] for p in parts) % r))
             got = {(s, c) for s in range(sum_cap + 1) for c in range(r)
-                   if _kernel_py.cell(rows, j, s, c, geo)}
+                   if _kernel_py.checker_cell(rows, j, s, c, geo)}
             assert got == want, (colors, k, r, sum_cap, j)
 
 
@@ -419,3 +419,21 @@ def test_small_colors_under_a_large_modulus_match_the_oracle():
         witnesses += fast is not None
         free += fast is None
     assert witnesses >= 50 and free >= 50
+
+
+def test_many_colors_keep_at_most_k_masks():
+    # value v colored v - 1 under r = 400: x1 + x2 = x3 needs
+    # 2*x3 = 3 (mod 400), which has no solution, so the coloring is free
+    # and the exact phase adds 399 values of 399 colors.  It keeps the
+    # stay masks of k = 3 colors: one per color would hold 400 masks of
+    # about 20 KB each
+    chi = Coloring.of([v - 1 for v in range(1, 401)], 400)
+    spec = ProblemSpec(k=3, r=400)
+    tracemalloc.start()
+    try:
+        witness = find_zero_sum_solution(chi, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness == brute_force_oracle(chi, spec) is None
+    assert peak < 2**20, peak

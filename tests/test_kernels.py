@@ -99,9 +99,10 @@ def naive_last_rows(values, k, r, n):
 
 
 def test_reach_pass_last_row_with_dead_rows():
-    # the reach pass's add_value loop, run to n without stopping at a
-    # target: past v = n/(k-1) the low rows are dead and skipped, and
-    # rows stop at the first zero row, yet the last row must be exact
+    # add_value with a rising low, as the search's is: every value from
+    # 1 to n with low = v.  Past v = n/(k-1) the low rows are dead and
+    # skipped, and rows stop at the first zero row, yet the last row must
+    # be exact
     rng = random.Random(31)
     for _ in range(60):
         k = rng.randint(3, 16)
@@ -155,7 +156,7 @@ def test_exact_table_least_target_matches_reach_pass():
         for i in rng.sample(range(n), min(n, rng.randint(0, 4))):
             values[i] = rng.randrange(r)
         want = _kernel_py.first_zero_sum_target(values, n, k, r)
-        geo = _kernel_py.Geometry(r, n)
+        geo = _kernel_py.CheckerGeometry(r, n, k)
         rows = _kernel_py.exact_table(values, k, n - k + 2, geo)
         got = _kernel_py._least_target(rows[-1], values, k - 2, n, geo)
         assert got == want, (values, k, r)
@@ -467,12 +468,12 @@ def test_adding_a_held_value_again_changes_no_row():
     # holds at or above its last low is added again with its color and
     # every low from there up to the value: in the search's tables, whose
     # last low is pos, or pos + 1 once the step forces a target, and in
-    # exact tables, whose last low is 1
-    def unchanged(rows, held, low0, geo):
+    # the checker's exact tables, whose last low is 1
+    def unchanged(rows, held, low0, geo, step=_kernel_py.add_value):
         for v, cv in held:
             for low in range(low0, v + 1):
                 again = rows[:]
-                _kernel_py.add_value(again, v, cv, geo, low)
+                step(again, v, cv, geo, low)
                 assert again == rows, (v, cv, low)
         return len(held)
 
@@ -517,12 +518,13 @@ def test_adding_a_held_value_again_changes_no_row():
     for _ in range(60):
         k, r = rng.randint(3, 8), rng.randint(2, 6)
         n = rng.randint(k, 40)
-        geo = _kernel_py.Geometry(r, n)
+        geo = _kernel_py.CheckerGeometry(r, n, k)
         values = [rng.randrange(r) for _ in range(n)]
         v_max = rng.randint(1, n)
         rows = _kernel_py.exact_table(values, k, v_max, geo)
         readded += unchanged(rows, [(v, values[v - 1])
-                                    for v in range(1, v_max + 1)], 1, geo)
+                                    for v in range(1, v_max + 1)], 1, geo,
+                             _kernel_py.checker_add)
     assert readded > 1000 and forced_readded > 100, (readded, forced_readded)
 
 
@@ -858,6 +860,72 @@ def test_add_value_matches_reference_step_wide_rows():
             assert rows == want, (cv, v)
 
 
+def checker_pairs(row, geo):
+    """The (sum, color-sum) pairs of a checker-table row, by the layout's
+    definition: bit (sum_cap - s)*r + c holds pair (s, c)."""
+    r, cap = geo.r, geo.sum_cap
+    bits = bin(row)[:1:-1]  # bit i at index i
+    pairs = set()
+    i = bits.find("1")
+    while i >= 0:
+        pairs.add((cap - i // r, i % r))
+        i = bits.find("1", i + 1)
+    return pairs
+
+
+def reference_sets_step(sets, v, cv, r, cap):
+    """checker_add with low = 1 on a set per row: in increasing j, every
+    pair (s, c) of row j-1 (as this step left it) with s + v <= cap gives
+    (s + v, (c + cv) % r) in row j."""
+    for j in range(1, len(sets)):
+        sets[j] |= {(s + v, (c + cv) % r) for s, c in sets[j - 1]
+                    if s + v <= cap}
+
+
+@pytest.mark.parametrize("r", (5, 20))
+def test_checker_add_matches_set_reference(r):
+    # sum cap 1030: rows of about r*1,031 bits.  Every color once, so
+    # both the stay and the wrap shift run, and a run of color 0, which
+    # wraps nothing; sums past the cap fall off the low end
+    rng = random.Random(r)
+    cap, k = 1030, 5
+    geo = _kernel_py.CheckerGeometry(r, cap, k)
+    empty = _kernel_py.checker_table(k, geo)
+
+    def sparse_row():  # about one bit in eight
+        return (rng.getrandbits(geo.size) & rng.getrandbits(geo.size)
+                & rng.getrandbits(geo.size))
+
+    # one step on random rows above the empty table's row 0
+    for cv in range(r):
+        for v in (1, rng.randint(2, cap - 1), cap):
+            rows = empty[:1] + [sparse_row() for _ in range(k - 1)]
+            sets = [checker_pairs(row, geo) for row in rows]
+            reference_sets_step(sets, v, cv, r, cap)
+            _kernel_py.checker_add(rows, v, cv, geo, 1)
+            assert [checker_pairs(row, geo) for row in rows] == sets, (cv, v)
+
+    # whole builds from the empty table
+    perm = rng.sample(range(r), r)
+    colors = perm[:r // 2] + [0] * 5 + perm[r // 2:]
+    values = sorted({1, 2, 3, cap}
+                    | set(rng.sample(range(4, cap), len(colors) - 4)))
+    ascending = list(zip(values, colors))
+    for order, exact_rows in ((ascending, range(k - 1, k)),
+                              (ascending[::-1], range(k))):
+        rows = empty[:]
+        sets = [{(0, 0)}] + [set() for _ in range(k - 1)]
+        for v, cv in order:
+            # ascending, low = v and only the last row is exact;
+            # descending, low = 1 and every row is
+            low = v if exact_rows.start else 1
+            _kernel_py.checker_add(rows, v, cv, geo, low)
+            reference_sets_step(sets, v, cv, r, cap)
+            for j in exact_rows:
+                assert checker_pairs(rows[j], geo) == sets[j], (v, cv, j)
+        assert sets[-1], order  # the last row is not trivially empty
+
+
 def test_short_search_stays_small():
     # the search's memory follows the frames it pushes, not the whole
     # layout or n: ten nodes need little at n=3000 with 30 colors, and
@@ -875,7 +943,7 @@ def test_short_search_stays_small():
 
 
 def prefix_table(values, k, geo):
-    """Table holding values 1..m, value v with color values[v - 1].
+    """Checker table holding values 1..m, value v with color values[v - 1].
 
     The order in which values join a table does not change it, so this
     is the exact table of [1..m]."""
@@ -883,24 +951,24 @@ def prefix_table(values, k, geo):
 
 
 class TestPrefixTable:
-    """``cell(prefix_table(values, k, geo), j, s, c, geo)``: can j of the
-    values, repetition allowed, sum to s with color-sum c mod r?"""
+    """``checker_cell(prefix_table(values, k, geo), j, s, c, geo)``: can j
+    of the values, repetition allowed, sum to s with color-sum c mod r?"""
 
     def test_row_zero_and_one_invariants(self):
         values = (1, 0, 2, 2, 1, 0)
-        geo = _kernel_py.Geometry(3, len(values))
+        geo = _kernel_py.CheckerGeometry(3, len(values), 4)
         rows = prefix_table(values[:5], 4, geo)
-        assert _kernel_py.cell(rows, 0, 0, 0, geo)
+        assert _kernel_py.checker_cell(rows, 0, 0, 0, geo)
         for s in range(geo.sum_cap + 1):
             for c in range(3):
                 if (s, c) != (0, 0):
-                    assert not _kernel_py.cell(rows, 0, s, c, geo)
+                    assert not _kernel_py.checker_cell(rows, 0, s, c, geo)
                 expected = 1 <= s <= 5 and values[s - 1] == c
-                assert _kernel_py.cell(rows, 1, s, c, geo) == expected
+                assert _kernel_py.checker_cell(rows, 1, s, c, geo) == expected
 
     def test_monotone_in_value_cap(self):
         values = (1, 0, 2, 2, 1, 0, 1)
-        geo = _kernel_py.Geometry(3, len(values))
+        geo = _kernel_py.CheckerGeometry(3, len(values), 4)
         previous = None
         for v_max in range(len(values) + 1):
             rows = prefix_table(values[:v_max], 4, geo)
@@ -908,13 +976,14 @@ class TestPrefixTable:
                 for j in range(4):
                     for s in range(geo.sum_cap + 1):
                         for c in range(3):
-                            if _kernel_py.cell(previous, j, s, c, geo):
-                                assert _kernel_py.cell(rows, j, s, c, geo)
+                            if _kernel_py.checker_cell(previous, j, s, c, geo):
+                                assert _kernel_py.checker_cell(rows, j, s, c,
+                                                               geo)
             previous = rows
 
     def test_cells_count_multiplicity(self):
         # two copies of value 1 reach sum 2 with doubled color
-        geo = _kernel_py.Geometry(3, 2)
+        geo = _kernel_py.CheckerGeometry(3, 2, 3)
         rows = prefix_table((1,), 3, geo)
-        assert _kernel_py.cell(rows, 2, 2, 2, geo)
-        assert not _kernel_py.cell(rows, 2, 2, 0, geo)
+        assert _kernel_py.checker_cell(rows, 2, 2, 2, geo)
+        assert not _kernel_py.checker_cell(rows, 2, 2, 0, geo)

@@ -51,11 +51,12 @@ SWEEP_VALUES = {
 
 def conflicts(prefix, color, k, r, n):
     """Does coloring position len(prefix)+1 with color complete a zero-sum
-    solution?  The kernel's conflict bit, read off the prefix's table
-    (the exact table of [1..len(prefix)])."""
-    geo = _kernel_py.Geometry(r, n)
+    solution?  The conflict bit, read off the prefix's checker table (the
+    exact table of [1..len(prefix)])."""
+    geo = _kernel_py.CheckerGeometry(r, n, k)
     rows = _kernel_py.exact_table(prefix, k, len(prefix), geo)
-    return _kernel_py.cell(rows, k - 1, len(prefix) + 1, (r - color) % r, geo)
+    return _kernel_py.checker_cell(rows, k - 1, len(prefix) + 1,
+                                   (r - color) % r, geo)
 
 
 class TestExtendCheck:
