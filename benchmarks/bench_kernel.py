@@ -56,12 +56,17 @@ Workloads:
                   of five levels, from the construction's n=64 to the
                   proven upper bound 68, where it exhausts (3,721 nodes
                   and 65,669 probes in all): the long k > r scan
-  scan-5-5        deterministic solve_exact of S_z(5,5)=38: 20 levels, from
-                  the construction's n=19 to the n=38 exhaustion; k = r
-                  has no finite proven upper bound, so the scan is one
-                  window 19..38, up to twice the construction's n (344
-                  nodes and 466 probes in all): the cost of the ascending
-                  scan
+  scan-5-5        deterministic solve_exact of S_z(5,5)=38: k = r is odd,
+                  so the scan starts from the diagonal coloring of
+                  [1..37]; its window runs up to twice that n, and it
+                  finds the lex-least coloring of 37 and exhausts 38
+                  (187 nodes and 367 probes in all)
+  scan-6-6        deterministic solve_exact of S_z(6,6)=32: five levels,
+                  from the construction's n=28 to the n=32 exhaustion;
+                  k = r has no finite proven upper bound, so the scan is
+                  one window from 28, up to twice the construction's n
+                  (1,666 nodes and 6,211 probes in all): the cost of the
+                  ascending scan
 
 Each run is checked: the reach passes must return the targets in
 REACH, each extraction the lex-least parts in EXTRACT, each find the
@@ -189,7 +194,9 @@ SCAN = {
                   (68, "01234501234201501201501101401101401104101104102105"
                        "10210510543210543", 3_721, 65_669)),
     "scan-5-5": ((5, 5),
-                 (38, "0101010404040404040404040404040101010", 344, 466)),
+                 (38, "0101010404040404040404040404040101010", 187, 367)),
+    "scan-6-6": ((6, 6),
+                 (32, "0123420150110140110410210510543", 1_666, 6_211)),
 }
 
 

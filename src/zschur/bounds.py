@@ -19,8 +19,10 @@ Known results, writing b = S_z(k, r):
 * r = 4, 4 | k, k > 4: b <= 4k - 5, matching the even lower bound.
 * composite r >= 6, r | k, k > r: b <= kr - sum(p_i - 1) - 1 over the
   prime factorization r = p_0 * ... * p_{t-1} with multiplicity.
-* k = r odd: b >= 2(k^2 - k - 1) (Robertson; reported verbatim and
-  flagged unverified-cited, never used to seed the solver).
+* k = r odd: b >= 2(k^2 - k - 1), Robertson's diagonal bound, from the
+  diagonal coloring of constructions.diagonal_colors, which that
+  module's docstring proves free; the solver checks it and starts its
+  odd k = r scans from it.
 * two-color variant, r | k, k > r: exactly rk - 2r + 1
   (Robertson, Roy, Sarkar).
 
@@ -74,8 +76,7 @@ def _full_palette_entries(k: int, r: int) -> list[BoundEntry]:
     if k == r:
         if k % 2:
             entries.append(BoundEntry(
-                "lower", 2 * (k * k - k - 1),
-                "robertson-diagonal-lower[unverified-cited]"))
+                "lower", 2 * (k * k - k - 1), "odd-diagonal-construction"))
         return entries
 
     # k > r and r | k, hence k >= 2r: every upper bound below applies.

@@ -41,6 +41,26 @@ more needs k >= r, and at most one of those entries is the target, so
 at least r-1 parts are at least k-1 and the other k-r parts at least 1;
 the target is then at least (r-1)(k-1) + k-r = rk - 2r + 1, outside the
 domain.
+
+For odd k = r there is a longer certificate, the diagonal coloring of
+[1..N], N = 2k^2 - 2k - 3: odd m get color 0, even m get color 1 when
+m <= 2k - 4 or m >= 2k^2 - 4k + 2, and color k - 1 in between.  It is
+free, which proves Robertson's S_z(k, k) >= 2(k^2 - k - 1) for odd k.
+Read the colors as the integers 0, +1 and -1 (k - 1 = -1 mod k).  The
+color sum S of a solution's k entries then lies in [-k, k], so a
+zero-sum solution has S in {-k, 0, k}.  Only even entries are nonzero.
+The target is a sum of k - 1 parts, an even count, so it is even
+exactly when an even number of parts are even (then the odd parts are
+even in number too).  So the count of even entries is always odd, S is
+odd, and S != 0.
+  S = k needs all k entries even and colored +1.  The target is then at
+  least 2(k - 1) = 2k - 2, so it lies in the high block.  A part in the
+  high block, with k - 2 more parts of at least 2, would push the
+  target to at least 2k^2 - 2k - 2 > N, so every part is at most
+  2k - 4, and the target at most (k - 1)(2k - 4) = 2k^2 - 6k + 4, below
+  the high block.
+  S = -k puts every entry in the middle block, so the target is at
+  least (k - 1)(2k - 2) = 2k^2 - 4k + 2, above that block.
 """
 
 from __future__ import annotations
@@ -65,15 +85,49 @@ class AllowedSet:
     chosen: int
 
 
-def _choose(permitted: frozenset[int], forbidden: frozenset[int],
-            m: int, k: int, r: int) -> AllowedSet:
+def _odd_families(m: int, k: int, r: int) -> tuple[set[int], set[int]]:
+    """The permitted and forbidden residues at m, odd-r construction."""
+    a_perm = -(-m // (k - 1))
+    b_forb = m // (k - 1)
+    return ({(m + 2 * i) % r for i in range(a_perm)},
+            {(-m - 2 * i) % r for i in range(b_forb)})
+
+
+def _even_families(m: int, k: int, r: int) -> tuple[set[int], set[int]]:
+    """The permitted and forbidden residues at m, even-r construction."""
+    a_perm = -(-m // (k - 1))
+    b_forb = m // (k - 1)
+    cutoff = (r - 1) * (k - 1)
+
+    if a_perm <= r - 2:
+        permitted = {(m + i) % r for i in range(a_perm)}
+    elif m <= cutoff - 1:
+        permitted = {(m + i) % r for i in range(r - 1)}
+    else:
+        permitted = set(range(r))
+
+    if m >= cutoff:
+        forbidden = {(-m - i) % r for i in range(r - 1)}
+    else:
+        forbidden = {(-m - i) % r for i in range(min(b_forb, r - 2))}
+    return permitted, forbidden
+
+
+def _choose(permitted: set[int], forbidden: set[int],
+            m: int, k: int, r: int) -> int:
     allowed = permitted - forbidden
     if not allowed:
         raise ConstructionContradictionError(
             f"no allowed color at m={m} (k={k}, r={r}): "
             f"permitted {sorted(permitted)} all forbidden {sorted(forbidden)}")
-    return AllowedSet(permitted=permitted, forbidden=forbidden,
-                      chosen=min(allowed))
+    return min(allowed)
+
+
+def _allowed_set(families, m: int, k: int, r: int) -> AllowedSet:
+    permitted, forbidden = families(m, k, r)
+    return AllowedSet(permitted=frozenset(permitted),
+                      forbidden=frozenset(forbidden),
+                      chosen=_choose(permitted, forbidden, m, k, r))
 
 
 def allowed_set_odd(m: int, k: int, r: int) -> AllowedSet:
@@ -88,11 +142,7 @@ def allowed_set_odd(m: int, k: int, r: int) -> AllowedSet:
     check_parameters(k, r)
     if not 1 <= m <= k * r - r - 1:
         raise ValueError(f"m={m} outside [1, {k * r - r - 1}]")
-    a_perm = -(-m // (k - 1))
-    b_forb = m // (k - 1)
-    permitted = frozenset((m + 2 * i) % r for i in range(a_perm))
-    forbidden = frozenset((-m - 2 * i) % r for i in range(b_forb))
-    return _choose(permitted, forbidden, m, k, r)
+    return _allowed_set(_odd_families, m, k, r)
 
 
 def allowed_set_even(m: int, k: int, r: int) -> AllowedSet:
@@ -108,33 +158,37 @@ def allowed_set_even(m: int, k: int, r: int) -> AllowedSet:
     check_parameters(k, r)
     if not 1 <= m <= k * r - r - 2:
         raise ValueError(f"m={m} outside [1, {k * r - r - 2}]")
-    a_perm = -(-m // (k - 1))
-    b_forb = m // (k - 1)
-    cutoff = (r - 1) * (k - 1)
-
-    if a_perm <= r - 2:
-        permitted = frozenset((m + i) % r for i in range(a_perm))
-    elif m <= cutoff - 1:
-        permitted = frozenset((m + i) % r for i in range(r - 1))
-    else:
-        permitted = frozenset(range(r))
-
-    if m >= cutoff:
-        forbidden = frozenset((-m - i) % r for i in range(r - 1))
-    else:
-        forbidden = frozenset((-m - i) % r for i in range(min(b_forb, r - 2)))
-    return _choose(permitted, forbidden, m, k, r)
+    return _allowed_set(_even_families, m, k, r)
 
 
 def construction_colors(k: int, r: int) -> Iterator[int]:
     """The colors of 1..kr-r-1 (odd r) or 1..kr-r-2 (even r), one at a time.
 
-    A caller with a deadline can stop between positions.  Callers pass
-    k and r that :func:`~zschur.core.check_parameters` accepted.
+    Each is the ``chosen`` color of :func:`allowed_set_odd` or
+    :func:`allowed_set_even`, from the same residue families but with
+    no per-position AllowedSet.  A caller with a deadline can stop
+    between positions.
     """
-    allowed = allowed_set_odd if r % 2 else allowed_set_even
+    check_parameters(k, r)
+    families = _odd_families if r % 2 else _even_families
     n = k * r - r - 2 + r % 2
-    return (allowed(m, k, r).chosen for m in range(1, n + 1))
+    return (_choose(*families(m, k, r), m, k, r) for m in range(1, n + 1))
+
+
+def diagonal_colors(k: int) -> Iterator[int]:
+    """The diagonal coloring of 1..2k^2-2k-3 for odd k = r, one color at a
+    time: 0 at odd m; at even m, 1 on [1..2k-4] and [2k^2-4k+2..], and
+    k-1 in between.
+
+    It is free (see the module docstring), so it certifies the lower
+    bound 2(k^2 - k - 1).
+    """
+    check_parameters(k, k)
+    if k % 2 == 0:
+        raise ValueError(f"diagonal construction needs odd k, got k={k}")
+    low, high = 2 * k - 4, 2 * k * k - 4 * k + 2
+    return (0 if m % 2 else 1 if m <= low or m >= high else k - 1
+            for m in range(1, 2 * k * k - 2 * k - 2))
 
 
 def binary_construction_colors(k: int, r: int) -> Iterator[int]:

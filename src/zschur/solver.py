@@ -39,7 +39,11 @@ to a free coloring of [1..n-1], so the answer is the first n whose
 reduced search space is exhausted with no free coloring.  The scan
 starts just above the construction certificate of the palette, once the
 checker has found it free (at it, in deterministic mode); a scan whose
-deadline passes before that searches nothing.  The levels are
+deadline passes before that searches nothing.  For the full palette at
+odd k = r that certificate is the diagonal coloring of
+[1..2k^2-2k-3], Robertson's diagonal bound made a construction, where
+the paper's gives only k^2-k-1 positions; at k = 3, 5, ..., 13 the
+scan exhausts the level just above it.  The levels are
 searched in windows, each one fresh kernel search from the empty
 coloring: within a window the search goes on from each level's
 lex-least coloring to the next level, since restricting a free coloring
@@ -209,17 +213,23 @@ def _certified_start(spec: ProblemSpec,
                      deadline: float | None) -> Coloring | None:
     """The palette's construction coloring, once the checker finds it free.
 
-    The coloring is :func:`~zschur.constructions.construction_colors`,
-    or :func:`~zschur.constructions.binary_construction_colors` for the
+    The coloring is :func:`~zschur.constructions.diagonal_colors` for
+    the full palette at odd k = r (2k^2 - 2k - 3 positions, Robertson's
+    diagonal bound), :func:`~zschur.constructions.construction_colors`
+    (the paper's) for the other full-palette cases, and
+    :func:`~zschur.constructions.binary_construction_colors` for the
     two-color variant.  None means the deadline passed while its colors
     were produced or checked.  A construction the checker finds a target
     in is a bug of this package, so it raises RuntimeError.
     """
-    colors = (constructions.construction_colors
-              if spec.palette is Palette.FULL
-              else constructions.binary_construction_colors)
+    if spec.palette is Palette.BINARY:
+        colors = constructions.binary_construction_colors(spec.k, spec.r)
+    elif spec.k == spec.r and spec.k % 2:
+        colors = constructions.diagonal_colors(spec.k)
+    else:
+        colors = constructions.construction_colors(spec.k, spec.r)
     values = []
-    for c in colors(spec.k, spec.r):
+    for c in colors:
         if deadline is not None and monotonic() > deadline:
             return None
         values.append(c)

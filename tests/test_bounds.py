@@ -89,7 +89,8 @@ def test_diagonal_odd_reports_cited_bound():
     rep = theoretical_bounds(5, 5)
     assert rep.lower == 2 * (25 - 5 - 1)
     assert rep.upper == INF and not rep.exact
-    assert any("unverified-cited" in e.source for e in rep.entries)
+    assert any(e.source == "odd-diagonal-construction"
+               for e in rep.entries)
     # even diagonal has only the construction bound
     rep = theoretical_bounds(4, 4)
     assert rep.lower == 4 * 4 - 4 - 1 and rep.upper == INF

@@ -13,7 +13,7 @@ from zschur import (
     construct_odd,
     is_solution_free,
 )
-from zschur.constructions import binary_construction_colors
+from zschur.constructions import binary_construction_colors, diagonal_colors
 from zschur.verification import (
     BINARY_GRID,
     EVEN_GRID,
@@ -257,3 +257,22 @@ def test_binary_construction_checks_parameters():
         binary_construction_colors(2, 2)
     with pytest.raises(ValueError, match="r must be >= 2, got 1"):
         binary_construction_colors(6, 1)
+
+
+def test_diagonal_coloring_free_by_oracle():
+    # the odd k = r certificate of the solver's start: free at k = 3 and
+    # 5, and at k = 3 every color of one more position completes a
+    # solution, so S_z(3,3) = 10 = 2(k^2 - k - 1)
+    for k in (3, 5):
+        chi = Coloring.of(diagonal_colors(k), k)
+        assert chi.n == 2 * k * k - 2 * k - 3
+        assert brute_force_oracle(chi, ProblemSpec(k=k, r=k)) is None
+    chi = Coloring.of(diagonal_colors(3), 3)
+    for c in range(3):
+        longer = Coloring.of(chi.values + (c,), 3)
+        witness = brute_force_oracle(longer, ProblemSpec(k=3, r=3))
+        assert witness is not None and witness.target == 10, c
+    with pytest.raises(ValueError, match="odd k, got k=4"):
+        diagonal_colors(4)
+    with pytest.raises(ValueError, match="k must be >= 3, got 1"):
+        diagonal_colors(1)

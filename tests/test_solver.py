@@ -29,7 +29,7 @@ CERTIFIED_TREES = [
     (12, 3, Palette.FULL, "01201201201101101101102102102102", 70, 30, 32,
      98),
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
-     344, 225, 37, 466),
+     187, 127, 37, 367),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
      70, 31, 40, 0),
     (12, 4, Palette.FULL, "012301230120022002200220022002203210321032",
@@ -323,7 +323,8 @@ class TestSolveExact:
         # and the levels searched in one window from the construction,
         # each window a search from scratch: up to the proven upper bound
         # for k > r (S_z(12,6) is the long one, 64..68), and up to twice
-        # the construction's n for k = r (S_z(5,5): 19..38), with a forced
+        # the construction's n for k = r (S_z(5,5): 37..74, from the
+        # diagonal coloring, which is the lex-least one), with a forced
         # position that ends a level closed over the new target and every
         # frame probed again at a higher level: a change of table layout
         # must leave them as they are.
@@ -356,7 +357,7 @@ class TestSolveExact:
                     totals[0] += stats.nodes
                     totals[1] += stats.prunes
                     totals[2] += stats.probes
-        assert totals == [13_093, 8_233, 146_685]
+        assert totals == [12_711, 7_996, 146_484]
 
     def test_k_above_r_scans_in_one_window(self, windows):
         # k > r has a finite proven upper bound, so the scan is one window
@@ -451,21 +452,22 @@ class TestSolveExact:
         assert outcome.exhausted
         assert (outcome.stats.nodes, outcome.stats.probes) == (38, 47)
 
-    @pytest.mark.parametrize("budget,found", ((400, 23), (600, 37)))
+    @pytest.mark.parametrize("budget,found", ((2850, 30), (3000, 31)))
     def test_budget_runs_out_in_a_later_window(self, budget, found):
-        # the deterministic S_z(5,5) scan searches one window, 19-38 (the
-        # construction's n is 19), in 810 steps.  A budget of 400 runs out
-        # after it found the lex-least coloring of 23, and one of 600
-        # after it found that of 37: the certificate is the last level
-        # found inside the window, and the budget is spent exactly
-        spec = ProblemSpec(k=5, r=5)
+        # the deterministic S_z(6,6) scan searches one window from the
+        # construction's n = 28, and exhausts 32 after 7,877 steps.  A
+        # budget of 2,850 runs out after it found the lex-least coloring
+        # of 30, and one of 3,000 after it found that of 31: the
+        # certificate is the last level found inside the window, and the
+        # budget is spent exactly
+        spec = ProblemSpec(k=6, r=6)
         result = solve_exact(spec, SearchConfig(max_nodes=budget,
                                                 deterministic=True))
         assert result.status is SolveStatus.BUDGET_EXHAUSTED
         assert result.stats.nodes + result.stats.probes == budget
         certificate = result.certificate
         assert certificate.n == found
-        assert result.value == found + 1 <= 38
+        assert result.value == found + 1 <= 32
         assert is_solution_free(certificate, spec)
         assert find_free_coloring(certificate.n, spec).coloring == certificate
 
@@ -541,16 +543,17 @@ class TestSolveExact:
 
     def test_timeout_covers_the_certified_start(self, windows):
         # checking the k=130, r=65 construction takes seconds, and building
-        # the k=600, r=300 and k=r=10,000 ones takes longer; an expired
-        # timeout stops each before its check, and the solve reports the
-        # floor k-1 without searching.  A window from the floor to 2k-2
-        # would build r(2k-1)-bit masks before its first deadline test:
-        # 130 MiB at k=r=10,000
+        # the k=600, r=300, k=r=10,000 and k=r=10,001 (diagonal) ones
+        # takes longer; an expired timeout stops each before its check,
+        # and the solve reports the floor k-1 without searching.  A window
+        # from the floor to 2k-2 would build r(2k-1)-bit masks before its
+        # first deadline test: 130 MiB at k=r=10,000
         for k, r, palette in ((130, 65, Palette.FULL),
                               (600, 300, Palette.FULL),
                               (600, 300, Palette.BINARY),
                               (10_000, 10_000, Palette.FULL),
-                              (10_000, 10_000, Palette.BINARY)):
+                              (10_000, 10_000, Palette.BINARY),
+                              (10_001, 10_001, Palette.FULL)):
             windows.clear()
             tracemalloc.start()
             start = monotonic()
@@ -572,12 +575,15 @@ class TestSolveExact:
     def test_certified_start_has_the_construction_length(self, palette):
         # the paper proves the constructions for k > r only, and no verify
         # row checks a full-palette k = r one, so check that the checker
-        # finds each free: k = r up to 30, and k in {2r, 3r, 4r}
+        # finds each free: k = r up to 30, and k in {2r, 3r, 4r}.  The
+        # full palette starts odd k = r at the diagonal coloring
         cases = [(k, k) for k in range(3, 31)]
         cases += [(m * r, r) for r in range(2, 11) for m in (2, 3, 4)]
         for k, r in cases:
             if palette is Palette.BINARY:
                 length = r * k - 2 * r
+            elif k == r and k % 2:
+                length = 2 * k * k - 2 * k - 3
             else:
                 length = k * r - r - 2 + r % 2
             start = _certified_start(ProblemSpec(k=k, r=r, palette=palette),
