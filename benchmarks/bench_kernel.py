@@ -6,30 +6,36 @@ Run from a checkout:
     python3 benchmarks/bench_kernel.py [--repeats N] [--json PATH]
 
 Workloads:
-  reach-pass      first_zero_sum_target (n=500, k=50, r=10) over a
-                  coloring whose first zero-sum target is near the end
-                  (489), so the pass runs almost to n.  The checker's
-                  narrow pass stops at 2k; only the solver's check of
-                  its certified start runs the pass to n
-  reach-150-10    the same pass (n=1500, k=150, r=10) over the k=150
-                  construction plus zeros, first target 1489: the
+  start-check     least_target(values, 0, n, k, r), the call of the
+                  solver's check of its certified start: one exact
+                  table of sums up to n (n=500, k=50, r=10) over the
+                  k=50 construction plus zeros, whose least target is
+                  near the end (489)
+  start-150-10    the same call (n=1500, k=150, r=10) over the k=150
+                  construction plus zeros, least target 1489: the
                   colorings of length about kr that certify the bounds
-  extract         lex-least witness extraction on the reach-pass coloring
-                  and target: 47 x 1, 2, 440, the greedy alone, reading
-                  the table the checker's decision built
-  extract-150-10  the same on the reach-150-10 coloring and target:
+  extract         lex-least witness extraction on the start-check
+                  coloring and target: 47 x 1, 2, 440, the greedy alone,
+                  reading the table the checker's decision built
+  extract-150-10  the same on the start-150-10 coloring and target:
                   147 x 1, 2, 1340
-  find-150-10     find_zero_sum_solution on the reach-150-10 coloring:
-                  the checker end to end on a late witness (a narrow
-                  pass to 2k that misses, the exact table, the greedy)
+  find-150-10     find_zero_sum_solution on the start-150-10 coloring:
+                  the checker end to end on a late witness (a table at
+                  sum cap k+15 that misses, the table at n, the greedy)
   find-early-100-20
                   find_zero_sum_solution on a seeded random coloring
                   (n=2000, k=100, r=20; random.Random(1)) whose least
-                  target, 105, the narrow pass finds: 96 x 1, 2, 2, 5
+                  target, 105, the table at sum cap k+15 finds:
+                  96 x 1, 2, 2, 5
+  find-mid-150-10 find_zero_sum_solution on the first 225 = 1.5k colors
+                  of the k=150, r=10 construction and a seeded random
+                  tail (random.Random(5)) to n=1500: its least target,
+                  230, lies above k+15, so the check pays for the table
+                  at n: 148 x 1, 82
   free-150-10     zero_sum_table on the free k=150, r=10 construction
                   (n=1488): the checker's decision with no witness (a
-                  narrow pass to 2k that misses, then the exact table,
-                  whose last row has no target)
+                  table at sum cap k+15 that misses, then the table at
+                  n, whose last row has no target)
   search-8-4      exhaust the reduced four-color search at n=27 (the
                   S_z(8,4) decision step: 40 extension checks, 149
                   probes)
@@ -68,8 +74,8 @@ Workloads:
                   (1,666 nodes and 6,211 probes in all): the cost of the
                   ascending scan
 
-Each run is checked: the reach passes must return the targets in
-REACH, each extraction the lex-least parts in EXTRACT, each find the
+Each run is checked: the start checks must return the targets in
+START, each extraction the lex-least parts in EXTRACT, each find the
 witness in FIND, each decision the target in DECIDE, each search must
 end with the status, nodes, prunes, max depth and probes in WORKLOADS,
 and each scan must give the value, certificate, nodes and probes in
@@ -103,33 +109,38 @@ from zschur import (
 from zschur.checker import _lex_least_parts
 from zschur.constructions import construct_even
 
-#: Reach workloads: (n, k, r) of the construction padded with zeros to n,
-#: and the first target the pass must return.
-REACH = {
-    "reach-pass": ((500, 50, 10), 489),
-    "reach-150-10": ((1500, 150, 10), 1489),
+#: Start-check workloads: (n, k, r) of the construction padded with
+#: zeros to n, and the least target the check must return.
+START = {
+    "start-check": ((500, 50, 10), 489),
+    "start-150-10": ((1500, 150, 10), 1489),
 }
 
 
-def reach_args(n, k, r):
+def padded_values(n, k, r):
     prefix = construct_even(k, r)
-    values = prefix.values + (0,) * (n - prefix.n)
-    return (values, n, k, r)
+    return prefix.values + (0,) * (n - prefix.n)
 
 
-#: Extraction workloads: the reach workload whose coloring and target
-#: they take, and the lex-least parts they must return.
+def start_args(n, k, r):
+    """The arguments of the solver's start check, least_target over
+    every target of the padded construction."""
+    return (padded_values(n, k, r), 0, n, k, r)
+
+
+#: Extraction workloads: the start-check workload whose coloring and
+#: target they take, and the lex-least parts they must return.
 EXTRACT = {
-    "extract": ("reach-pass", (1,) * 47 + (2, 440)),
-    "extract-150-10": ("reach-150-10", (1,) * 147 + (2, 1340)),
+    "extract": ("start-check", (1,) * 47 + (2, 440)),
+    "extract-150-10": ("start-150-10", (1,) * 147 + (2, 1340)),
 }
 
 
-def extract_args(reach):
+def extract_args(start):
     """The greedy's arguments, with the table the checker's decision
-    builds for the reach workload's coloring."""
-    (n, k, r), _ = REACH[reach]
-    values = reach_args(n, k, r)[0]
+    builds for the start-check workload's coloring."""
+    (n, k, r), _ = START[start]
+    values = padded_values(n, k, r)
     target, rows, geo = _kernel_py.zero_sum_table(values, n, k, r)
     return (Coloring.of(values, r), k, target, rows, geo)
 
@@ -139,13 +150,22 @@ def random_values(seed, n, r):
     return tuple(rng.randrange(r) for _ in range(n))
 
 
+def mid_values(seed, k, r):
+    """The first 1.5k colors of the construction and a seeded random
+    tail to n = kr."""
+    prefix = construct_even(k, r).values[:3 * k // 2]
+    return prefix + random_values(seed, k * r - len(prefix), r)
+
+
 #: Find workloads: the coloring's values, its (k, r), and the least
 #: witness (target, parts) find_zero_sum_solution must return.
 FIND = {
-    "find-150-10": (reach_args(1500, 150, 10)[0], (150, 10),
+    "find-150-10": (padded_values(1500, 150, 10), (150, 10),
                     (1489, (1,) * 147 + (2, 1340))),
     "find-early-100-20": (random_values(1, 2000, 20), (100, 20),
                           (105, (1,) * 96 + (2, 2, 5))),
+    "find-mid-150-10": (mid_values(5, 150, 10), (150, 10),
+                        (230, (1,) * 148 + (82,))),
 }
 
 
@@ -249,16 +269,16 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = []  # (name, best seconds, checked results, note)
-    for wname, (nkr, want) in REACH.items():
-        took, target = best_time(_kernel_py.first_zero_sum_target,
-                                 reach_args(*nkr), args.repeats)
+    for wname, (nkr, want) in START.items():
+        took, (target, _, _) = best_time(_kernel_py.least_target,
+                                         start_args(*nkr), args.repeats)
         if target != want:
             print(f"{wname}: target {target}, expected {want}")
             return 1
         rows.append((wname, took, {"target": target}, f"target {target}"))
 
-    for wname, (reach, want) in EXTRACT.items():
-        took, parts = best_time(_lex_least_parts, extract_args(reach),
+    for wname, (start, want) in EXTRACT.items():
+        took, parts = best_time(_lex_least_parts, extract_args(start),
                                 args.repeats)
         if parts != want:
             print(f"{wname}: parts {parts}, expected {want}")

@@ -1,16 +1,13 @@
 """The reachability and search kernel, in pure Python.
 
-The package's only kernel, with three hot entry points:
+The package's only kernel, with two hot entry points:
 
-* :func:`zero_sum_table` - the checker's decision over a fixed coloring:
-  the least target that completes a zero-sum solution, and one exact
-  table to read its witness from.  A narrow reach pass tests the
-  targets up to 2k; when it misses, one exact table of sums up to n
-  decides all the later targets at once and serves extraction too.
-* :func:`first_zero_sum_target` - one bottom-up pass of the reachability
-  table, returning the least target that completes a zero-sum solution
-  (the narrow phase above, and the solver's check of its certified
-  start, under a deadline).
+* :func:`least_target` - the freeness decision over a fixed coloring:
+  one exact table of the values up to a sum cap, and the least target
+  in a range that completes a zero-sum solution, read off its last row.
+  The checker decides with it (:func:`zero_sum_table`, which also hands
+  the table to the witness greedy), and so does the solver's check of
+  its certified start, under a deadline.
 * :func:`search_free_coloring` - forward-checking depth-first search for
   a solution-free coloring of [1..n], with singleton propagation and
   failed-literal probing (the solver's search).
@@ -25,22 +22,23 @@ increasing j so that v may be reused any number of times: every pair
 (s, c) of row j-1 with s + v <= sum_cap gives (s + v, (c + cv) % r) in
 row j.
 
-Only the rows that can still reach the last row are updated.  Each
-caller names ``low``, the least value that may still join the table; an
-entry of row j has sum at least j and needs k-1-j more parts, each at
-least ``low``, so row j is dead once j + (k-1-j)*low > sum_cap, and the
-dead rows are the low ones.  The update also stops at the first zero
-row: a row receives only from the row below it and rows only grow, so
-every row above a zero row is zero.  Both cuts are exact for the last
-row, which is all the reach pass and the search read; the checker's
-exact table (:func:`exact_table`) passes low = 1 and stays exact in
-every row.
+An update stops at the first zero row: a row receives only from the row
+below it and rows only grow, so every row above a zero row is zero.
+The search's updates also skip the rows that can no longer reach the
+last row.  Each search caller names ``low``, the least value that may
+still join the table; an entry of row j has sum at least j and needs
+k-1-j more parts, each at least ``low``, so row j is dead once
+j + (k-1-j)*low > sum_cap, and the dead rows are the low ones.  Both
+cuts are exact for the last row, which is all the search reads; the
+checker's tables (:func:`exact_table`) make the zero-row cut alone and
+stay exact in every row.
 
 The search and the checker pack the pairs in two layouts, each for the
 way it reads and grows its tables.  Only this module knows them; other
 modules build and read the search's tables through :class:`Geometry`,
 :func:`add_value` and :func:`cell`, and the checker's through
-:class:`CheckerGeometry`, :func:`exact_table` and :func:`checker_cell`.
+:class:`CheckerGeometry`, :func:`least_target`, :func:`exact_table` and
+:func:`checker_cell`.
 
 Search tables
 -------------
@@ -102,24 +100,17 @@ The layout pays in the checker's exact table, which takes its values in
 descending order: at value v, row j holds only sums of at least j*v.
 Those are the low bits of the int, and a Python int stores no leading
 zeros, so the rows grow shorter as j grows and the step works on
-shorter ints than a row of every block.  The ascending reach pass gains
-nothing from it, since its rows hold the small sums, but one checker
-layout serves both.
+shorter ints than a row of every block.
 
-The reach pass feeds values in increasing order.  A sum-T solution has
-k-1 parts that are each at least 1, so no part exceeds T-k+2; target T
-can therefore be tested as soon as values up to T-k+2 are in the table,
-and one shared table serves all targets.  Value v updates about
-min(k-1, n/v) live rows, so the pass makes about n(1 + ln k) row updates
-of r(n+1) bits.  The same bound lets one exact table decide every
-target at once: with c the color of T, the last row of the values
-1..n-k+2 at sum cap n holds bit (n - T)*r + (r - c) % r exactly when T
-completes a solution, whatever the values above T-k+2, since none of
-them fits in a sum of T.  The descending build of :func:`exact_table`
-makes about as many row updates as the ascending pass, on shorter rows,
-so the checker's exact phase costs less than a pass to n would and
-leaves behind the table its witness is read from; only its narrow
-phase, for targets up to 2k, runs the ascending pass.
+One table decides many targets at once.  A sum-T solution has k-1 parts
+that are each at least 1, so no part exceeds T-k+2, and a value above
+it fits in no sum of T.  So with c the color of T, the last row of the
+values 1..cap-k+2 at sum cap ``cap`` holds bit (cap - T)*r + (r - c) % r
+exactly when T completes a solution, for every T up to cap
+(:func:`least_target`).  Value v updates at most min(k-1, cap/v) rows
+before the zero-row stop, so the build makes about cap(1 + ln k) row
+updates, on rows that shrink as it goes, and leaves behind the table
+the witness is read from.
 
 The search
 ----------
@@ -335,30 +326,25 @@ def checker_table(k: int, geo: CheckerGeometry) -> list[int]:
     return [1 << (geo.sum_cap * geo.r)] + [0] * (k - 1)
 
 
-def checker_add(rows: list[int], v: int, cv: int, geo: CheckerGeometry,
-                low: int) -> None:
+def checker_add(rows: list[int], v: int, cv: int,
+                 geo: CheckerGeometry) -> None:
     """:func:`add_value` for a checker table: allow value v (color cv)
     with unlimited multiplicity.
 
-    Requires 1 <= low <= v <= sum_cap, with ``low`` as for
-    :func:`add_value`; the update makes the same cuts, and its last row
-    is exact, every row with low == 1.  Row 1 takes v as one bit, so row
-    0 is never shifted.  A higher row takes row j-1 shifted right by
-    v*r - cv, the colors that stay (:meth:`CheckerGeometry.stay`), and by
+    Requires 1 <= v <= sum_cap.  Every row stays exact; the update stops
+    at the first zero row.  Row 1 takes v as one bit, so row 0 is never
+    shifted.  A higher row takes row j-1 shifted right by v*r - cv, the
+    colors that stay (:meth:`CheckerGeometry.stay`), and by
     v*r - cv + r, the colors that wrap; a sum past sum_cap falls off the
     low end.
     """
-    r, cap = geo.r, geo.sum_cap
-    last = len(rows) - 1
-    j0 = _first_live_row(last, low, cap)
-    if j0 == 0:
-        rows[1] |= 1 << ((cap - v) * r + cv)
-        j0 = 1
-    prev = rows[j0]
+    r = geo.r
+    rows[1] |= 1 << ((geo.sum_cap - v) * r + cv)
+    prev = rows[1]
     stay = geo.stay(cv)
     shift = v * r - cv
     wrap = shift + r
-    for j in range(j0 + 1, last + 1):
+    for j in range(2, len(rows)):
         if not prev:
             return
         kept = prev & stay
@@ -372,20 +358,25 @@ def checker_cell(rows: list[int], j: int, s: int, c: int,
     return bool((rows[j] >> ((geo.sum_cap - s) * geo.r + c)) & 1)
 
 
-def exact_table(colors, k: int, v_max: int,
-                geo: CheckerGeometry) -> list[int]:
-    """Checker table of the values 1..v_max with every row exact.
+def exact_table(colors, k: int, v_max: int, geo: CheckerGeometry,
+                deadline: float | None = None) -> list[int] | None:
+    """Checker table of the values 1..v_max with every row exact, or None
+    once ``deadline`` has passed.
 
     Value v has color ``colors[v - 1]``.  Requires v_max <= sum_cap.  The
     values join in descending order: row j stays zero while j*v > sum_cap,
     so the zero-row stop of :func:`checker_add` skips the rows no sum fits
     yet, where ascending order would update all k-1 rows for every value;
     and row j holds only sums of at least j*v, the low bits, so the rows
-    grow shorter as the build goes on.
+    grow shorter as the build goes on.  ``deadline`` is an absolute
+    time.monotonic() deadline, or None; when set it is tested before
+    every value.
     """
     rows = checker_table(k, geo)
     for v in range(v_max, 0, -1):
-        checker_add(rows, v, colors[v - 1], geo, 1)
+        if deadline is not None and monotonic() > deadline:
+            return None
+        checker_add(rows, v, colors[v - 1], geo)
     return rows
 
 
@@ -568,30 +559,6 @@ def extend_state(rows: list[int], forced: int, pos: int, n: int, c: int,
     return None if forced is None else (child, forced)
 
 
-def first_zero_sum_target(values, n: int, k: int, r: int,
-                          deadline: float | None = None) -> int | None:
-    """Least target T in [k-1, n] completing a zero-sum solution, else 0.
-
-    ``values`` is 0-based: values[i] is the color of i+1.  Each target T
-    adds the one value T-k+2 before it is tested.  ``deadline`` is an
-    absolute time.monotonic() deadline, or None; when set it is checked
-    before every value, and the pass returns None once it has passed.
-    """
-    if n < k - 1:  # no target: build no table of k rows (k may be huge)
-        return 0
-    geo = CheckerGeometry(r, n, k)
-    rows = checker_table(k, geo)
-    for target in range(k - 1, n + 1):
-        if deadline is not None and monotonic() > deadline:
-            return None
-        v = target - k + 2
-        checker_add(rows, v, values[v - 1], geo, v)
-        c = (r - values[target - 1]) % r  # checker_cell(rows, k-1, target, c)
-        if (rows[-1] >> ((n - target) * r + c)) & 1:
-            return target
-    return 0
-
-
 def _least_target(row: int, values, lo: int, hi: int,
                   geo: CheckerGeometry) -> int:
     """Least target T in (lo, hi] whose last-row bit
@@ -610,50 +577,53 @@ def _least_target(row: int, values, lo: int, hi: int,
     return 0
 
 
+def least_target(values, lo: int, cap: int, k: int, r: int,
+                 deadline: float | None = None):
+    """The freeness decision: ``(T, rows, geo)`` for the least target T in
+    (lo, cap] completing a zero-sum solution, ``(0, None, None)`` when
+    there is none, or None once ``deadline`` has passed.
+
+    ``values`` is 0-based: values[i] is the color of i+1.  ``rows`` is
+    the :func:`exact_table` of the values 1..cap-k+2 at sum cap ``cap``,
+    built under ``deadline`` (an absolute time.monotonic() deadline, or
+    None).  Its last row decides every target up to cap at once (see the
+    module docstring), read by :func:`_least_target`, and every row
+    answers the :func:`checker_cell` queries of the witness greedy, which
+    ask for part of a sum-T solution, as the table of 1..T-k+2 would.  No
+    target lies below k-1, so no table is built when cap <= max(lo, k-2),
+    however large k is.
+    """
+    if cap <= max(lo, k - 2):
+        return 0, None, None
+    geo = CheckerGeometry(r, cap, k)
+    rows = exact_table(values, k, cap - k + 2, geo, deadline)
+    if rows is None:
+        return None
+    target = _least_target(rows[-1], values, lo, cap, geo)
+    return (target, rows, geo) if target else (0, None, None)
+
+
 def zero_sum_table(values, n: int, k: int, r: int):
     """The checker's decision: ``(T, rows, geo)`` for the least target T in
-    [k-1, n] completing a zero-sum solution, with a table whose every row
-    is exact up to sum T, or ``(0, None, None)`` when there is none.
+    [k-1, n] completing a zero-sum solution, or ``(0, None, None)`` when
+    there is none, from :func:`least_target` in at most two tables:
 
-    ``values`` is 0-based, as for :func:`first_zero_sum_target`.  Two
-    phases, of which at most one builds a table of sums up to n:
+    1. over the targets up to early = min(n, k+15), at sum cap early;
+    2. when that misses, over the targets in (early, n], at sum cap n.
 
-    1. Narrow: :func:`first_zero_sum_target` over the targets up to
-       early = min(n, 2k) only, in a table of sums up to early.  On a hit
-       at T, ``rows`` is :func:`exact_table` of the values 1..T-k+2 at sum
-       cap T.
-    2. Exact: when that misses and n > early, one :func:`exact_table` of
-       the values 1..n-k+2 at sum cap n.  A sum-T solution has k-1 parts
-       of at least 1 each, so every part is at most T-k+2, and a value
-       above it fits in no such sum: the exact last row decides every
-       target in (early, n] at once (:func:`_least_target`), and every
-       row answers the :func:`checker_cell` queries of the witness
-       greedy, which ask for part of a sum-T solution, as the table of
-       1..T-k+2 would.
-
-    The cap 2k is a fixed rule.  Without structure in the coloring, the
+    The cap k+15 is a fixed rule.  Without structure in the coloring, the
     multisets of k-1 parts summing to a little above k-1 already give
     every color sum, so the least target lies just above k-1 (105 for a
-    seeded random coloring with n = 2000, k = 100, r = 20); the narrow
-    phase settles it in rows of r(2k+1) bits, not r(n+1).  The colorings
-    that certify the bounds have n near kr and no target up to 2k, and
-    for them the narrow pass is wasted.  It feeds k + 2 values into rows
-    2k/n as wide as the exact phase's, and takes a tenth of that phase's
-    time or less at r >= 10, and from about half to two thirds of it at
-    r = 3 (0.2-0.7 ms at k = 51..150).  A cap nearer k would waste less
-    there but send more colorings without structure to the exact phase.
+    seeded random coloring with n = 2000, k = 100, r = 20), and the first
+    table settles it with 17 values in rows of r(k+16) bits, not r(n+1).
+    The colorings that certify the bounds have n near kr and no target,
+    and for them that table is a small waste.  A coloring whose least
+    target lies in (k+15, n] pays for the table at n, as a free coloring
+    of its length does.
     """
-    early = min(n, 2 * k)
-    target = first_zero_sum_target(values, early, k, r)
-    if target:
-        geo = CheckerGeometry(r, target, k)
-        return target, exact_table(values, k, target - k + 2, geo), geo
-    if n <= early:
-        return 0, None, None
-    geo = CheckerGeometry(r, n, k)
-    rows = exact_table(values, k, n - k + 2, geo)
-    target = _least_target(rows[-1], values, early, n, geo)
-    return (target, rows, geo) if target else (0, None, None)
+    early = min(n, k + 15)
+    found = least_target(values, k - 2, early, k, r)
+    return found if found[0] else least_target(values, early, n, k, r)
 
 
 def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,

@@ -2,20 +2,18 @@
 
 :func:`find_zero_sum_solution` is the production path, and
 :func:`is_solution_free` makes the same decision without the witness.
-The decision (:func:`zschur._kernel_py.zero_sum_table`) has two phases:
+The decision (:func:`zschur._kernel_py.zero_sum_table`) builds at most
+two exact tables of sums and color residues, each in one backward pass
+(:func:`zschur._kernel_py.least_target`), and reads the least target
+off the last row of each:
 
-1. a narrow reachability pass over sums and color residues
-   (:func:`zschur._kernel_py.first_zero_sum_target`) tests the targets up
-   to min(n, 2k), where a coloring without structure has its least
-   target; on a hit at T it builds one exact table of the values
-   1..T-k+2 at sum cap T in one backward pass
-   (:func:`zschur._kernel_py.exact_table`);
-2. otherwise, when n > 2k, one exact table of the values 1..n-k+2 at
-   sum cap n, whose last row decides every later target at once.
+1. one at sum cap min(n, k+15), over the targets up to that cap, where
+   a coloring without structure has its least target;
+2. when that misses, one at sum cap n, over the later targets.
 
-Either way the lexicographic witness is read by a greedy off the one
-table the decision built; no second table is built.  The returned
-witness is the least one by (target, sorted parts).
+Either way the lexicographic witness is read by a greedy off the table
+that found the target; no table is built for it.  The returned witness
+is the least one by (target, sorted parts).
 
 The checker's tables have their own layout, apart from the search's
 (see the :mod:`zschur._kernel_py` docstring): each sum has a group of r

@@ -73,7 +73,7 @@ from . import constructions
 from ._kernel_py import (
     EXHAUSTED,
     FOUND,
-    first_zero_sum_target,
+    least_target,
     search_free_coloring,
 )
 from .bounds import theoretical_bounds
@@ -94,12 +94,12 @@ class SearchConfig:
 
     ``max_nodes`` caps the number of extension checks plus probes over
     the whole solve, exactly, across all its windows (each a fresh
-    search); it counts search nodes and probes only, so the checker pass
-    that verifies the construction certificate is not charged to it.
-    ``timeout`` (seconds, at least 0; ``inf`` allowed) caps the time of
-    the whole solve: one absolute deadline, tested before every
-    construction color, every value of that checker pass, every search
-    node and every probe.  A deadline that passes before the checker
+    search); it counts search nodes and probes only, so the checker's
+    table that verifies the construction certificate is not charged to
+    it.  ``timeout`` (seconds, at least 0; ``inf`` allowed) caps the time
+    of the whole solve: one absolute deadline, tested before every
+    construction color, every value that table takes, every search node
+    and every probe.  A deadline that passes before the checker
     has found the construction free ends the solve there, with no
     search: BUDGET_EXHAUSTED at k-1 and no certificate.  The search is
     sequential, so :func:`find_free_coloring` always returns the
@@ -218,9 +218,12 @@ def _certified_start(spec: ProblemSpec,
     diagonal bound), :func:`~zschur.constructions.construction_colors`
     (the paper's) for the other full-palette cases, and
     :func:`~zschur.constructions.binary_construction_colors` for the
-    two-color variant.  None means the deadline passed while its colors
-    were produced or checked.  A construction the checker finds a target
-    in is a bug of this package, so it raises RuntimeError.
+    two-color variant.  The check is one
+    :func:`~zschur._kernel_py.least_target` table of the values up to
+    the coloring's length n at sum cap n, which decides every target at
+    once.  None means the deadline passed while the colors were produced
+    or checked.  A construction the checker finds a target in is a bug
+    of this package, so it raises RuntimeError.
     """
     if spec.palette is Palette.BINARY:
         colors = constructions.binary_construction_colors(spec.k, spec.r)
@@ -233,14 +236,13 @@ def _certified_start(spec: ProblemSpec,
         if deadline is not None and monotonic() > deadline:
             return None
         values.append(c)
-    target = first_zero_sum_target(values, len(values), spec.k, spec.r,
-                                   deadline)
-    if target is None:
+    found = least_target(values, 0, len(values), spec.k, spec.r, deadline)
+    if found is None:
         return None
-    if target:
+    if found[0]:
         raise RuntimeError(
             f"{spec.palette.value} construction for k={spec.k}, r={spec.r} "
-            f"has a zero-sum solution with target {target}")
+            f"has a zero-sum solution with target {found[0]}")
     return Coloring.of(values, spec.r)
 
 

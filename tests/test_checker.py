@@ -165,14 +165,20 @@ def test_invalid_extracted_witness_raises(monkeypatch):
 
 @pytest.mark.parametrize("row", [0, -1])
 def test_extraction_from_a_wrong_table_raises(monkeypatch, row):
-    # a table that contradicts the reach pass ends extraction with an
-    # error: an empty one passes no first part, and a full one passes
-    # part 1, after which the last part, 3, has the wrong color
+    # a table whose last row decides the target but whose lower rows
+    # contradict it ends extraction with an error: an empty row passes no
+    # first part, and a full one passes part 1, after which the last
+    # part, 3, has the wrong color
     spec = ProblemSpec(k=3, r=3)
     chi = Coloring.of((0, 1, 0, 1), 3)
     assert find_zero_sum_solution(chi, spec) == Witness(parts=(2, 2), target=4)
-    monkeypatch.setattr(_kernel_py, "exact_table",
-                        lambda colors, k, v_max, geo: [1] + [row] * (k - 1))
+    exact_table = _kernel_py.exact_table
+
+    def wrong_table(colors, k, v_max, geo, deadline=None):
+        rows = exact_table(colors, k, v_max, geo, deadline)
+        return rows[:1] + [row] * (k - 2) + rows[-1:]
+
+    monkeypatch.setattr(_kernel_py, "exact_table", wrong_table)
     with pytest.raises(RuntimeError, match="extraction failed"):
         find_zero_sum_solution(chi, spec)
 
@@ -265,23 +271,26 @@ def test_witness_matches_reference_greedy():
 
 def phase_case(target, n, k):
     """Where the least target of a coloring lies against the phases."""
+    early = k + 15
     if n < k - 1:
         return "n < k-1"
     if target == 0:
-        return "free, exact phase" if n > 2 * k else "free, n <= 2k"
-    if target == 2 * k or target == 2 * k + 1:
-        return f"target 2k+{target - 2 * k}"
-    if target < 2 * k:
-        return "target below 2k"
-    return "target at n" if target == n else "target in (2k+1, n)"
+        return "free, second table" if n > early else "free, n <= k+15"
+    if target == early or target == early + 1:
+        return f"target k+{target - k}"
+    if target < early:
+        return "target below k+15"
+    return "target at n" if target == n else "target in (k+16, n)"
 
 
 def test_both_phases_match_the_reference():
-    # the narrow phase decides the targets up to 2k, the exact phase the
-    # later ones; both must give the reference witness, 2k and 2k+1 being
-    # the last target of one and the first of the other.  Each coloring
-    # whose witness is at 2k or later is also cut at its target, which is
-    # then n
+    # the table at cap min(n, k+15) decides the targets up to its cap,
+    # the table at cap n the later ones; both must give the reference
+    # witness, k+15 and k+16 being the last target of one and the first
+    # of the other.  Each coloring whose witness is at k+15 or later is
+    # also cut at its target, which is then n.  Where n > k+15, the
+    # coloring with k+15 or k+16 recolored is checked too: a new color
+    # that is forbidden there puts the least target at the boundary
     rng = random.Random(2020)
     cases = Counter()
     for _ in range(2500):
@@ -294,6 +303,10 @@ def test_both_phases_match_the_reference():
                        for _ in range(n))
         spec = ProblemSpec(k=k, r=r)
         colorings = [Coloring.of(values, r)]
+        if n > k + 15:
+            b = rng.randint(k + 15, min(n, k + 16))
+            recolored = values[:b - 1] + (rng.randrange(r),) + values[b:]
+            colorings.append(Coloring.of(recolored, r))
         while colorings:
             chi = colorings.pop()
             want = reference_witness(chi.values, k, r)
@@ -306,15 +319,38 @@ def test_both_phases_match_the_reference():
             if chi.n <= 22 and k <= 5:
                 assert fast == brute_force_oracle(chi, spec), (chi.values, k, r)
             if target:
-                # a hit up to 2k reads the narrow phase's table at cap
-                # target, a later one the exact phase's at cap n
-                assert geo.sum_cap == (target if target <= 2 * k else chi.n)
-                if 2 * k <= target < chi.n:
+                # a hit up to k+15 reads the first table, at cap
+                # min(n, k+15), a later one the second, at cap n
+                early = min(chi.n, k + 15)
+                assert geo.sum_cap == (early if target <= early else chi.n)
+                if k + 15 <= target < chi.n:
                     colorings.append(chi.restricted(target))
             else:
                 assert rows is None and geo is None
             cases[phase_case(target, chi.n, k)] += 1
     assert len(cases) == 8 and min(cases.values()) >= 20, cases
+
+
+@pytest.mark.parametrize("k, r", [(32, 2), (32, 4), (36, 3), (35, 5),
+                                  (40, 4)])
+def test_witness_between_the_first_cap_and_2k(k, r):
+    # a construction prefix of 1.5k positions, free on its own, and a
+    # seeded random tail to n = kr: the least target lies in (k+15, 2k],
+    # above the first table's cap, so the table at cap n decides it and
+    # gives the parts.  brute_force_oracle cannot run here: the range is
+    # empty below k = 16, and 15 parts over [1..kr] are too many tuples
+    rng = random.Random(k * r)
+    prefix = construct(k, r).values[:3 * k // 2]
+    values = prefix + tuple(rng.randrange(r)
+                            for _ in range(k * r - len(prefix)))
+    chi = Coloring.of(values, r)
+    spec = ProblemSpec(k=k, r=r)
+    want = reference_witness(values, k, r)
+    assert k + 15 < want[0] <= 2 * k, want
+    fast = find_zero_sum_solution(chi, spec)
+    assert (fast.target, fast.parts) == want
+    assert not is_solution_free(chi, spec)
+    assert checker._zero_sum_table(chi, spec)[2].sum_cap == chi.n
 
 
 def test_exact_phase_over_reduced_residues():
@@ -385,7 +421,7 @@ def test_huge_header_modulus_with_small_colors_stays_small():
 
 
 def test_huge_header_k_with_a_short_coloring_stays_small():
-    # no target fits in [1..n] when n < k-1, so the reach pass returns
+    # no target fits in [1..n] when n < k-1, so least_target returns
     # before it builds a table of k rows: 10**6 rows would take 8 MB
     chi, k = parse_coloring("3 1000000 2\n0 1 0\n")
     tracemalloc.start()

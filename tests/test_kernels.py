@@ -1,6 +1,6 @@
 """The kernel against references that share no code with it.
 
-The reachability pass is checked against a naive set-of-(sum, color-sum)
+The freeness decision is checked against a naive set-of-(sum, color-sum)
 dynamic program, the search against plain depth-first enumerations of
 colorings in ascending order, and the tables against their definition.
 """
@@ -80,8 +80,11 @@ def test_first_target_random_agreement():
         r = rng.randint(2, 6)
         n = rng.randint(0, 40)
         values = tuple(rng.randrange(r) for _ in range(n))
-        got = _kernel_py.first_zero_sum_target(values, n, k, r)
-        assert got == naive_first_target(values, n, k, r), (values, n, k, r)
+        want = naive_first_target(values, n, k, r)
+        got = _kernel_py.least_target(values, k - 2, n, k, r)[0]
+        assert got == want, (values, n, k, r)
+        got = _kernel_py.zero_sum_table(values, n, k, r)[0]
+        assert got == want, (values, n, k, r)
 
 
 def naive_last_rows(values, k, r, n):
@@ -124,26 +127,28 @@ def test_reach_pass_last_row_with_dead_rows():
 def test_first_target_wide_sums():
     # rows of several machine words.  Random colorings stop early; for
     # k=10, r=3 the all-ones coloring has no zero-sum solution (r does not
-    # divide k), so the pass runs to n, and coloring n with 0 instead puts
-    # the least target at exactly n
+    # divide k), so every target up to n is read, and coloring n with 0
+    # instead puts the least target at exactly n
     rng = random.Random(77)
     for n in (63, 64, 65, 127, 130, 200):
-        values = tuple(rng.randrange(5) for _ in range(n))
-        got = _kernel_py.first_zero_sum_target(values, n, 10, 5)
-        assert got == naive_first_target(values, n, 10, 5), n
         ones = (1,) * n
-        assert _kernel_py.first_zero_sum_target(ones, n, 10, 3) == 0, n
         late = ones[:-1] + (0,)
-        assert _kernel_py.first_zero_sum_target(late, n, 10, 3) == n, n
+        for values, r in ((tuple(rng.randrange(5) for _ in range(n)), 5),
+                          (ones, 3), (late, 3)):
+            want = naive_first_target(values, n, 10, r)
+            got = _kernel_py.least_target(values, 8, n, 10, r)[0]
+            assert got == want, (n, r)
+            assert _kernel_py.zero_sum_table(values, n, 10, r)[0] == want, n
+        assert naive_first_target(ones, n, 10, 3) == 0, n
         assert naive_first_target(late, n, 10, 3) == n, n
 
 
-def test_exact_table_least_target_matches_reach_pass():
-    # the exact phase reads every target off the last row of one table of
+def test_least_target_matches_the_reference():
+    # least_target reads every target off the last row of one table of
     # 1..n-k+2 at sum cap n, by bytes; read from the first target, k-1,
-    # it must give the ascending pass's least target, and zero_sum_table
-    # (narrow pass to 2k, then that read) the same.  Near-constant
-    # colorings put many least targets past 2k; n up to 200 gives rows
+    # it must give the reference's least target, and zero_sum_table
+    # (a table at cap k+15, then one at cap n) the same.  Near-constant
+    # colorings put many least targets past k+15; n up to 200 gives rows
     # of many bytes
     rng = random.Random(404)
     late = 0
@@ -155,16 +160,12 @@ def test_exact_table_least_target_matches_reach_pass():
         values = [base] * n
         for i in rng.sample(range(n), min(n, rng.randint(0, 4))):
             values[i] = rng.randrange(r)
-        want = _kernel_py.first_zero_sum_target(values, n, k, r)
-        geo = _kernel_py.CheckerGeometry(r, n, k)
-        rows = _kernel_py.exact_table(values, k, n - k + 2, geo)
-        got = _kernel_py._least_target(rows[-1], values, k - 2, n, geo)
+        want = naive_first_target(values, n, k, r)
+        got = _kernel_py.least_target(values, k - 2, n, k, r)[0]
         assert got == want, (values, k, r)
         target, rows, geo = _kernel_py.zero_sum_table(values, n, k, r)
         assert target == want, (values, k, r)
-        if n <= 40:
-            assert want == naive_first_target(values, n, k, r), (values, k, r)
-        late += want > 2 * k
+        late += want > k + 15
     assert late >= 40, late
 
 
@@ -344,13 +345,18 @@ def test_probe_forced_target_takes_its_forced_color():
     assert outcome.stats.probes > 0
 
 
-def test_reach_pass_expired_deadline():
-    ones = (1,) * 200  # free for k=10, r=3: the pass would run to n
-    assert _kernel_py.first_zero_sum_target(ones, 200, 10, 3, None) == 0
-    assert _kernel_py.first_zero_sum_target(ones, 200, 10, 3,
-                                            monotonic() - 10.0) is None
-    assert _kernel_py.first_zero_sum_target(ones, 200, 10, 3,
-                                            monotonic() + 60.0) == 0
+def test_least_target_expired_deadline():
+    ones = (1,) * 200  # free for k=10, r=3: the table takes every value
+    free = (0, None, None)
+    assert _kernel_py.least_target(ones, 0, 200, 10, 3, None) == free
+    assert _kernel_py.least_target(ones, 0, 200, 10, 3,
+                                   monotonic() - 10.0) is None
+    assert _kernel_py.least_target(ones, 0, 200, 10, 3,
+                                   monotonic() + 60.0) == free
+    # with no target in range no table is built, and the deadline is
+    # never read
+    assert _kernel_py.least_target(ones, 200, 200, 10, 3,
+                                   monotonic() - 10.0) == free
 
 
 def extend_all(colors, n, k, r, palette, cap=None):
@@ -467,13 +473,13 @@ def test_adding_a_held_value_again_changes_no_row():
     # table already holds it, so no row may change.  Every value a table
     # holds at or above its last low is added again with its color and
     # every low from there up to the value: in the search's tables, whose
-    # last low is pos, or pos + 1 once the step forces a target, and in
-    # the checker's exact tables, whose last low is 1
-    def unchanged(rows, held, low0, geo, step=_kernel_py.add_value):
+    # last low is pos, or pos + 1 once the step forces a target.  The
+    # checker's exact tables take no low: each value is added again once
+    def unchanged(rows, held, low0, geo):
         for v, cv in held:
             for low in range(low0, v + 1):
                 again = rows[:]
-                step(again, v, cv, geo, low)
+                _kernel_py.add_value(again, v, cv, geo, low)
                 assert again == rows, (v, cv, low)
         return len(held)
 
@@ -522,9 +528,11 @@ def test_adding_a_held_value_again_changes_no_row():
         values = [rng.randrange(r) for _ in range(n)]
         v_max = rng.randint(1, n)
         rows = _kernel_py.exact_table(values, k, v_max, geo)
-        readded += unchanged(rows, [(v, values[v - 1])
-                                    for v in range(1, v_max + 1)], 1, geo,
-                             _kernel_py.checker_add)
+        for v in range(1, v_max + 1):
+            again = rows[:]
+            _kernel_py.checker_add(again, v, values[v - 1], geo)
+            assert again == rows, (values, k, v)
+        readded += v_max
     assert readded > 1000 and forced_readded > 100, (readded, forced_readded)
 
 
@@ -874,7 +882,7 @@ def checker_pairs(row, geo):
 
 
 def reference_sets_step(sets, v, cv, r, cap):
-    """checker_add with low = 1 on a set per row: in increasing j, every
+    """checker_add on a set per row: in increasing j, every
     pair (s, c) of row j-1 (as this step left it) with s + v <= cap gives
     (s + v, (c + cv) % r) in row j."""
     for j in range(1, len(sets)):
@@ -902,28 +910,22 @@ def test_checker_add_matches_set_reference(r):
             rows = empty[:1] + [sparse_row() for _ in range(k - 1)]
             sets = [checker_pairs(row, geo) for row in rows]
             reference_sets_step(sets, v, cv, r, cap)
-            _kernel_py.checker_add(rows, v, cv, geo, 1)
+            _kernel_py.checker_add(rows, v, cv, geo)
             assert [checker_pairs(row, geo) for row in rows] == sets, (cv, v)
 
-    # whole builds from the empty table
+    # a whole build from the empty table, in the descending order of
+    # exact_table: every row is exact after every value
     perm = rng.sample(range(r), r)
     colors = perm[:r // 2] + [0] * 5 + perm[r // 2:]
     values = sorted({1, 2, 3, cap}
                     | set(rng.sample(range(4, cap), len(colors) - 4)))
-    ascending = list(zip(values, colors))
-    for order, exact_rows in ((ascending, range(k - 1, k)),
-                              (ascending[::-1], range(k))):
-        rows = empty[:]
-        sets = [{(0, 0)}] + [set() for _ in range(k - 1)]
-        for v, cv in order:
-            # ascending, low = v and only the last row is exact;
-            # descending, low = 1 and every row is
-            low = v if exact_rows.start else 1
-            _kernel_py.checker_add(rows, v, cv, geo, low)
-            reference_sets_step(sets, v, cv, r, cap)
-            for j in exact_rows:
-                assert checker_pairs(rows[j], geo) == sets[j], (v, cv, j)
-        assert sets[-1], order  # the last row is not trivially empty
+    rows = empty[:]
+    sets = [{(0, 0)}] + [set() for _ in range(k - 1)]
+    for v, cv in reversed(list(zip(values, colors))):
+        _kernel_py.checker_add(rows, v, cv, geo)
+        reference_sets_step(sets, v, cv, r, cap)
+        assert [checker_pairs(row, geo) for row in rows] == sets, (v, cv)
+    assert sets[-1]  # the last row is not trivially empty
 
 
 def test_short_search_stays_small():
