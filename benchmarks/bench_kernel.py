@@ -37,41 +37,41 @@ Workloads:
                   table at sum cap k+15 that misses, then the table at
                   n, whose last row has no target)
   search-8-4      exhaust the reduced four-color search at n=27 (the
-                  S_z(8,4) decision step: 40 extension checks, 149
+                  S_z(8,4) decision step: 40 extension checks, 62
                   probes)
   search-6-3      exhaust the reduced three-color search at n=15 (16
                   extension checks, 38 probes)
   solve-12-4      2M-node budgeted slice of the k=12, r=4 search at n=43
-                  (exhausted in 62 nodes and 379 probes)
+                  (exhausted in 62 nodes and 109 probes)
   exhaust-12-6    exhaust the reduced six-color search at n=68, the
-                  S_z(12,6) decision step (3,463 nodes and 66,895
+                  S_z(12,6) decision step (3,463 nodes and 35,590
                   probes; about 4.5M nodes without probing): long
                   enough to show the cost per node and per probe
   exhaust-18-6    exhaust the reduced six-color search at n=104, the
-                  S_z(18,6) decision step (7,868 nodes and 309,012
+                  S_z(18,6) decision step (7,868 nodes and 123,503
                   probes): the probe-heavy search
   exhaust-8-8     exhaust the reduced eight-color search at n=55, the
-                  S_z(8,8) decision step (28,291 nodes and 381,234
+                  S_z(8,8) decision step (28,291 nodes and 220,666
                   probes): the long search whose node count the probes
                   of each new node cut
   scan-12-4       deterministic solve_exact of S_z(12,4)=43: one window
                   from the construction's n=42 to the proven upper bound
                   43, the lex-least search at 42 going on to the
-                  exhaustion at 43 (127 nodes and 465 probes in all)
+                  exhaustion at 43 (127 nodes and 148 probes in all)
   scan-12-6       deterministic solve_exact of S_z(12,6)=68: one window
                   of five levels, from the construction's n=64 to the
                   proven upper bound 68, where it exhausts (3,721 nodes
-                  and 65,669 probes in all): the long k > r scan
+                  and 35,176 probes in all): the long k > r scan
   scan-5-5        deterministic solve_exact of S_z(5,5)=38: k = r is odd,
                   so the scan starts from the diagonal coloring of
                   [1..37]; its window runs up to twice that n, and it
                   finds the lex-least coloring of 37 and exhausts 38
-                  (187 nodes and 367 probes in all)
+                  (187 nodes and 371 probes in all)
   scan-6-6        deterministic solve_exact of S_z(6,6)=32: five levels,
                   from the construction's n=28 to the n=32 exhaustion;
                   k = r has no finite proven upper bound, so the scan is
                   one window from 28, up to twice the construction's n
-                  (1,666 nodes and 6,211 probes in all): the cost of the
+                  (1,666 nodes and 4,870 probes in all): the cost of the
                   ascending scan
 
 Each run is checked: the start checks must return the targets in
@@ -80,9 +80,18 @@ witness in FIND, each decision the target in DECIDE, each search must
 end with the status, nodes, prunes, max depth and probes in WORKLOADS,
 and each scan must give the value, certificate, nodes and probes in
 SCAN.
+Each run also times a fixed pure-Python computation that shares no
+code with zschur, the reference (perfbench's: fifty naive freeness
+checks of a free 3-coloring of [1..32] for k=12), best of --repeats
+runs before the workloads and as many after them, and reports each
+workload's best time over the reference's (ref) beside it.  A host's
+speed moves both alike, so the ref column compares across hosts and
+runs where the seconds do not.
+
 Exit 1 on a failed check.  ``--json PATH`` also writes the machine
-(nproc, CPU model, Python), the commit, and per workload its best time,
-repeat count and the checked results to PATH.
+(nproc, CPU model, Python), the commit, the reference's best time, and
+per workload its best time, that time over the reference's, the repeat
+count and the checked results to PATH.
 
 The timings of each change are in the committed BENCH_*.json reports.
 """
@@ -190,17 +199,17 @@ def decide_args(k, r):
 #: (status, nodes, prunes, max_depth, probes) it must end with.
 WORKLOADS = {
     "search-8-4": ((27, 8, 4, (0, 1, 2, 3), 0b110, None, None),
-                   (_kernel_py.EXHAUSTED, 40, 23, 8, 149)),
+                   (_kernel_py.EXHAUSTED, 40, 23, 8, 62)),
     "search-6-3": ((15, 6, 3, (0, 1, 2), 0b010, None, None),
                    (_kernel_py.EXHAUSTED, 16, 8, 6, 38)),
     "solve-12-4": ((43, 12, 4, (0, 1, 2, 3), 0b110, 2_000_000, None),
-                   (_kernel_py.EXHAUSTED, 62, 33, 12, 379)),
+                   (_kernel_py.EXHAUSTED, 62, 33, 12, 109)),
     "exhaust-12-6": ((68, 12, 6, tuple(range(6)), 0b1110, None, None),
-                     (_kernel_py.EXHAUSTED, 3_463, 2_158, 32, 66_895)),
+                     (_kernel_py.EXHAUSTED, 3_463, 2_158, 32, 35_590)),
     "exhaust-18-6": ((104, 18, 6, tuple(range(6)), 0b1110, None, None),
-                     (_kernel_py.EXHAUSTED, 7_868, 4_637, 50, 309_012)),
+                     (_kernel_py.EXHAUSTED, 7_868, 4_637, 50, 123_503)),
     "exhaust-8-8": ((55, 8, 8, tuple(range(8)), 0b10110, None, None),
-                    (_kernel_py.EXHAUSTED, 28_291, 20_720, 43, 381_234)),
+                    (_kernel_py.EXHAUSTED, 28_291, 20_720, 43, 220_666)),
 }
 
 
@@ -209,19 +218,39 @@ WORKLOADS = {
 SCAN = {
     "scan-12-4": ((12, 4),
                   (43, "012301230120022002200220022002203210321032", 127,
-                   465)),
+                   148)),
     "scan-12-6": ((12, 6),
                   (68, "01234501234201501201501101401101401104101104102105"
-                       "10210510543210543", 3_721, 65_669)),
+                       "10210510543210543", 3_721, 35_176)),
     "scan-5-5": ((5, 5),
-                 (38, "0101010404040404040404040404040101010", 187, 367)),
+                 (38, "0101010404040404040404040404040101010", 187, 371)),
     "scan-6-6": ((6, 6),
-                 (32, "0123420150110140110410210510543", 1_666, 6_211)),
+                 (32, "0123420150110140110410210510543", 1_666, 4_870)),
 }
 
 
 def deterministic_solve(k, r):
     return solve_exact(ProblemSpec(k, r), SearchConfig(deterministic=True))
+
+
+#: The reference's coloring: free for k = 12, r = 3.
+REFERENCE_COLORING = "01201201201101101101102102102102"
+
+
+def reference() -> None:
+    """Fifty naive freeness checks of REFERENCE_COLORING for k = 12, r = 3:
+    a set dynamic program over the (sum, color sum) pairs of k-1 parts,
+    tens of milliseconds of pure Python."""
+    colors = [int(c) for c in REFERENCE_COLORING]
+    n, k, r = len(colors), 12, 3
+    for _ in range(50):
+        reach = {(0, 0)}
+        for _ in range(k - 1):
+            reach = {(s + v, (c + colors[v - 1]) % r)
+                     for s, c in reach for v in range(1, n - s + 1)}
+        if any((t, -colors[t - 1] % r) in reach for t in range(1, n + 1)):
+            raise RuntimeError("the reference coloring is free, but the "
+                               "check says not")
 
 
 def best_time(fn, args, repeats):
@@ -268,6 +297,7 @@ def main() -> int:
                              "to PATH")
     args = parser.parse_args()
 
+    ref_s, _ = best_time(reference, (), args.repeats)
     rows = []  # (name, best seconds, checked results, note)
     for wname, (nkr, want) in START.items():
         took, (target, _, _) = best_time(_kernel_py.least_target,
@@ -330,12 +360,17 @@ def main() -> int:
         rows.append((wname, took, checked, f"value {got[0]}, {got[2]} nodes, "
                                            f"{got[3]} probes"))
 
+    ref_s = min(ref_s, best_time(reference, (), args.repeats)[0])
     width = max(len(name) for name, *_ in rows)
+    print(f"{'reference':<{width}}  {ref_s * 1e3:>9.1f} ms  {1:>8.4f} ref")
     for name, took, _, note in rows:
-        print(f"{name:<{width}}  {took * 1e3:>9.1f} ms  {note}")
+        print(f"{name:<{width}}  {took * 1e3:>9.1f} ms  "
+              f"{took / ref_s:>8.4f} ref  {note}")
     if args.json:
         report = {"machine": machine(), "commit": commit(),
+                  "reference_s": ref_s,
                   "workloads": {name: {"best_s": took,
+                                       "best_ref": took / ref_s,
                                        "repeats": args.repeats,
                                        "checked": checked}
                                 for name, took, checked, _ in rows}}

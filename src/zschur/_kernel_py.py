@@ -160,6 +160,20 @@ pass.  Probes run at two moments:
   each is removed at p, and the frame's table is closed with probes of
   every target.
 
+Each probing round picks its targets where closures fail first (the
+fail-first principle of constraint search): among the targets above the
+last one whose probes removed a color (all of them, until a probe
+removes one), the lowest that keeps exactly two colors, else the lowest
+one; once none lies above, it wraps to the lowest targets, two-color
+first.  A removal ends the round, propagation runs, and the next round
+goes on above the target that failed, so the closure ends after one
+round in which no probe removes a color.  The order cannot change where
+a closure ends: removals only grow, and a probe that wipes out still
+wipes out after more removals, so a closure has one end whatever the
+order, a wipe-out or one fixpoint of forced mask, table and colors left.
+Nodes, prunes, values and certificates do not depend on it; only the
+probe count does, and with it the point where a node budget runs out.
+
 Every removal is set in the last row of the frame's own table: every
 extension step copies its parent's table, so no two frames share one,
 and a child inherits the removals with the table it copies.  A probe
@@ -204,7 +218,8 @@ BUDGET = 3
 
 
 class _OutOfBudget(Exception):
-    """The node budget or the deadline ran out before a node or a probe."""
+    """The node budget or the deadline ran out before a node or a probe,
+    or the deadline before a forced value."""
 
 
 class Geometry:
@@ -403,7 +418,8 @@ def _singles(row: int, above: int, forced: int,
 
 def close(rows: list[int], forced: int, pos: int, n: int, palette,
           offsets: list[int], geo: Geometry, charge=None,
-          since: int | None = None) -> int | None:
+          since: int | None = None,
+          deadline: float | None = None) -> int | None:
     """Close the table over the targets in (pos, n]: singleton
     propagation, and with ``charge`` failed-literal probing too.
 
@@ -416,7 +432,10 @@ def close(rows: list[int], forced: int, pos: int, n: int, palette,
     coloring that extends the table's values, so it joins the table as a
     value of that color (:func:`add_value`, in place) and bit t of
     ``forced`` marks it; that may force further targets, so this repeats
-    until nothing changes.
+    until nothing changes.  ``deadline`` is an absolute time.monotonic()
+    deadline, or None; when set it is tested before each forced value is
+    added, in the closures of the probes' copies too, and a deadline that
+    has passed raises :class:`_OutOfBudget`.
 
     ``charge`` is None (no probes) or a function called before each
     probe, which counts it or ends the closure by raising.  A probe takes
@@ -427,18 +446,25 @@ def close(rows: list[int], forced: int, pos: int, n: int, palette,
     the copy without probes.  A wipe-out there means no free coloring
     gives t color c, so c is removed at t: its bit is set in the last row
     (in place).  A target above n - k + 2 is in no sum up to n, so its
-    probes would pass.  Targets are probed in ascending order, each with
-    every color it has left; once the probes of a target remove a color,
-    propagation runs again before the next probe, and the closure ends
-    when the probes of every such target remove nothing.
+    probes would pass.  Each target is probed with every color it has
+    left; once the probes of a target remove a color, propagation runs
+    again before the next probe, and the closure ends after a round in
+    which the probes of every such target remove nothing.  A round takes
+    first the targets above the last one whose probes removed a color
+    (every target before the first removal), the two-color ones before
+    the rest, each ascending, and then wraps to the targets up to that
+    one in the same way.  Removals only grow, and a probe that fails
+    still fails after more removals, so the closure ends in the same
+    state in any order (see the module docstring); the order moves only
+    the number of probes.
 
+    The two-color targets come from one more level of the recurrence of
+    :func:`_singles`: after propagation every target not forced keeps two
+    or more colors, so all but at most two gone means exactly two left.
     ``since`` is None, or the last row of the table that ``rows`` was
     copied from (the closure of a child).  With it, a round probes only
     the targets whose bits differ from ``since`` in some palette block
-    and that keep exactly two colors, which takes one more level of the
-    recurrence of :func:`_singles`: after propagation every target not
-    forced keeps two or more colors, so all but at most two gone means
-    exactly two left.
+    and that keep exactly two colors.
 
     Most probes end at the first round of that closure, so a probe runs
     that round first on the last row alone: it computes only the last
@@ -455,6 +481,7 @@ def close(rows: list[int], forced: int, pos: int, n: int, palette,
     has no color left (a wipe-out).
     """
     above = (1 << (n + 1)) - (1 << (pos + 1))
+    fence = 1  # the targets up to the last failed one: none yet
     while True:
         row = rows[-1]
         new = _singles(row, above, forced, offsets)
@@ -467,35 +494,44 @@ def close(rows: list[int], forced: int, pos: int, n: int, palette,
                 while hit:
                     low = hit & -hit
                     hit ^= low
+                    if deadline is not None and monotonic() > deadline:
+                        raise _OutOfBudget
                     add_value(rows, low.bit_length() - 1, c, geo, pos + 1)
             continue
         if charge is None:
             return forced
         # spread << t has the bits of every color at t; some marks the
-        # targets that have lost at least one color
-        spread = some = 0
+        # targets that have lost at least one color, and the recurrence
+        # of _singles, one level deeper, those that have lost all but at
+        # most two (most2); diff marks the bits that differ from since's
+        spread = some = changed = 0
+        diff = 0 if since is None else row ^ since
+        every = most1 = most2 = above
         for off in offsets:
+            f = row >> off
             spread |= 1 << off
-            some |= row >> off
+            some |= f
+            changed |= diff >> off
+            most2 = (most2 & f) | most1
+            most1 = (most1 & f) | every
+            every &= f
         # nothing is left to force, so each target not forced keeps two
-        # or more colors.  A sum that uses target t has k - 2 other parts
-        # of at least 1 each, so no sum up to n uses a target above
-        # n - k + 2, and its probes would pass
+        # or more colors, and most2 marks those that keep exactly two.  A
+        # sum that uses target t has k - 2 other parts of at least 1
+        # each, so no sum up to n uses a target above n - k + 2, and its
+        # probes would pass
         targets = (above & some & ~forced
                    & ((1 << max(n - len(rows) + 3, 0)) - 1))
+        two = targets & most2
         if since is not None:
             # only the targets whose colors differ from since's and that
-            # keep exactly two: most2 marks all but at most two gone
-            diff = row ^ since
-            changed = 0
-            every = most1 = most2 = targets
-            for off in offsets:
-                f = row >> off
-                most2 = (most2 & f) | most1
-                most1 = (most1 & f) | every
-                every &= f
-                changed |= diff >> off
-            targets = most2 & changed
+            # keep exactly two
+            targets = two = two & changed
+        # the order: above the last failed target, the two-color targets
+        # and then the rest, each ascending; then from the lowest target
+        # up to the failed one, in the same way
+        upper = targets & ~fence
+        lower = targets & fence
         # a probe's first round runs on the last row alone, which the
         # rows from start up give as add_value would in the sums up to n,
         # the only ones it reads.  Adding t leaves bit t as it is, as a
@@ -504,42 +540,46 @@ def close(rows: list[int], forced: int, pos: int, n: int, palette,
         last = len(rows) - 1
         j0 = _first_live_row(last, pos + 1, n)
         width, size, full = geo.width, geo.size, geo.full
-        while targets:
-            bit = targets & -targets
-            targets ^= bit
-            t = bit.bit_length() - 1
-            failed = False
-            keep = (geo.ones << (width - t)) - geo.ones
-            start = max(j0, last - n // t)
-            for c, off in zip(palette, offsets):
-                if (row >> (off + t)) & 1:
-                    continue
-                charge()
-                up = c * width + t
-                down = size - up
-                trial = rows[start]
-                for j in range(start + 1, last + 1):
-                    y = trial & keep
-                    trial = rows[j] | ((y << up) & full) | (y >> down)
-                cut = (spread ^ (1 << off)) << t  # t's other colors
-                new = _singles(trial | cut, above, forced | bit, offsets)
-                if new:  # the row forces a target: close a copy
-                    copy = rows[:]
-                    add_value(copy, t, c, geo, pos + 1)
-                    copy[-1] |= cut
-                    new = close(copy, forced | bit, pos, n, palette,
-                                offsets, geo)
-                if new is None:
-                    rows[-1] |= bit << off
-                    failed = True
+        failed = False
+        for group in (upper & two, upper & ~two, lower & two, lower & ~two):
+            while group and not failed:
+                bit = group & -group
+                group ^= bit
+                t = bit.bit_length() - 1
+                keep = (geo.ones << (width - t)) - geo.ones
+                start = max(j0, last - n // t)
+                for c, off in zip(palette, offsets):
+                    if (row >> (off + t)) & 1:
+                        continue
+                    charge()
+                    up = c * width + t
+                    down = size - up
+                    trial = rows[start]
+                    for j in range(start + 1, last + 1):
+                        y = trial & keep
+                        trial = rows[j] | ((y << up) & full) | (y >> down)
+                    cut = (spread ^ (1 << off)) << t  # t's other colors
+                    new = _singles(trial | cut, above, forced | bit, offsets)
+                    if new:  # the row forces a target: close a copy
+                        copy = rows[:]
+                        add_value(copy, t, c, geo, pos + 1)
+                        copy[-1] |= cut
+                        new = close(copy, forced | bit, pos, n, palette,
+                                    offsets, geo, deadline=deadline)
+                    if new is None:
+                        rows[-1] |= bit << off
+                        failed = True
             if failed:
-                break  # propagate the removals before the next probe
+                break
         else:
             return forced
+        # propagate the removals, and go on above t
+        fence = (bit << 1) - 1
 
 
 def extend_state(rows: list[int], forced: int, pos: int, n: int, c: int,
-                 palette, offsets: list[int], geo: Geometry, charge=None):
+                 palette, offsets: list[int], geo: Geometry, charge=None,
+                 deadline: float | None = None):
     """One step of the search at level n: the table after coloring pos
     with c, closed over the targets in (pos, n].
 
@@ -550,12 +590,12 @@ def extend_state(rows: list[int], forced: int, pos: int, n: int, c: int,
     the last row of ``rows``: the targets the step changed that keep two
     colors.  The child's table is always a new copy, so it inherits the
     colors removed in the last row of ``rows`` and leaves ``rows`` as it
-    is.
+    is.  ``deadline`` is that of :func:`close`.
     """
     child = rows[:]
     add_value(child, pos, c, geo, pos)
     forced = close(child, forced, pos, n, palette, offsets, geo, charge,
-                   rows[-1])
+                   rows[-1], deadline)
     return None if forced is None else (child, forced)
 
 
@@ -637,9 +677,11 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
     canonical_mask: bitmask of residues allowed as the first nonzero
         color (unit-orbit symmetry breaking); when nonzero, position 1
         also takes color 0 alone.  0 searches the unreduced space.
-    max_nodes: budget of extension checks plus probes, or None.
+    max_nodes: budget of extension checks plus probes, or None; the
+        forced values that propagation adds are not charged.
     deadline: absolute time.monotonic() deadline, or None; when set it is
-        checked before every extension check and every probe.
+        checked before every extension check, every probe and every
+        forced value that propagation adds.
     n_max: the last level of the window, at least n; None for n alone.
 
     The search starts from the empty coloring and runs at level n until
@@ -735,7 +777,7 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
                                 probes)
                     n += 1  # go on one level up from this coloring
                 child = extend_state(rows, forced, pos, n, c, palette,
-                                     offsets, geo, charge)
+                                     offsets, geo, charge, deadline)
                 if child is None:
                     prunes += 1
                     continue
@@ -755,7 +797,7 @@ def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,
                 for off in offsets[:i]:
                     rows[-1] |= 1 << (off + pos - 1)
                 forced = close(rows, forced, pos - 2, n, palette, offsets,
-                               geo, charge)
+                               geo, charge, deadline=deadline)
                 if forced is None:
                     frame[3] = choices  # a wipe-out: pop the frame next
                 else:

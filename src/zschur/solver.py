@@ -21,9 +21,14 @@ propagation (failed-literal probing): at every new node, each color of
 each target that the step has just cut down to two colors, and the
 first time the search backtracks into a depth, each color left at each
 later target that has lost one.  Targets that no sum up to the level
-uses are never tried.  Such cuts remove only subtrees without a free
-coloring, so they change node counts only, never a status or a
-lex-least certificate.
+uses are never tried.  Each round of tries picks the targets where
+trials fail most: above the last target whose trial removed a color,
+the targets with two colors left before the rest, then the targets up
+to it.  Removals only grow, and a trial that wipes out still wipes out
+after more removals, so the order changes only the number of trials,
+never the state a closure ends in.  Such cuts remove only subtrees
+without a free coloring, so they change node counts only, never a
+status or a lex-least certificate.
 
 Symmetry reduction (applied only when r | k, where it is sound):
 position 1 is pinned to color 0 (zero-sum solutions are preserved by
@@ -94,16 +99,17 @@ class SearchConfig:
 
     ``max_nodes`` caps the number of extension checks plus probes over
     the whole solve, exactly, across all its windows (each a fresh
-    search); it counts search nodes and probes only, so the checker's
-    table that verifies the construction certificate is not charged to
-    it.  ``timeout`` (seconds, at least 0; ``inf`` allowed) caps the time
-    of the whole solve: one absolute deadline, tested before every
-    construction color, every value that table takes, every search node
-    and every probe.  A deadline that passes before the checker
-    has found the construction free ends the solve there, with no
-    search: BUDGET_EXHAUSTED at k-1 and no certificate.  The search is
-    sequential, so :func:`find_free_coloring` always returns the
-    lexicographically least free coloring of the reduced space.
+    search); it counts search nodes and probes only, so neither the
+    checker's table that verifies the construction certificate nor the
+    forced values that singleton propagation adds are charged to it.
+    ``timeout`` (seconds, at least 0; ``inf`` allowed) caps the time of
+    the whole solve: one absolute deadline, tested before every
+    construction color, every value that table takes, every search node,
+    every probe and every forced value.  A deadline that passes before
+    the checker has found the construction free ends the solve there,
+    with no search: BUDGET_EXHAUSTED at k-1 and no certificate.  The
+    search is sequential, so :func:`find_free_coloring` always returns
+    the lexicographically least free coloring of the reduced space.
     ``deterministic`` makes every EXACT result of :func:`solve_exact`
     carry such a certificate too: the scan starts at the construction
     certificate's n, not above it, so the first level of its first

@@ -6,6 +6,7 @@ colorings in ascending order, and the tables against their definition.
 """
 
 import random
+import sys
 import tracemalloc
 from itertools import count, product
 from time import monotonic
@@ -323,15 +324,61 @@ def test_search_expired_deadline():
 
 def test_deadline_is_tested_before_every_node_and_probe(monkeypatch):
     # a clock that ticks once per reading: a deadline of m - 0.5 lets
-    # exactly m readings pass, one before each node and each probe
+    # exactly m readings pass, one before each node and each probe, and
+    # one before each forced value that close adds.  The clock counts the
+    # readings made in close apart from the others
     for m in (1, 10, 100, 1000):
         ticks = count()
-        monkeypatch.setattr(_kernel_py, "monotonic", lambda: next(ticks))
+        propagation = 0
+
+        def clock():
+            nonlocal propagation
+            tick = next(ticks)
+            if tick < m and sys._getframe(1).f_code.co_name == "close":
+                propagation += 1
+            return tick
+
+        monkeypatch.setattr(_kernel_py, "monotonic", clock)
         status, _, nodes, _, _, probes = _kernel_py.search_free_coloring(
             68, 12, 6, tuple(range(6)), 0b1110, None, m - 0.5)
         assert status == _kernel_py.BUDGET
-        assert nodes + probes == m, m
-    assert probes > 0
+        assert nodes + probes + propagation == m, m
+    assert probes > 0 and propagation > 0
+
+
+@pytest.mark.parametrize("n, k, r, palette", (
+    (68, 12, 6, Palette.FULL), (41, 12, 4, Palette.BINARY),
+    (89, 10, 10, Palette.BINARY)))
+def test_add_value_steps_between_two_clock_readings(monkeypatch, n, k, r,
+                                                    palette):
+    # the deadline bounds propagation too: between two readings of the
+    # clock the search makes at most one add_value step, the node's or
+    # the probe's own value, or one forced value of a closure.  The
+    # two-color searches never probe, so only propagation reads the
+    # clock between their nodes
+    steps = most = readings = 0
+    add_value = _kernel_py.add_value
+
+    def clock():
+        nonlocal steps, readings
+        steps = 0
+        readings += 1
+        return 0.0
+
+    def counted(*args):
+        nonlocal steps, most
+        steps += 1
+        most = max(most, steps)
+        add_value(*args)
+
+    residues, mask = _symmetry_filters(ProblemSpec(k, r, palette))
+    monkeypatch.setattr(_kernel_py, "monotonic", clock)
+    monkeypatch.setattr(_kernel_py, "add_value", counted)
+    status, _, nodes, _, _, probes = _kernel_py.search_free_coloring(
+        n, k, r, residues, mask, None, 1.0)
+    assert status == _kernel_py.EXHAUSTED
+    assert most == 1
+    assert readings > nodes + probes  # propagation read the clock too
 
 
 def test_probe_forced_target_takes_its_forced_color():
@@ -552,7 +599,7 @@ def test_probing_refutes_prefix():
     probes = []
     assert _kernel_py.close(rows, forced, 3, n, palette, offsets, geo,
                             lambda: probes.append(1)) is None
-    assert len(probes) == 5
+    assert len(probes) == 2
 
 
 def test_probe_removals_are_sound():
@@ -657,32 +704,50 @@ def remove(rows, t, c, geo):
     rows[-1] |= 1 << ((geo.r - c) % geo.r * geo.width + t)
 
 
+def sweep_order(targets, left, after):
+    """The probe order of :func:`_kernel_py.close`: the targets above
+    ``after``, the last target whose probes removed a color (0 before
+    any), then the rest; in each part those with two colors left first,
+    each ascending.  ``left`` maps a target to its colors left."""
+    return sorted(targets, key=lambda t: (t <= after, len(left[t]) != 2, t))
+
+
+def ascending_order(targets, left, after):
+    """The order of a closure that restarts from its lowest target after
+    every removal."""
+    return sorted(targets)
+
+
 def reference_close(rows, forced, pos, n, palette, offsets, geo, charge,
-                    seen, top=None):
+                    seen, top=None, order=sweep_order):
     """:func:`_kernel_py.close` with probes, every probe on a copy.
 
-    Propagation is the kernel's closure without probes.  Each probe adds
-    its target to a copy of the table, removes the target's other colors
-    in the copy's last row and closes the copy; a probe that wipes out
-    removes its color in the last row of ``rows``.  The targets probed
-    are those up to ``top``, by default n - k + 2, the last that a sum
-    up to n can use.  ``seen`` collects ``(twice, fallback)`` per probe:
-    twice when two copies of the target fit a sum up to n, fallback when
-    the copy's last row leaves every target a color and forces some
-    target besides the probed one."""
+    Propagation is the kernel's closure without probes.  Each round
+    probes its targets in ``order``, and a target whose probes remove a
+    color ends the round.  Each probe adds its target to a copy of the
+    table, removes the target's other colors in the copy's last row and
+    closes the copy; a probe that wipes out removes its color in the
+    last row of ``rows``.  The targets probed are those up to ``top``, by
+    default n - k + 2, the last that a sum up to n can use.  ``seen``
+    collects ``(twice, fallback)`` per probe: twice when two copies of
+    the target fit a sum up to n, fallback when the copy's last row
+    leaves every target a color and forces some target besides the
+    probed one."""
     if top is None:
         top = n - len(rows) + 2
+    after = 0
     while True:
         forced = _kernel_py.close(rows, forced, pos, n, palette, offsets,
                                   geo)
         if forced is None:
             return None
+        left = {t: colors_left(rows, t, palette, geo)
+                for t in range(pos + 1, min(n, top) + 1)}
+        targets = [t for t, colors in left.items() if not (forced >> t) & 1
+                   and 2 <= len(colors) < len(palette)]
         failed = False
-        for t in range(pos + 1, min(n, top) + 1):
-            left = colors_left(rows, t, palette, geo)
-            if (forced >> t) & 1 or not 2 <= len(left) < len(palette):
-                continue
-            for c in left:
+        for t in order(targets, left, after):
+            for c in left[t]:
                 charge()
                 copy = rows[:]
                 _kernel_py.add_value(copy, t, c, geo, pos + 1)
@@ -699,6 +764,7 @@ def reference_close(rows, forced, pos, n, palette, offsets, geo, charge,
                     remove(rows, t, c, geo)
                     failed = True
             if failed:
+                after = t
                 break
         if not failed:
             return forced
@@ -759,6 +825,26 @@ def test_last_row_probe_matches_probe_on_a_copy():
     assert cases >= 50 and wide >= 20
     assert any(twice for twice, _ in seen)
     assert any(fallback for _, fallback in seen)
+
+
+def test_probe_order_changes_only_the_probe_count():
+    # removals only grow, and a probe that wipes out still does after
+    # more removals, so a closure ends in one state whatever order it
+    # probes in: the kernel's sweep and a closure that restarts from the
+    # lowest target after every removal agree on the wipe-out, and
+    # without one on the forced mask, the table and the colors left
+    wiped = differ = 0
+    for frame in probe_frames():
+        *got, got_probes = closed_with_probes(_kernel_py.close, *frame)
+        *want, want_probes = closed_with_probes(reference_close, *frame, [],
+                                                None, ascending_order)
+        if got[0] is None:  # each order stops at its first wipe-out
+            assert want[0] is None, frame[2:4]
+            wiped += 1
+        else:
+            assert got == want, frame[2:4]
+        differ += got_probes != want_probes
+    assert wiped >= 10 and differ >= 5, (wiped, differ)
 
 
 def test_probes_above_the_last_summand_change_nothing():

@@ -25,18 +25,18 @@ from zschur.solver import _certified_start, _symmetry_filters
 #: (k, r, palette, lex-least certificate, nodes, prunes, max_depth,
 #: probes) of deterministic solves.
 CERTIFIED_TREES = [
-    (8, 4, Palette.FULL, "01230120022002200220321032", 79, 44, 26, 197),
+    (8, 4, Palette.FULL, "01230120022002200220321032", 79, 44, 26, 89),
     (12, 3, Palette.FULL, "01201201201101101101102102102102", 70, 30, 32,
      98),
     (5, 5, Palette.FULL, "0101010404040404040404040404040101010",
-     187, 127, 37, 367),
+     187, 127, 37, 371),
     (12, 4, Palette.BINARY, "0000000000111111111111111111111111111111",
      70, 31, 40, 0),
     (12, 4, Palette.FULL, "012301230120022002200220022002203210321032",
-     127, 68, 42, 465),
+     127, 68, 42, 148),
     (12, 6, Palette.FULL,
      "0123450123420150120150110140110140110410110410210510210510543210543",
-     3721, 2319, 67, 65669),
+     3721, 2319, 67, 35176),
 ]
 
 
@@ -155,14 +155,14 @@ class TestFindFreeColoring:
         assert outcome.coloring.values == expected
 
     def test_budget_exhaustion(self):
-        # exhausting S_z(12,4) at n=43 takes 62 nodes and 379 probes
+        # exhausting S_z(12,4) at n=43 takes 62 nodes and 109 probes
         spec = ProblemSpec(k=12, r=4)
         outcome = find_free_coloring(43, spec, SearchConfig(max_nodes=50))
         assert outcome.status == 3
         assert outcome.stats.nodes + outcome.stats.probes <= 50
 
     def test_budget_covers_probes(self):
-        # exhausting S_z(12,6) at n=68 takes 3,463 nodes and 66,895
+        # exhausting S_z(12,6) at n=68 takes 3,463 nodes and 35,590
         # probes; the budget caps the two together
         spec = ProblemSpec(k=12, r=6)
         outcome = find_free_coloring(68, spec, SearchConfig(max_nodes=1000))
@@ -173,7 +173,7 @@ class TestFindFreeColoring:
     def test_exhausts_12_6_at_68(self):
         outcome = find_free_coloring(68, ProblemSpec(k=12, r=6))
         assert outcome.exhausted
-        assert (outcome.stats.nodes, outcome.stats.probes) == (3463, 66895)
+        assert (outcome.stats.nodes, outcome.stats.probes) == (3463, 35590)
 
     def test_timeout_already_expired(self):
         spec = ProblemSpec(k=6, r=3)
@@ -357,7 +357,7 @@ class TestSolveExact:
                     totals[0] += stats.nodes
                     totals[1] += stats.prunes
                     totals[2] += stats.probes
-        assert totals == [12_711, 7_996, 146_484]
+        assert totals == [12_711, 7_996, 82_005]
 
     def test_k_above_r_scans_in_one_window(self, windows):
         # k > r has a finite proven upper bound, so the scan is one window
@@ -437,7 +437,7 @@ class TestSolveExact:
 
     def test_budget_cut_before_lex_least_keeps_construction(self):
         # the deterministic scan first searches n=44, the construction's
-        # n, for the lex-least certificate; that takes 121 nodes and 62
+        # n, for the lex-least certificate; that takes 121 nodes and 56
         # probes, so a budget of 100 runs out there and the free
         # construction stays
         spec = ProblemSpec(k=10, r=5)
@@ -452,11 +452,11 @@ class TestSolveExact:
         assert outcome.exhausted
         assert (outcome.stats.nodes, outcome.stats.probes) == (38, 47)
 
-    @pytest.mark.parametrize("budget,found", ((2850, 30), (3000, 31)))
+    @pytest.mark.parametrize("budget,found", ((2200, 30), (3000, 31)))
     def test_budget_runs_out_in_a_later_window(self, budget, found):
         # the deterministic S_z(6,6) scan searches one window from the
-        # construction's n = 28, and exhausts 32 after 7,877 steps.  A
-        # budget of 2,850 runs out after it found the lex-least coloring
+        # construction's n = 28, and exhausts 32 after 6,536 steps.  A
+        # budget of 2,200 runs out after it found the lex-least coloring
         # of 30, and one of 3,000 after it found that of 31: the
         # certificate is the last level found inside the window, and the
         # budget is spent exactly
@@ -484,7 +484,7 @@ class TestSolveExact:
         assert windows == []
 
     def test_budgeted_redo_finds_the_lex_least_certificate(self):
-        # the lex-least search at n=44 takes 121 nodes and 32 probes, so
+        # the lex-least search at n=44 takes 121 nodes and 56 probes, so
         # a 500k budget derives the lex-least certificate
         spec = ProblemSpec(k=10, r=5)
         result = solve_exact(spec, SearchConfig(max_nodes=500_000,
@@ -508,7 +508,7 @@ class TestSolveExact:
                 == (seq.stats.nodes, seq.stats.prunes, seq.stats.probes))
 
     def test_budget_is_exact_under_threads(self):
-        # S_z(12,4) now settles in 688 steps (nodes plus probes), so the
+        # S_z(12,4) now settles in 171 steps (nodes plus probes), so the
         # budgets run out on S_z(12,6) instead
         spec = ProblemSpec(k=12, r=6)
         outcome = find_free_coloring(68, spec, SearchConfig(max_nodes=50,
