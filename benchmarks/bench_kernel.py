@@ -112,11 +112,11 @@ from zschur import (
     ProblemSpec,
     SearchConfig,
     _kernel_py,
+    construct,
     find_zero_sum_solution,
     solve_exact,
 )
 from zschur.checker import _lex_least_parts
-from zschur.constructions import construct_even
 
 #: Start-check workloads: (n, k, r) of the construction padded with
 #: zeros to n, and the least target the check must return.
@@ -127,7 +127,7 @@ START = {
 
 
 def padded_values(n, k, r):
-    prefix = construct_even(k, r)
+    prefix = construct(k, r)
     return prefix.values + (0,) * (n - prefix.n)
 
 
@@ -162,7 +162,7 @@ def random_values(seed, n, r):
 def mid_values(seed, k, r):
     """The first 1.5k colors of the construction and a seeded random
     tail to n = kr."""
-    prefix = construct_even(k, r).values[:3 * k // 2]
+    prefix = construct(k, r).values[:3 * k // 2]
     return prefix + random_values(seed, k * r - len(prefix), r)
 
 
@@ -191,7 +191,7 @@ DECIDE = {
 
 
 def decide_args(k, r):
-    values = construct_even(k, r).values
+    values = construct(k, r).values
     return (values, len(values), k, r)
 
 

@@ -15,14 +15,7 @@ from .checker import (
     find_zero_sum_solution,
     is_solution_free,
 )
-from .constructions import (
-    AllowedSet,
-    allowed_set_even,
-    allowed_set_odd,
-    construct,
-    construct_even,
-    construct_odd,
-)
+from .constructions import construct
 from .core import (
     INF,
     BoundEntry,
@@ -55,7 +48,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllowedSet",
     "BoundEntry",
     "BoundsReport",
     "Coloring",
@@ -71,12 +63,8 @@ __all__ = [
     "SearchStats",
     "SolveStatus",
     "Witness",
-    "allowed_set_even",
-    "allowed_set_odd",
     "brute_force_oracle",
     "construct",
-    "construct_even",
-    "construct_odd",
     "factorize",
     "find_free_coloring",
     "find_zero_sum_solution",

@@ -222,6 +222,15 @@ class _OutOfBudget(Exception):
     or the deadline before a forced value."""
 
 
+def _comb(period: int, size: int) -> int:
+    """Bit 0 of every ``period``-bit group of a ``size``-bit row."""
+    ones, span = 1, period  # bit 0 of every group in the low span bits
+    while span < size:
+        ones |= ones << span
+        span *= 2
+    return ones & ((1 << size) - 1)
+
+
 class Geometry:
     """Bit layout of the search's tables: r color blocks of sums 0..sum_cap.
 
@@ -239,11 +248,7 @@ class Geometry:
         self.width = width
         self.size = r * width
         self.full = (1 << self.size) - 1
-        ones, span = 1, width  # bit 0 of every block in the low span bits
-        while span < self.size:
-            ones |= ones << span
-            span *= 2
-        self.ones = ones & self.full
+        self.ones = _comb(width, self.size)
 
 
 def new_table(k: int) -> list[int]:
@@ -304,7 +309,7 @@ class CheckerGeometry:
     The stay mask of a color (:meth:`stay`) is built on first use and
     kept for at most k colors, so the masks never hold more bits than the
     table's k rows; they are built from one more row-wide int, bit 0 of
-    every sum's group, kept once the first mask needs it.
+    every sum's group.
     """
 
     __slots__ = ("r", "sum_cap", "size", "_kept", "_stay", "_ones")
@@ -315,7 +320,7 @@ class CheckerGeometry:
         self.size = r * (sum_cap + 1)
         self._kept = k
         self._stay = {}
-        self._ones = 0
+        self._ones = _comb(r, self.size)
 
     def stay(self, cv: int) -> int:
         """The bits of colors c < r - cv in every sum's group: those that
@@ -323,13 +328,6 @@ class CheckerGeometry:
         mask = self._stay.get(cv)
         if mask is None:
             ones = self._ones
-            if not ones:  # bit 0 of every group, built with the first mask
-                ones, span = 1, self.r
-                while span < self.size:
-                    ones |= ones << span
-                    span *= 2
-                ones &= (1 << self.size) - 1
-                self._ones = ones
             mask = (ones << (self.r - cv)) - ones
             if len(self._stay) < self._kept:
                 self._stay[cv] = mask

@@ -167,7 +167,9 @@ def main(argv: list[str] | None = None) -> int:
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:
+    except (MemoryError, OverflowError):
+        # OverflowError: an int too wide to build at all, such as a table
+        # row for a color near a header r of 10**21
         print("error: out of memory: the parameters are too large", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,8 +19,13 @@ even r, step-one families for a <= r-2, plus one extra pair
 All sets are taken mod r.  Both the permitted and the forbidden family
 grow with the level, so only the binding levels matter: the smallest
 applicable level A = ceil(m/(k-1)) for permitted, the largest applicable
-level B = floor(m/(k-1)) for forbidden.  That nesting gives O(1) set
-construction per position and is unit-tested directly.
+level B = floor(m/(k-1)) for forbidden.  That nesting lets
+``_odd_families`` and ``_even_families`` build one set pair per
+position.  tests/test_constructions.py checks those pairs at single
+positions and the nesting itself, and checks every construction color
+against the level-by-level families of
+``verification.odd_property_violations`` and
+``even_property_violations``, which share no code with this module.
 
 The two families can only conflict at the tie positions m = a(k-1),
 where both sets have a elements.  There they coincide exactly when
@@ -66,23 +71,8 @@ odd, and S != 0.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .core import Coloring, ConstructionContradictionError, check_parameters
-
-
-@dataclass(frozen=True)
-class AllowedSet:
-    """Residue constraints at one position: permitted, forbidden, pick.
-
-    ``chosen`` is the minimum residue of permitted minus forbidden; the
-    constructions only need some allowed color, and taking the minimum
-    makes every output reproducible.
-    """
-
-    permitted: frozenset[int]
-    forbidden: frozenset[int]
-    chosen: int
 
 
 def _odd_families(m: int, k: int, r: int) -> tuple[set[int], set[int]]:
@@ -123,51 +113,16 @@ def _choose(permitted: set[int], forbidden: set[int],
     return min(allowed)
 
 
-def _allowed_set(families, m: int, k: int, r: int) -> AllowedSet:
-    permitted, forbidden = families(m, k, r)
-    return AllowedSet(permitted=frozenset(permitted),
-                      forbidden=frozenset(forbidden),
-                      chosen=_choose(permitted, forbidden, m, k, r))
-
-
-def allowed_set_odd(m: int, k: int, r: int) -> AllowedSet:
-    """Allowed colors at position m for the odd-r construction.
-
-    Binding levels: A = ceil(m/(k-1)) for the permitted family,
-    B = floor(m/(k-1)) for the forbidden family (empty when B = 0).
-    Callers are expected to pass odd r; even r is not rejected up front
-    but surfaces as ConstructionContradictionError at the first position
-    whose allowed set collapses.
-    """
-    check_parameters(k, r)
-    if not 1 <= m <= k * r - r - 1:
-        raise ValueError(f"m={m} outside [1, {k * r - r - 1}]")
-    return _allowed_set(_odd_families, m, k, r)
-
-
-def allowed_set_even(m: int, k: int, r: int) -> AllowedSet:
-    """Allowed colors at position m for the even-r construction.
-
-    The step-one families only run up to level r-2; past them the extra
-    pair takes over: a width-(r-1) permitted set while
-    m <= (r-1)(k-1) - 1, no permitted constraint at all (full palette)
-    beyond, and the width-(r-1) forbidden set once m >= (r-1)(k-1).
-    For r = 2 the step-one families are empty and only the extra pair
-    applies.
-    """
-    check_parameters(k, r)
-    if not 1 <= m <= k * r - r - 2:
-        raise ValueError(f"m={m} outside [1, {k * r - r - 2}]")
-    return _allowed_set(_even_families, m, k, r)
-
-
 def construction_colors(k: int, r: int) -> Iterator[int]:
     """The colors of 1..kr-r-1 (odd r) or 1..kr-r-2 (even r), one at a time.
 
-    Each is the ``chosen`` color of :func:`allowed_set_odd` or
-    :func:`allowed_set_even`, from the same residue families but with
-    no per-position AllowedSet.  A caller with a deadline can stop
-    between positions.
+    Each is the least residue that the binding families of its
+    position allow: permitted minus forbidden, from ``_odd_families``
+    for odd r and ``_even_families`` for even r (for r = 2 only the
+    even construction's extra pair applies).  Taking the least makes
+    every output reproducible.  Where the families leave no residue,
+    ConstructionContradictionError is raised at that position.  A
+    caller with a deadline can stop between positions.
     """
     check_parameters(k, r)
     families = _odd_families if r % 2 else _even_families
@@ -202,22 +157,7 @@ def binary_construction_colors(k: int, r: int) -> Iterator[int]:
     return (0 if m <= k - 2 else 1 for m in range(1, r * k - 2 * r + 1))
 
 
-def construct_odd(k: int, r: int) -> Coloring:
-    """The solution-free coloring of [1..kr-r-1] for odd r >= 3."""
-    check_parameters(k, r)
-    if r % 2 == 0:
-        raise ValueError(f"odd construction needs odd r >= 3, got r={r}")
-    return Coloring.of(construction_colors(k, r), r)
-
-
-def construct_even(k: int, r: int) -> Coloring:
-    """The solution-free coloring of [1..kr-r-2] for even r >= 2."""
-    check_parameters(k, r)
-    if r % 2 == 1:
-        raise ValueError(f"even construction needs even r >= 2, got r={r}")
-    return Coloring.of(construction_colors(k, r), r)
-
-
 def construct(k: int, r: int) -> Coloring:
-    """Parity dispatch: the certified coloring for any k >= 3 and r >= 2."""
-    return construct_odd(k, r) if r % 2 else construct_even(k, r)
+    """The certified coloring of :func:`construction_colors` for any
+    k >= 3 and r >= 2."""
+    return Coloring.of(construction_colors(k, r), r)

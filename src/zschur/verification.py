@@ -107,12 +107,12 @@ def _check_construction_grid(grid, build, n_of) -> str:
 
 def check_constructions_odd() -> str:
     return _check_construction_grid(
-        ODD_GRID, constructions.construct_odd, lambda k, r: k * r - r - 1)
+        ODD_GRID, constructions.construct, lambda k, r: k * r - r - 1)
 
 
 def check_constructions_even() -> str:
     return _check_construction_grid(
-        EVEN_GRID, constructions.construct_even, lambda k, r: k * r - r - 2)
+        EVEN_GRID, constructions.construct, lambda k, r: k * r - r - 2)
 
 
 def check_constructions_binary() -> str:
@@ -171,11 +171,11 @@ def even_property_violations(chi: Coloring, k: int, r: int) -> list[str]:
 def check_construction_properties() -> str:
     checked = 0
     for k, r in ODD_GRID:
-        bad = odd_property_violations(constructions.construct_odd(k, r), k, r)
+        bad = odd_property_violations(constructions.construct(k, r), k, r)
         _require(not bad, f"odd ({k},{r}): {bad[:3]}")
         checked += 1
     for k, r in EVEN_GRID:
-        bad = even_property_violations(constructions.construct_even(k, r), k, r)
+        bad = even_property_violations(constructions.construct(k, r), k, r)
         _require(not bad, f"even ({k},{r}): {bad[:3]}")
         checked += 1
     return f"colorings={checked} violations=0"
@@ -294,7 +294,7 @@ def check_checker_performance() -> str:
     spec = ProblemSpec(k=50, r=10)
     # Worst case: a construction prefix is free, so the pass cannot stop
     # before position 489 and feeds nearly every value of [1..500].
-    prefix = constructions.construct_even(50, 10)
+    prefix = constructions.construct(50, 10)
     chi = Coloring(n=500, r=10, values=prefix.values + (0,) * (500 - prefix.n))
     start = monotonic()
     witness = find_zero_sum_solution(chi, spec)
@@ -320,7 +320,7 @@ def check_checker_performance() -> str:
 
 def check_four_color_certificate() -> str:
     start = monotonic()
-    chi = constructions.construct_even(8, 4)
+    chi = constructions.construct(8, 4)
     spec = ProblemSpec(k=8, r=4)
     _require(chi.n == 26, f"expected domain 26, got {chi.n}")
     _require(is_solution_free(chi, spec), "construction admits a solution")

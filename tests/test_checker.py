@@ -13,7 +13,6 @@ from zschur import (
     Witness,
     brute_force_oracle,
     construct,
-    construct_odd,
     find_zero_sum_solution,
     is_solution_free,
     validate_witness,
@@ -47,7 +46,7 @@ def test_known_free_coloring():
 
 def test_construction_is_free_per_checker_and_oracle():
     spec = ProblemSpec(k=6, r=3)
-    chi = construct_odd(6, 3)
+    chi = construct(6, 3)
     assert is_solution_free(chi, spec)
     assert brute_force_oracle(chi, spec) is None
 
@@ -89,7 +88,7 @@ def test_oracle_equivalence_and_lexicographic_witness():
     # its least target at exactly n = 15
     spec = ProblemSpec(k=6, r=3)
     for c in range(3):
-        chi = Coloring.of(construct_odd(6, 3).values + (c,), 3)
+        chi = Coloring.of(construct(6, 3).values + (c,), 3)
         fast = find_zero_sum_solution(chi, spec)
         assert fast is not None and fast.target == chi.n == 15
         assert fast == brute_force_oracle(chi, spec)

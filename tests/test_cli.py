@@ -1,6 +1,6 @@
 import pytest
 
-from zschur import Coloring, construct_odd, format_coloring, parse_coloring
+from zschur import Coloring, construct, format_coloring, parse_coloring
 from zschur import verification
 from zschur.cli import main
 
@@ -89,7 +89,7 @@ class TestConstruct:
 class TestCheck:
     def test_free_roundtrip(self, capsys, tmp_path):
         f = tmp_path / "c.txt"
-        f.write_text(format_coloring(construct_odd(6, 3), 6))
+        f.write_text(format_coloring(construct(6, 3), 6))
         code, out, _ = run_cli(capsys, "check", str(f), "--k", "6")
         assert code == 0
         assert out.strip() == "FREE"
@@ -110,7 +110,7 @@ class TestCheck:
 
     def test_header_mismatch_warns(self, capsys, tmp_path):
         f = tmp_path / "c.txt"
-        f.write_text(format_coloring(construct_odd(6, 3), 6))
+        f.write_text(format_coloring(construct(6, 3), 6))
         code, out, err = run_cli(capsys, "check", str(f), "--k", "7")
         assert "warning" in err
         # the k=7 query against the k=6 construction is a different question;
@@ -119,7 +119,7 @@ class TestCheck:
 
     def test_invalid_k_exits_without_warning(self, capsys, tmp_path):
         f = tmp_path / "c.txt"
-        f.write_text(format_coloring(construct_odd(6, 3), 6))
+        f.write_text(format_coloring(construct(6, 3), 6))
         code, out, err = run_cli(capsys, "check", str(f), "--k", "2")
         assert code == 2
         assert "k must be >= 3" in err
@@ -135,18 +135,20 @@ class TestCheck:
     def test_huge_header_r(self, capsys, tmp_path):
         # colors up to c_max need only k*c_max + 1 residues, so a huge
         # header r with small colors is checked at once.  A color near
-        # r = 10**18 needs table rows that cannot be held, which is
-        # invalid input, not a witness
+        # r = 10**18 needs table rows that cannot be held (MemoryError),
+        # and near r = 10**21 rows whose width overflows before anything
+        # is allocated (OverflowError): invalid input, not a witness
         f = tmp_path / "big.txt"
         for r in (10**6, 10**18):
             f.write_text(f"3 3 {r}\n0 0 0\n")
             code, out, _ = run_cli(capsys, "check", str(f))
             assert code == 1, r
             assert out.strip() == "WITNESS target= 2 parts= 1 1"
-        f.write_text(f"3 3 {10**18}\n0 0 {10**18 - 1}\n")
-        code, out, err = run_cli(capsys, "check", str(f))
-        assert code == 2
-        assert out == "" and "out of memory" in err
+        for r in (10**18, 10**21):
+            f.write_text(f"3 3 {r}\n0 0 {r - 1}\n")
+            code, out, err = run_cli(capsys, "check", str(f))
+            assert code == 2, r
+            assert out == "" and "out of memory" in err, r
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "check", "/nonexistent/file.txt")
@@ -154,7 +156,7 @@ class TestCheck:
 
     def test_injected_fault_is_caught(self, capsys, tmp_path):
         # flip one residue of a certified coloring; the checker must object
-        chi = construct_odd(6, 3)
+        chi = construct(6, 3)
         broken = list(chi.values)
         broken[5] = (broken[5] + 1) % 3  # position 6 leaves its allowed set
         f = tmp_path / "broken.txt"

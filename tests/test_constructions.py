@@ -1,19 +1,20 @@
 import pytest
 
 from zschur import (
-    AllowedSet,
     Coloring,
     ConstructionContradictionError,
     ProblemSpec,
-    allowed_set_even,
-    allowed_set_odd,
     brute_force_oracle,
     construct,
-    construct_even,
-    construct_odd,
     is_solution_free,
 )
-from zschur.constructions import binary_construction_colors, diagonal_colors
+from zschur.constructions import (
+    _choose,
+    _even_families,
+    _odd_families,
+    binary_construction_colors,
+    diagonal_colors,
+)
 from zschur.verification import (
     BINARY_GRID,
     EVEN_GRID,
@@ -27,61 +28,33 @@ from zschur.verification import (
 GOLDEN_ODD_6_3 = (1, 2, 0, 1, 2, 2, 0, 2, 2, 1, 0, 2, 1, 0)
 
 
+def allowed(families, m, k, r):
+    """The permitted and forbidden residues at m, and the color chosen."""
+    permitted, forbidden = families(m, k, r)
+    return permitted, forbidden, _choose(permitted, forbidden, m, k, r)
+
+
 class TestAllowedSetOdd:
     def test_first_position_singleton(self):
-        got = allowed_set_odd(1, 6, 3)
-        assert got == AllowedSet(permitted=frozenset({1}),
-                                 forbidden=frozenset(), chosen=1)
+        assert allowed(_odd_families, 1, 6, 3) == ({1}, set(), 1)
 
     def test_boundary_position(self):
         # m = k-1: both binding levels are 1
-        got = allowed_set_odd(5, 6, 3)
-        assert got.permitted == {2}
-        assert got.forbidden == {1}
-        assert got.chosen == 2
+        assert allowed(_odd_families, 5, 6, 3) == ({2}, {1}, 2)
 
     def test_past_boundary(self):
-        got = allowed_set_odd(6, 6, 3)
-        assert got.permitted == {0, 2}
-        assert got.forbidden == {0}
-        assert got.chosen == 2
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            allowed_set_odd(0, 6, 3)
-        with pytest.raises(ValueError):
-            allowed_set_odd(15, 6, 3)  # domain is [1..14]
-
-    def test_contradiction_on_even_modulus(self):
-        # with r=2 the permitted and forbidden singletons collide at m=k-1
-        with pytest.raises(ConstructionContradictionError):
-            allowed_set_odd(2, 3, 2)
+        assert allowed(_odd_families, 6, 6, 3) == ({0, 2}, {0}, 2)
 
 
 class TestAllowedSetEven:
     def test_first_position_singleton(self):
-        got = allowed_set_even(1, 8, 4)
-        assert got.permitted == {1}
-        assert got.forbidden == frozenset()
-        assert got.chosen == 1
+        assert allowed(_even_families, 1, 8, 4) == ({1}, set(), 1)
 
     def test_two_colors_uses_wide_pair_only(self):
-        got = allowed_set_even(2, 4, 2)
-        assert got.permitted == {0}
-        assert got.forbidden == frozenset()
-        assert got.chosen == 0
+        assert allowed(_even_families, 2, 4, 2) == ({0}, set(), 0)
 
     def test_full_palette_past_cutoff(self):
-        got = allowed_set_even(3, 4, 2)
-        assert got.permitted == {0, 1}
-        assert got.forbidden == {1}
-        assert got.chosen == 0
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            allowed_set_even(0, 8, 4)
-        with pytest.raises(ValueError):
-            allowed_set_even(27, 8, 4)  # domain is [1..26]
+        assert allowed(_even_families, 3, 4, 2) == ({0, 1}, {1}, 0)
 
 
 def test_binding_levels_are_nested():
@@ -102,7 +75,7 @@ def test_binding_levels_are_nested():
 
 
 def test_construct_odd_6_3_golden():
-    chi = construct_odd(6, 3)
+    chi = construct(6, 3)
     assert chi.n == 14
     assert chi.values == GOLDEN_ODD_6_3
     assert chi.color(1) == 1 and chi.color(5) == 2 and chi.color(6) == 2
@@ -112,34 +85,27 @@ def test_construct_odd_6_3_golden():
 
 
 def test_construct_even_4_2_golden():
-    chi = construct_even(4, 2)
+    chi = construct(4, 2)
     assert chi.values == (1, 0, 0, 1)
     assert is_solution_free(chi, ProblemSpec(k=4, r=2))
 
 
 def test_construct_even_8_4():
-    chi = construct_even(8, 4)
+    chi = construct(8, 4)
     assert chi.n == 26
     assert is_solution_free(chi, ProblemSpec(k=8, r=4))
 
 
 def test_construct_domain_sizes():
-    assert construct_odd(10, 5).n == 44
-    assert construct_even(8, 4).n == 26
+    assert construct(10, 5).n == 44
+    assert construct(8, 4).n == 26
     assert construct(6, 3).n == 14
     assert construct(4, 2).n == 4
 
 
-def test_parity_preconditions():
-    with pytest.raises(ValueError):
-        construct_odd(6, 4)
-    with pytest.raises(ValueError):
-        construct_even(8, 3)
-
-
 @pytest.mark.parametrize("build,k,r,message", [
-    (construct_even, 2, 2, "k must be >= 3, got 2"),  # once the empty coloring
-    (construct_odd, 1, 3, "k must be >= 3, got 1"),  # once "n must be >= 0"
+    (construct, 2, 2, "k must be >= 3, got 2"),  # once the empty coloring
+    (construct, 1, 3, "k must be >= 3, got 1"),  # once "n must be >= 0"
     (construct, 1, 2, "k must be >= 3, got 1"),
     (construct, 6, 1, "r must be >= 2, got 1"),
 ])
@@ -150,14 +116,14 @@ def test_parameters_checked_before_building(build, k, r, message):
 
 @pytest.mark.parametrize("k,r", ODD_GRID)
 def test_odd_grid_free(k, r):
-    chi = construct_odd(k, r)
+    chi = construct(k, r)
     assert chi.n == k * r - r - 1
     assert is_solution_free(chi, ProblemSpec(k=k, r=r))
 
 
 @pytest.mark.parametrize("k,r", EVEN_GRID)
 def test_even_grid_free(k, r):
-    chi = construct_even(k, r)
+    chi = construct(k, r)
     assert chi.n == k * r - r - 2
     assert is_solution_free(chi, ProblemSpec(k=k, r=r))
 
@@ -168,27 +134,28 @@ def test_odd_construction_collapses_at_k_congruent_one(r):
     # the permitted and forbidden singletons at m = k-1 both {k-1 mod r}.
     # (The boundary non-emptiness argument silently translates m = a(k-1)
     # to -a, which needs r | k.)
-    with pytest.raises(ConstructionContradictionError):
-        construct_odd(r + 1, r)
+    with pytest.raises(ConstructionContradictionError,
+                       match=f"^no allowed color at m={r} "):
+        construct(r + 1, r)
 
 
 @pytest.mark.parametrize("k,r", ((6, 9), (12, 9), (15, 9)))
 def test_odd_construction_free_without_divisibility(k, r):
     # no r | k hypothesis is needed for freeness itself: whenever the
     # allowed sets stay nonempty (here gcd(k, r) = 3), the result is free
-    chi = construct_odd(k, r)
+    chi = construct(k, r)
     assert chi.n == k * r - r - 1
     assert is_solution_free(chi, ProblemSpec(k=k, r=r))
 
 
 @pytest.mark.parametrize("k,r", ODD_GRID)
 def test_odd_property_conformance(k, r):
-    assert odd_property_violations(construct_odd(k, r), k, r) == []
+    assert odd_property_violations(construct(k, r), k, r) == []
 
 
 @pytest.mark.parametrize("k,r", EVEN_GRID)
 def test_even_property_conformance(k, r):
-    assert even_property_violations(construct_even(k, r), k, r) == []
+    assert even_property_violations(construct(k, r), k, r) == []
 
 
 def test_boundary_sets_never_equal():
@@ -208,19 +175,20 @@ def test_boundary_sets_never_equal():
             assert permitted != forbidden, (k, r, a)
 
 
-def test_every_position_respects_its_allowed_set():
-    for k, r in ((6, 3), (10, 5)):
-        chi = construct_odd(k, r)
+def test_every_color_is_the_least_allowed():
+    # the independent level-by-level families of verification: at every
+    # position, each residue below the chosen color breaks one of them
+    for k, r in ((6, 3), (10, 5), (15, 5), (4, 2), (8, 4), (12, 6)):
+        violations = (odd_property_violations if r % 2
+                      else even_property_violations)
+        chi = construct(k, r)
         for m in range(1, chi.n + 1):
-            allowed = allowed_set_odd(m, k, r)
-            assert chi.color(m) == allowed.chosen
-            assert chi.color(m) in allowed.permitted - allowed.forbidden
-    for k, r in ((4, 2), (8, 4)):
-        chi = construct_even(k, r)
-        for m in range(1, chi.n + 1):
-            allowed = allowed_set_even(m, k, r)
-            assert chi.color(m) == allowed.chosen
-            assert chi.color(m) in allowed.permitted - allowed.forbidden
+            for c in range(chi.color(m)):
+                prefix = Coloring.of(chi.values[:m - 1] + (c,), r)
+                bad = violations(prefix, k, r)
+                assert bad, (k, r, m, c)
+                assert all(v.startswith((f"m={m} ", f"m={m}:"))
+                           for v in bad), (k, r, m, c, bad)
 
 
 def binary_construction(k, r):

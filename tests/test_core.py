@@ -1,6 +1,5 @@
 import random
 import re
-from functools import partial
 
 import pytest
 
@@ -12,11 +11,7 @@ from zschur import (
     Palette,
     ProblemSpec,
     Witness,
-    allowed_set_even,
-    allowed_set_odd,
     construct,
-    construct_even,
-    construct_odd,
     format_coloring,
     format_value,
     format_witness,
@@ -176,14 +171,8 @@ def test_coloring_parse_errors(text, message, tmp_path, capsys):
     (ProblemSpec, ValueError),
     (theoretical_bounds, ValueError),
     (construct, ValueError),
-    (construct_odd, ValueError),
-    (construct_even, ValueError),
-    (partial(allowed_set_odd, 1), ValueError),
-    (partial(allowed_set_even, 1), ValueError),
     (lambda k, r: parse_coloring(f"1 {k} {r}\n0\n"), ColoringFormatError),
-], ids=["ProblemSpec", "theoretical_bounds", "construct", "construct_odd",
-        "construct_even", "allowed_set_odd", "allowed_set_even",
-        "parse_coloring"])
+], ids=["ProblemSpec", "theoretical_bounds", "construct", "parse_coloring"])
 def test_one_rule_for_k_and_r(build, error, k, r, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build(k, r)
