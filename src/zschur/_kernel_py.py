@@ -34,11 +34,12 @@ checker's tables (:func:`exact_table`) make the zero-row cut alone and
 stay exact in every row.
 
 The search and the checker pack the pairs in two layouts, each for the
-way it reads and grows its tables.  Only this module knows them; other
-modules build and read the search's tables through :class:`Geometry`,
-:func:`add_value` and :func:`cell`, and the checker's through
-:class:`CheckerGeometry`, :func:`least_target`, :func:`exact_table` and
-:func:`checker_cell`.
+way it reads and grows its tables.  Only this module knows them.  The
+search's tables never leave :func:`search_free_coloring`; :func:`cell`
+reads one of their pairs for the tests alone.  The checker reads its
+tables through :class:`CheckerGeometry`, :func:`zero_sum_table` and
+:func:`checker_cell`, and the solver's check of its start calls
+:func:`least_target`.
 
 Search tables
 -------------
@@ -101,6 +102,13 @@ descending order: at value v, row j holds only sums of at least j*v.
 Those are the low bits of the int, and a Python int stores no leading
 zeros, so the rows grow shorter as j grows and the step works on
 shorter ints than a row of every block.
+
+The search keeps its own layout for its memory.  The search run on the
+checker's layout kept every node and probe count, and perfbench's
+``solve`` and ``check`` moved only within noise, but the ten-node
+``find_free_coloring(3000, ProblemSpec(60, 30))`` of
+``test_short_search_stays_small`` peaked at 6.85 MiB instead of
+0.09 MiB, past that test's 4 MiB bound (2-vCPU VM, Python 3.11.7).
 
 One table decides many targets at once.  A sum-T solution has k-1 parts
 that are each at least 1, so no part exceeds T-k+2, and a value above
@@ -473,7 +481,11 @@ def close(rows: list[int], forced: int, pos: int, n: int, palette,
     fails the probe, and a row that forces no target passes it.  Only a
     probe whose row forces a target copies the table and closes the
     copy.  The verdicts, and so the removals and the calls of
-    ``charge``, are those of closing a copy for every probe.
+    ``charge``, are those of closing a copy for every probe.  The trial
+    row's steps are written out here: computing it with
+    :func:`add_value` on ``rows[start:]`` raised perfbench ``solve``
+    ``wall_ref`` from 0.309 to 0.324, medians of 6 alternating pairs, all
+    6 worse (2-vCPU VM, Python 3.11.7).
 
     Returns the new forced mask, or None when some target in (pos, n]
     has no color left (a wipe-out).

@@ -25,6 +25,10 @@ Known results, writing b = S_z(k, r):
   odd k = r scans from it.
 * two-color variant, r | k, k > r: exactly rk - 2r + 1
   (Robertson, Roy, Sarkar).
+* two-color variant, k = r: b >= rk - 2r + 1 = r^2 - 2r + 1, from the
+  coloring of constructions.binary_construction_colors, whose freeness
+  proof in that module's docstring holds at k = r too; no upper bound
+  is known there.
 
 Everything else is left at the trivial floor k - 1 (no solution fits in
 [1..k-2]) and an infinite ceiling.
@@ -111,7 +115,8 @@ def theoretical_bounds(k: int, r: int,
             entries = [BoundEntry("exact", r * k - 2 * r + 1,
                                   "robertson-roy-sarkar-two-color-palette")]
         else:
-            entries = []  # k = r: only the trivial floor and ceiling
+            entries = [BoundEntry("lower", r * k - 2 * r + 1,
+                                  "two-color-construction")]
     else:
         entries = _full_palette_entries(k, r)
 

@@ -38,14 +38,17 @@ picking a forbidden color.
 
 The two-color variant (colors 0 and 1 only) has a simpler certificate:
 color 0 on [1..k-2] and 1 on [k-1..rk-2r].  It is free, which proves
-the variant's S_z(k, r) >= rk - 2r + 1, its exact value for k > r.  The
-color sum of a solution is the number of its entries colored 1, so a
-zero-sum solution has none or at least r.  None is impossible: the
-target, a sum of k-1 parts, is at least k-1, so it is colored 1.  r or
-more needs k >= r, and at most one of those entries is the target, so
-at least r-1 parts are at least k-1 and the other k-r parts at least 1;
-the target is then at least (r-1)(k-1) + k-r = rk - 2r + 1, outside the
-domain.
+the variant's S_z(k, r) >= rk - 2r + 1 for every k >= r: its exact
+value for k > r, and a lower bound alone at k = r.  The color sum of a
+solution is the number of its entries colored 1, so a zero-sum solution
+has none or at least r.  None is impossible: the target, a sum of k-1
+parts, is at least k-1, so it is colored 1.  r or more needs k >= r,
+and at most one of those entries is the target, so at least r-1 parts
+are at least k-1 and the other k-r parts at least 1; the target is then
+at least (r-1)(k-1) + k-r = rk - 2r + 1, outside the domain.  That
+holds at k = r too: there all k entries are colored 1, so the target, a
+sum of r-1 parts of at least r-1 each, is at least (r-1)^2, past
+r^2 - 2r.
 
 For odd k = r there is a longer certificate, the diagonal coloring of
 [1..N], N = 2k^2 - 2k - 3: odd m get color 0, even m get color 1 when

@@ -66,6 +66,13 @@ answer is still the level the search exhausts, and a free coloring
 found at the window's end starts the next window, so exactness is
 independently re-derived.  Every window gets the solve's one absolute
 deadline and the node budget the windows before it left.
+
+Going on from level to level inside a window is what keeps the scans
+short.  A scan of one-level windows, each level searched from the empty
+coloring, searches again at each level the part of the tree that lies
+before the lex-least coloring of the level below: deterministic
+S_z(12,6) took 8,808 nodes instead of 3,721 that way, and S_z(10,10)
+45,316 instead of 23,858.
 """
 
 from __future__ import annotations

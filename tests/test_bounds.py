@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from zschur import INF, Palette, factorize, is_prime, theoretical_bounds
+from zschur import (INF, Palette, ProblemSpec, factorize, is_prime,
+                    solve_exact, theoretical_bounds)
 
 
 def test_factorize_examples():
@@ -67,10 +68,19 @@ def test_two_color_variant_exact():
     assert (rep.lower, rep.upper, rep.exact) == (6 * 12 - 12 + 1, 61, True)
 
 
-def test_two_color_diagonal_is_trivial():
+def test_two_color_diagonal_has_the_construction_floor():
+    # binary_construction_colors(k, k) is free on r^2 - 2r positions, so
+    # k = r gets the construction's lower bound and no upper bound; the
+    # deterministic solve settles k = 3..8 at or above it
     rep = theoretical_bounds(4, 4, Palette.BINARY)
-    assert rep.entries == ()
-    assert rep.lower == 3 and rep.upper == INF and not rep.exact
+    assert [(e.kind, e.value, e.source) for e in rep.entries] == [
+        ("lower", 9, "two-color-construction")]
+    assert rep.lower == 9 and rep.upper == INF and not rep.exact
+    for k in range(3, 9):
+        spec = ProblemSpec(k, k, Palette.BINARY)
+        lower = theoretical_bounds(k, k, Palette.BINARY).lower
+        assert lower == k * k - 2 * k + 1
+        assert solve_exact(spec).value >= lower, k
 
 
 def test_robertson_two_colors():

@@ -34,6 +34,14 @@ class TestBounds:
         assert code == 0
         assert "lower=25 upper=25 exact=true" in out
 
+    def test_binary_diagonal(self, capsys):
+        # the two-color construction is free on [1..15] at k = r = 5
+        code, out, _ = run_cli(capsys, "bounds", "--k", "5", "--r", "5",
+                               "--variant", "binary")
+        assert code == 0
+        assert "lower 16 two-color-construction" in out
+        assert "lower=16 upper=inf exact=false" in out
+
     def test_invalid_parameters(self, capsys):
         # an r above 10**12 is refused: trial division of this prime
         # would run for minutes

@@ -37,15 +37,14 @@ def naive_first_target(values, n, k, r):
                  if (t, -values[t - 1] % r) in reach), 0)
 
 
-def brute_force_search(n, k, r, palette, fix_first, canonical_mask,
-                       prefix=()):
+def brute_force_search(n, k, r, palette, fix_first, canonical_mask):
     """(status, coloring) the kernel's search must return.
 
-    Enumerates the colorings of [1..n] that start with ``prefix`` in
-    ascending order, applying the filters (fix_first at position 1, the
-    canonical mask on the first nonzero color), and returns the first
-    free one.  A partial coloring is abandoned as soon as it has a
-    solution, since no completion of it is then free.
+    Enumerates the colorings of [1..n] in ascending order, applying the
+    filters (fix_first at position 1, the canonical mask on the first
+    nonzero color), and returns the first free one.  A partial coloring
+    is abandoned as soon as it has a solution, since no completion of it
+    is then free.
     """
     def first_free(colors):
         if naive_first_target(colors, len(colors), k, r):
@@ -63,7 +62,7 @@ def brute_force_search(n, k, r, palette, fix_first, canonical_mask,
                 return found
         return None
 
-    found = first_free(list(prefix))
+    found = first_free([])
     if found is None:
         return (_kernel_py.EXHAUSTED, None)
     return (_kernel_py.FOUND, found)
@@ -102,7 +101,7 @@ def naive_last_rows(values, k, r, n):
         yield set(reach[k - 1])
 
 
-def test_reach_pass_last_row_with_dead_rows():
+def test_rising_low_keeps_the_last_row_exact():
     # add_value with a rising low, as the search's is: every value from
     # 1 to n with low = v.  Past v = n/(k-1) the low rows are dead and
     # skipped, and rows stop at the first zero row, yet the last row must
@@ -314,6 +313,18 @@ def test_resumed_search_matches_scratch(k, r, palette):
                     assert cut[1] == scratch[len(cut[1])][1]
 
 
+def test_window_bounds():
+    # n_max below n is refused; a window from n = 0 counts the empty
+    # coloring as level 0 and runs as the window from 1
+    args = (6, 3, (0, 1, 2), 0b010)
+    with pytest.raises(ValueError, match="n_max=4 is below n=5"):
+        _kernel_py.search_free_coloring(5, *args, None, None, 4)
+    for n_max in (1, 2, 8, 14, 15, 20):
+        got = _kernel_py.search_free_coloring(0, *args, None, None, n_max)
+        want = _kernel_py.search_free_coloring(1, *args, None, None, n_max)
+        assert got[:2] == want[:2], n_max
+
+
 def test_search_expired_deadline():
     status, coloring, nodes, _, _, probes = _kernel_py.search_free_coloring(
         15, 6, 3, (0, 1, 2), 0b10, None, monotonic() - 10.0)
@@ -344,6 +355,38 @@ def test_deadline_is_tested_before_every_node_and_probe(monkeypatch):
         assert status == _kernel_py.BUDGET
         assert nodes + probes + propagation == m, m
     assert probes > 0 and propagation > 0
+
+
+def test_deadline_before_a_forced_value_ends_the_search(monkeypatch):
+    # a clock that ticks once per reading passes a deadline of i - 0.5 at
+    # reading i.  Where close makes that reading, before a forced value,
+    # the search must end there: BUDGET, with no add_value call after it
+    add_value = _kernel_py.add_value
+    ended = 0
+    for i in range(1, 300):
+        ticks = count()
+        late = []  # the caller of reading i, then the add_value calls
+
+        def clock():
+            tick = next(ticks)
+            if tick == i:
+                late.append(sys._getframe(1).f_code.co_name)
+            return tick
+
+        def counted(*args):
+            if late:
+                late.append(args[1])
+            add_value(*args)
+
+        monkeypatch.setattr(_kernel_py, "monotonic", clock)
+        monkeypatch.setattr(_kernel_py, "add_value", counted)
+        status = _kernel_py.search_free_coloring(
+            68, 12, 6, tuple(range(6)), 0b1110, None, i - 0.5)[0]
+        if late[:1] == ["close"]:
+            assert status == _kernel_py.BUDGET, i
+            assert late == ["close"], i
+            ended += 1
+    assert ended > 0
 
 
 @pytest.mark.parametrize("n, k, r, palette", (
@@ -589,8 +632,7 @@ def test_probing_refutes_prefix():
     # removes only colors that no free completion takes
     n, k, r, palette = 12, 4, 4, (0, 1, 2, 3)
     assert brute_force_search(n, k, r, palette, -1, 0)[0] == _kernel_py.FOUND
-    assert brute_force_search(n, k, r, palette, -1, 0,
-                              (0, 0, 2))[0] == _kernel_py.EXHAUSTED
+    assert free_completions((0, 0, 2), n, k, r, palette) == []
     rows, forced = extend_all((0, 0, 2), n, k, r, palette)
     geo = _kernel_py.Geometry(r, n)
     offsets = _kernel_py.forbid_offsets(palette, geo)

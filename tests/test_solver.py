@@ -175,6 +175,10 @@ class TestFindFreeColoring:
         assert outcome.exhausted
         assert (outcome.stats.nodes, outcome.stats.probes) == (3463, 35590)
 
+    def test_negative_n(self):
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            find_free_coloring(-1, ProblemSpec(k=6, r=3))
+
     def test_timeout_already_expired(self):
         spec = ProblemSpec(k=6, r=3)
         outcome = find_free_coloring(15, spec, SearchConfig(timeout=0.0))
@@ -570,6 +574,22 @@ class TestSolveExact:
             assert result.stats.nodes == 0
             assert windows == []
             assert peak < 2 * 2**20, (k, r, palette)
+
+    @pytest.mark.parametrize("palette", tuple(Palette))
+    def test_timeout_inside_the_start_check(self, monkeypatch, windows,
+                                            palette):
+        # the solver's clock is real, so every construction color is
+        # produced in time; the kernel's reads past the deadline, so the
+        # least_target table of the check ends before its first value.
+        # The solve reports the floor k-1 without searching
+        monkeypatch.setattr(_kernel_py, "monotonic", lambda: float("inf"))
+        result = solve_exact(ProblemSpec(k=6, r=3, palette=palette),
+                             SearchConfig(timeout=60.0))
+        assert result.status is SolveStatus.BUDGET_EXHAUSTED
+        assert result.value == 5
+        assert result.certificate is None
+        assert result.stats.nodes == 0
+        assert windows == []
 
     @pytest.mark.parametrize("palette", tuple(Palette))
     def test_certified_start_has_the_construction_length(self, palette):
