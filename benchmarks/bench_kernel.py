@@ -25,8 +25,9 @@ Workloads, in the order they run; their pinned results are in WORKLOADS:
                   k=150, r=10 construction and a seeded random tail to
                   n=1500, whose least target, above k+15, pays for the
                   table at n
-  free-150-10     zero_sum_table on the free k=150, r=10 construction
-                  (n=1488): the checker's decision with no witness
+  free-150-10     checker._zero_sum_table on the free k=150, r=10
+                  construction (n=1488): the checker's decision with no
+                  witness
   search-8-4      the reduced search at n=27, the S_z(8,4) decision step
   search-6-3      the same at n=15, k=6, r=3
   solve-12-4      a 2M-node budgeted slice of the k=12, r=4 search at
@@ -61,9 +62,12 @@ Each run also times a fixed pure-Python computation that shares no
 code with zschur, the reference (perfbench's: fifty naive freeness
 checks of a free 3-coloring of [1..32] for k=12), best of --repeats
 runs before the workloads and as many after them, and reports each
-workload's best time over the reference's (ref) beside it.  A host's
-speed moves both alike, so the ref column compares across hosts and
-runs where the seconds do not.
+workload's best time over the reference's (ref) beside it.  The ref
+column compares the workloads of one report, or reports of runs
+alternated in one session, and no more: two runs of one tree minutes
+apart (2-vCPU VM) timed the reference at 47.1 and 30.3 ms, and from the
+first to the second exhaust-8-8's ref rose 45% while free-150-10's fell
+18%, so the reference does not cancel a host's speed across runs.
 
 Exit 1, naming the workload, on a failed check.  ``--json PATH`` also
 writes the machine (nproc, CPU model, Python), the commit, the
@@ -93,7 +97,7 @@ from zschur import (
     find_zero_sum_solution,
     solve_exact,
 )
-from zschur.checker import _lex_least_parts
+from zschur.checker import _lex_least_parts, _zero_sum_table
 from zschur.solver import _symmetry_filters
 
 EXHAUSTED = _kernel_py.EXHAUSTED
@@ -120,9 +124,9 @@ def mid_values(seed, k, r):
 def extract_args(n, k, r):
     """The greedy's arguments on the padded construction, with the table
     the checker's decision builds for it."""
-    values = padded_values(n, k, r)
-    target, rows, geo = _kernel_py.zero_sum_table(values, n, k, r)
-    return (Coloring.of(values, r), k, target, rows, geo)
+    chi = Coloring.of(padded_values(n, k, r), r)
+    target, rows, geo = _zero_sum_table(chi, ProblemSpec(k, r))
+    return (chi, k, target, rows, geo)
 
 
 def check_args(values, k, r):
@@ -170,10 +174,10 @@ search = _kernel_py.search_free_coloring
 #: checked results), in the order the workloads run.
 WORKLOADS = {
     "start-check": (least_target,
-                    lambda: (padded_values(500, 50, 10), 0, 500, 50, 10),
+                    lambda: (padded_values(500, 50, 10), 500, 50, 10),
                     target, {"target": 489}),
     "start-150-10": (least_target,
-                     lambda: (padded_values(1500, 150, 10), 0, 1500, 150, 10),
+                     lambda: (padded_values(1500, 150, 10), 1500, 150, 10),
                      target, {"target": 1489}),
     "extract": (_lex_least_parts, lambda: extract_args(500, 50, 10), parts,
                 {"parts": [1] * 47 + [2, 440]}),
@@ -190,8 +194,8 @@ WORKLOADS = {
     "find-mid-150-10": (find_zero_sum_solution,
                         lambda: check_args(mid_values(5, 150, 10), 150, 10),
                         witness, {"target": 230, "parts": [1] * 148 + [82]}),
-    "free-150-10": (_kernel_py.zero_sum_table,
-                    lambda: (construct(150, 10).values, 1488, 150, 10),
+    "free-150-10": (_zero_sum_table,
+                    lambda: check_args(construct(150, 10).values, 150, 10),
                     target, {"target": 0}),
     "search-8-4": (search, lambda: search_args(27, 8, 4), counts,
                    {"status": EXHAUSTED, "nodes": 40, "prunes": 23,

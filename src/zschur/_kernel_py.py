@@ -4,10 +4,12 @@ The package's only kernel, with two hot entry points:
 
 * :func:`least_target` - the freeness decision over a fixed coloring:
   one exact table of the values up to a sum cap, and the least target
-  in a range that completes a zero-sum solution, read off its last row.
-  The checker decides with it (:func:`zero_sum_table`, which also hands
-  the table to the witness greedy), and so does the solver's check of
-  its certified start, under a deadline.
+  up to that cap that completes a zero-sum solution, read off its last
+  row.  The checker decides with it, in at most two tables whose rule
+  is stated once, in :func:`zschur.checker._zero_sum_table`, and hands
+  the table that found the target to the witness greedy; the solver's
+  check of its certified start makes one call at sum cap n, under a
+  deadline.
 * :func:`search_free_coloring` - forward-checking depth-first search for
   a solution-free coloring of [1..n], with singleton propagation and
   failed-literal probing (the solver's search).
@@ -31,15 +33,19 @@ k-1-j more parts, each at least ``low``, so row j is dead once
 j + (k-1-j)*low > sum_cap, and the dead rows are the low ones.  Both
 cuts are exact for the last row, which is all the search reads; the
 checker's tables (:func:`exact_table`) make the zero-row cut alone and
-stay exact in every row.
+stay exact in every row.  The dead-row cut pays for its code: a search
+that updated every row from row 1 took the S_z(12,3) window 32..33
+from 0.73 to 0.82 ms, the S_z(12,4) window 42..43 from 1.38 to
+1.52 ms, the S_z(10,5) window 44..45 from 0.89 to 0.96 ms and
+``exhaust-12-6`` of ``benchmarks/bench_kernel.py`` from 171 to 186 ms
+(minimum over interleaved in-process runs, 2-vCPU VM).
 
 The search and the checker pack the pairs in two layouts, each for the
 way it reads and grows its tables.  Only this module knows them.  The
 search's tables never leave :func:`search_free_coloring`; :func:`cell`
 reads one of their pairs for the tests alone.  The checker reads its
-tables through :class:`CheckerGeometry`, :func:`zero_sum_table` and
-:func:`checker_cell`, and the solver's check of its start calls
-:func:`least_target`.
+tables through :class:`CheckerGeometry`, :func:`least_target` and
+:func:`checker_cell`.
 
 Search tables
 -------------
@@ -95,7 +101,10 @@ each value as the one bit (sum_cap - v)*r + cv, so row 0, whose one
 bit is the highest of the row, is never shifted.  A geometry keeps the
 stay masks of at most k colors, so a check holds its k rows, at most k
 masks and the one row-wide int they are built from; a color past those
-has its mask built for each value, in two steps on that int.
+has its mask built for each value, in two steps on that int.  The cache
+pays for its code: building every mask for each value took perfbench
+``check``'s 38 inputs through the decision from 53.1 to 61.2 ms
+(minimum over interleaved in-process runs, 2-vCPU VM).
 
 The layout pays in the checker's exact table, which takes its values in
 descending order: at value v, row j holds only sums of at least j*v.
@@ -342,11 +351,6 @@ class CheckerGeometry:
         return mask
 
 
-def checker_table(k: int, geo: CheckerGeometry) -> list[int]:
-    """Empty checker table: only the 0-values/0-sum/0-color cell is set."""
-    return [1 << (geo.sum_cap * geo.r)] + [0] * (k - 1)
-
-
 def checker_add(rows: list[int], v: int, cv: int,
                  geo: CheckerGeometry) -> None:
     """:func:`add_value` for a checker table: allow value v (color cv)
@@ -384,16 +388,18 @@ def exact_table(colors, k: int, v_max: int, geo: CheckerGeometry,
     """Checker table of the values 1..v_max with every row exact, or None
     once ``deadline`` has passed.
 
-    Value v has color ``colors[v - 1]``.  Requires v_max <= sum_cap.  The
-    values join in descending order: row j stays zero while j*v > sum_cap,
-    so the zero-row stop of :func:`checker_add` skips the rows no sum fits
-    yet, where ascending order would update all k-1 rows for every value;
-    and row j holds only sums of at least j*v, the low bits, so the rows
-    grow shorter as the build goes on.  ``deadline`` is an absolute
+    Value v has color ``colors[v - 1]``.  Requires v_max <= sum_cap;
+    v_max = 0 gives the empty table, whose one cell is the 0-values,
+    0-sum, 0-color one.  The values join in descending order: row j
+    stays zero while j*v > sum_cap, so the zero-row stop of
+    :func:`checker_add` skips the rows no sum fits yet, where ascending
+    order would update all k-1 rows for every value; and row j holds
+    only sums of at least j*v, the low bits, so the rows grow shorter as
+    the build goes on.  ``deadline`` is an absolute
     time.monotonic() deadline, or None; when set it is tested before
     every value.
     """
-    rows = checker_table(k, geo)
+    rows = [1 << (geo.sum_cap * geo.r)] + [0] * (k - 1)
     for v in range(v_max, 0, -1):
         if deadline is not None and monotonic() > deadline:
             return None
@@ -609,71 +615,35 @@ def extend_state(rows: list[int], forced: int, pos: int, n: int, c: int,
     return None if forced is None else (child, forced)
 
 
-def _least_target(row: int, values, lo: int, hi: int,
-                  geo: CheckerGeometry) -> int:
-    """Least target T in (lo, hi] whose last-row bit
-    (sum_cap - T)*r + (r - c) % r is set, c = values[T - 1], else 0.
-    ``row`` is an exact last row of a checker table with sum_cap >= hi.
-
-    The row is read as bytes once, so each target costs a byte lookup
-    instead of a shift of the whole row.
-    """
-    r, cap = geo.r, geo.sum_cap
-    bits = row.to_bytes((geo.size + 7) // 8, "little")
-    for t in range(lo + 1, hi + 1):
-        i = (cap - t) * r + (r - values[t - 1]) % r
-        if (bits[i >> 3] >> (i & 7)) & 1:
-            return t
-    return 0
-
-
-def least_target(values, lo: int, cap: int, k: int, r: int,
+def least_target(values, cap: int, k: int, r: int,
                  deadline: float | None = None):
     """The freeness decision: ``(T, rows, geo)`` for the least target T in
-    (lo, cap] completing a zero-sum solution, ``(0, None, None)`` when
+    [k-1, cap] completing a zero-sum solution, ``(0, None, None)`` when
     there is none, or None once ``deadline`` has passed.
 
     ``values`` is 0-based: values[i] is the color of i+1.  ``rows`` is
     the :func:`exact_table` of the values 1..cap-k+2 at sum cap ``cap``,
     built under ``deadline`` (an absolute time.monotonic() deadline, or
     None).  Its last row decides every target up to cap at once (see the
-    module docstring), read by :func:`_least_target`, and every row
-    answers the :func:`checker_cell` queries of the witness greedy, which
-    ask for part of a sum-T solution, as the table of 1..T-k+2 would.  No
-    target lies below k-1, so no table is built when cap <= max(lo, k-2),
-    however large k is.
+    module docstring), and every row answers the :func:`checker_cell`
+    queries of the witness greedy, which ask for part of a sum-T
+    solution, as the table of 1..T-k+2 would.  The last row is read as
+    bytes once, so each target costs a byte lookup instead of a shift of
+    the whole row.  No target lies below k-1, so no table is built when
+    cap <= k-2, however large k is.
     """
-    if cap <= max(lo, k - 2):
+    if cap <= k - 2:
         return 0, None, None
     geo = CheckerGeometry(r, cap, k)
     rows = exact_table(values, k, cap - k + 2, geo, deadline)
     if rows is None:
         return None
-    target = _least_target(rows[-1], values, lo, cap, geo)
-    return (target, rows, geo) if target else (0, None, None)
-
-
-def zero_sum_table(values, n: int, k: int, r: int):
-    """The checker's decision: ``(T, rows, geo)`` for the least target T in
-    [k-1, n] completing a zero-sum solution, or ``(0, None, None)`` when
-    there is none, from :func:`least_target` in at most two tables:
-
-    1. over the targets up to early = min(n, k+15), at sum cap early;
-    2. when that misses, over the targets in (early, n], at sum cap n.
-
-    The cap k+15 is a fixed rule.  Without structure in the coloring, the
-    multisets of k-1 parts summing to a little above k-1 already give
-    every color sum, so the least target lies just above k-1 (105 for a
-    seeded random coloring with n = 2000, k = 100, r = 20), and the first
-    table settles it with 17 values in rows of r(k+16) bits, not r(n+1).
-    The colorings that certify the bounds have n near kr and no target,
-    and for them that table is a small waste.  A coloring whose least
-    target lies in (k+15, n] pays for the table at n, as a free coloring
-    of its length does.
-    """
-    early = min(n, k + 15)
-    found = least_target(values, k - 2, early, k, r)
-    return found if found[0] else least_target(values, early, n, k, r)
+    bits = rows[-1].to_bytes((geo.size + 7) // 8, "little")
+    for t in range(k - 1, cap + 1):
+        i = (cap - t) * r + (r - values[t - 1]) % r
+        if (bits[i >> 3] >> (i & 7)) & 1:
+            return t, rows, geo
+    return 0, None, None
 
 
 def search_free_coloring(n, k, r, palette, canonical_mask, max_nodes,

@@ -84,16 +84,20 @@ def _full_palette_entries(k: int, r: int) -> list[BoundEntry]:
         return entries
 
     # k > r and r | k, hence k >= 2r: every upper bound below applies.
+    # Every other r is an odd prime or composite, told apart by its one
+    # factorization.
     if r == 2:
         entries.append(BoundEntry("upper", 2 * k - 3, "robertson-two-color-exact"))
-    elif r % 2 and is_prime(r):
-        entries.append(BoundEntry("upper", k * r - r, "odd-prime-upper"))
     elif r == 4:
         entries.append(BoundEntry("upper", 4 * k - 5, "four-color-upper"))
-    elif r >= 6 and not is_prime(r):
-        deficit = sum(p - 1 for p in factorize(r))
-        entries.append(BoundEntry(
-            "upper", k * r - deficit - 1, "composite-prime-factor-upper"))
+    else:
+        factors = factorize(r)
+        if len(factors) == 1:
+            entries.append(BoundEntry("upper", k * r - r, "odd-prime-upper"))
+        else:
+            deficit = sum(p - 1 for p in factors)
+            entries.append(BoundEntry(
+                "upper", k * r - deficit - 1, "composite-prime-factor-upper"))
     return entries
 
 

@@ -2,18 +2,13 @@
 
 :func:`find_zero_sum_solution` is the production path, and
 :func:`is_solution_free` makes the same decision without the witness.
-The decision (:func:`zschur._kernel_py.zero_sum_table`) builds at most
-two exact tables of sums and color residues, each in one backward pass
-(:func:`zschur._kernel_py.least_target`), and reads the least target
-off the last row of each:
-
-1. one at sum cap min(n, k+15), over the targets up to that cap, where
-   a coloring without structure has its least target;
-2. when that misses, one at sum cap n, over the later targets.
-
-Either way the lexicographic witness is read by a greedy off the table
-that found the target; no table is built for it.  The returned witness
-is the least one by (target, sorted parts).
+The decision, :func:`_zero_sum_table`, reads the least target off the
+last row of at most two exact tables of sums and color residues, each
+built in one backward pass (:func:`zschur._kernel_py.least_target`);
+its docstring states the rule that picks their sum caps.  The
+lexicographic witness is read by a greedy off the table that found the
+target; no table is built for it.  The returned witness is the least
+one by (target, sorted parts).
 
 The checker's tables have their own layout, apart from the search's
 (see the :mod:`zschur._kernel_py` docstring): each sum has a group of r
@@ -57,11 +52,36 @@ def _residues(chi: Coloring, k: int, r: int) -> int:
 
 
 def _zero_sum_table(chi: Coloring, spec: ProblemSpec):
-    """The one decision of both checks: :func:`_kernel_py.zero_sum_table`
-    over :func:`_residues` color blocks, ``(target, rows, geo)``."""
+    """The one decision of both checks: ``(T, rows, geo)`` for the least
+    target T in [k-1, n] completing a zero-sum solution, or
+    ``(0, None, None)`` when there is none, from at most two
+    :func:`_kernel_py.least_target` tables over :func:`_residues` colors:
+
+    1. one at sum cap early = min(n, k+15), deciding the targets up to
+       early;
+    2. when that misses and n > early, one at sum cap n, deciding every
+       target up to n.  It reads again the at most 17 targets the first
+       table cleared, at a byte lookup each; both tables are exact, so
+       they agree there.
+
+    The cap k+15 is a fixed rule.  Without structure in the coloring, the
+    multisets of k-1 parts summing to a little above k-1 already give
+    every color sum, so the least target lies just above k-1 (105 for a
+    seeded random coloring with n = 2000, k = 100, r = 20), and the first
+    table settles it with 17 values in rows of r(k+16) bits, not r(n+1).
+    The colorings that certify the bounds have n near kr and no target,
+    and for them that table is a small waste.  A coloring whose least
+    target lies in (k+15, n] pays for the table at n, as a free coloring
+    of its length does.  ``rows`` is the table that found the target.
+    """
     require_same_modulus(chi, spec)
-    return _kernel_py.zero_sum_table(
-        chi.values, chi.n, spec.k, _residues(chi, spec.k, spec.r))
+    n, k = chi.n, spec.k
+    r = _residues(chi, k, spec.r)
+    early = min(n, k + 15)
+    found = _kernel_py.least_target(chi.values, early, k, r)
+    if found[0] or early == n:
+        return found
+    return _kernel_py.least_target(chi.values, n, k, r)
 
 
 def _lex_least_parts(chi: Coloring, k: int, target: int, rows: list[int],

@@ -249,7 +249,7 @@ def _certified_start(spec: ProblemSpec,
         if deadline is not None and monotonic() > deadline:
             return None
         values.append(c)
-    found = least_target(values, 0, len(values), spec.k, spec.r, deadline)
+    found = least_target(values, len(values), spec.k, spec.r, deadline)
     if found is None:
         return None
     if found[0]:

@@ -5,6 +5,7 @@ import pytest
 
 from zschur import (INF, Palette, ProblemSpec, factorize, is_prime,
                     solve_exact, theoretical_bounds)
+from zschur import bounds as bounds_mod
 
 
 def test_factorize_examples():
@@ -33,6 +34,32 @@ def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(2, 25):
         assert is_prime(n) == (n in primes)
+
+
+def test_k_above_r_factorizes_r_once(monkeypatch):
+    # an odd composite r: one trial division tells it from a prime and
+    # gives the deficit of its upper bound.  At the semiprime
+    # 999979 * 999983 each division takes about 0.1 s
+    calls = []
+
+    def counted(r):
+        calls.append(r)
+        return factorize(r)
+
+    monkeypatch.setattr(bounds_mod, "factorize", counted)
+    for r in (9, 15, 999_979 * 999_983):
+        calls.clear()
+        rep = theoretical_bounds(2 * r, r)
+        assert calls == [r], r
+        deficit = sum(p - 1 for p in factorize(r))
+        assert rep.upper == 2 * r * r - deficit - 1, r
+    # r = 2 and r = 4 need no factorization; an r past 10**12 is refused
+    for r in (2, 4):
+        calls.clear()
+        theoretical_bounds(2 * r, r)
+        assert calls == [], r
+    with pytest.raises(ValueError):
+        theoretical_bounds(2 * (10**12 + 1), 10**12 + 1)
 
 
 def test_odd_prime_exact():

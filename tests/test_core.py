@@ -53,6 +53,19 @@ def test_coloring_validation_and_access():
     assert Coloring.of([], 5).n == 0
 
 
+def test_coloring_refuses_fewer_than_two_colors():
+    with pytest.raises(ValueError, match="r must be >= 2"):
+        Coloring(n=1, r=1, values=(0,))
+
+
+def test_coloring_given_a_list_stores_a_tuple():
+    # a tuple keeps the frozen coloring hashable and equal to Coloring.of's
+    chi = Coloring(n=3, r=3, values=[1, 0, 2])
+    assert isinstance(chi.values, tuple)
+    assert chi == Coloring.of((1, 0, 2), 3)
+    assert hash(chi) == hash(Coloring.of((1, 0, 2), 3))
+
+
 def test_coloring_symmetry_helpers():
     chi = Coloring.of([1, 0, 2], 3)
     assert chi.translated(2).values == (0, 2, 1)

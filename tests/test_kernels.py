@@ -14,12 +14,14 @@ from time import monotonic
 import pytest
 
 from zschur import (
+    Coloring,
     Palette,
     ProblemSpec,
     SearchConfig,
     _kernel_py,
     find_free_coloring,
 )
+from zschur.checker import _zero_sum_table
 from zschur.solver import _symmetry_filters
 
 
@@ -68,6 +70,11 @@ def brute_force_search(n, k, r, palette, fix_first, canonical_mask):
     return (_kernel_py.FOUND, found)
 
 
+def checker_target(values, k, r):
+    """The least target of the checker's decision on ``values``, else 0."""
+    return _zero_sum_table(Coloring.of(values, r), ProblemSpec(k, r))[0]
+
+
 def test_status_codes_match():
     assert (_kernel_py.EXHAUSTED, _kernel_py.FOUND, _kernel_py.BUDGET) == (0, 1, 3)
 
@@ -81,9 +88,9 @@ def test_first_target_random_agreement():
         n = rng.randint(0, 40)
         values = tuple(rng.randrange(r) for _ in range(n))
         want = naive_first_target(values, n, k, r)
-        got = _kernel_py.least_target(values, k - 2, n, k, r)[0]
+        got = _kernel_py.least_target(values, n, k, r)[0]
         assert got == want, (values, n, k, r)
-        got = _kernel_py.zero_sum_table(values, n, k, r)[0]
+        got = checker_target(values, k, r)
         assert got == want, (values, n, k, r)
 
 
@@ -136,17 +143,17 @@ def test_first_target_wide_sums():
         for values, r in ((tuple(rng.randrange(5) for _ in range(n)), 5),
                           (ones, 3), (late, 3)):
             want = naive_first_target(values, n, 10, r)
-            got = _kernel_py.least_target(values, 8, n, 10, r)[0]
+            got = _kernel_py.least_target(values, n, 10, r)[0]
             assert got == want, (n, r)
-            assert _kernel_py.zero_sum_table(values, n, 10, r)[0] == want, n
+            assert checker_target(values, 10, r) == want, n
         assert naive_first_target(ones, n, 10, 3) == 0, n
         assert naive_first_target(late, n, 10, 3) == n, n
 
 
 def test_least_target_matches_the_reference():
     # least_target reads every target off the last row of one table of
-    # 1..n-k+2 at sum cap n, by bytes; read from the first target, k-1,
-    # it must give the reference's least target, and zero_sum_table
+    # 1..n-k+2 at sum cap n, by bytes, from the first target, k-1: it
+    # must give the reference's least target, and the checker's decision
     # (a table at cap k+15, then one at cap n) the same.  Near-constant
     # colorings put many least targets past k+15; n up to 200 gives rows
     # of many bytes
@@ -161,10 +168,9 @@ def test_least_target_matches_the_reference():
         for i in rng.sample(range(n), min(n, rng.randint(0, 4))):
             values[i] = rng.randrange(r)
         want = naive_first_target(values, n, k, r)
-        got = _kernel_py.least_target(values, k - 2, n, k, r)[0]
+        got = _kernel_py.least_target(values, n, k, r)[0]
         assert got == want, (values, k, r)
-        target, rows, geo = _kernel_py.zero_sum_table(values, n, k, r)
-        assert target == want, (values, k, r)
+        assert checker_target(values, k, r) == want, (values, k, r)
         late += want > k + 15
     assert late >= 40, late
 
@@ -269,10 +275,10 @@ SCAN_CASES = [(k, r, palette) for k in range(3, 9) for r in range(2, 6)
 
 @pytest.mark.parametrize("k,r,palette", SCAN_CASES,
                          ids=lambda case: str(getattr(case, "value", case)))
-def test_resumed_search_matches_scratch(k, r, palette):
+def test_window_search_matches_one_search_per_level(k, r, palette):
     # one search over the levels n0..n1 (a window of 1, 2, 4 or 8 levels,
     # or up to 2 * n0 as the solver's scan has it), which starts from the
-    # empty coloring and resumes each level above n0 from the lex-least
+    # empty coloring and goes on at each level above n0 from the lex-least
     # coloring of the level below, against the search from scratch at
     # each level: FOUND with the coloring of n1, or EXHAUSTED at the
     # first exhausted level with the coloring of the level below (None
@@ -438,14 +444,14 @@ def test_probe_forced_target_takes_its_forced_color():
 def test_least_target_expired_deadline():
     ones = (1,) * 200  # free for k=10, r=3: the table takes every value
     free = (0, None, None)
-    assert _kernel_py.least_target(ones, 0, 200, 10, 3, None) == free
-    assert _kernel_py.least_target(ones, 0, 200, 10, 3,
+    assert _kernel_py.least_target(ones, 200, 10, 3, None) == free
+    assert _kernel_py.least_target(ones, 200, 10, 3,
                                    monotonic() - 10.0) is None
-    assert _kernel_py.least_target(ones, 0, 200, 10, 3,
+    assert _kernel_py.least_target(ones, 200, 10, 3,
                                    monotonic() + 60.0) == free
-    # with no target in range no table is built, and the deadline is
-    # never read
-    assert _kernel_py.least_target(ones, 200, 200, 10, 3,
+    # no target lies below k-1, so at cap k-2 no table is built, and the
+    # deadline is never read
+    assert _kernel_py.least_target(ones, 8, 10, 3,
                                    monotonic() - 10.0) == free
 
 
@@ -1026,7 +1032,7 @@ def test_checker_add_matches_set_reference(r):
     rng = random.Random(r)
     cap, k = 1030, 5
     geo = _kernel_py.CheckerGeometry(r, cap, k)
-    empty = _kernel_py.checker_table(k, geo)
+    empty = _kernel_py.exact_table((), k, 0, geo)
 
     def sparse_row():  # about one bit in eight
         return (rng.getrandbits(geo.size) & rng.getrandbits(geo.size)
